@@ -9,14 +9,19 @@ once without being produced.
 
 Time is discrete.  Amplitudes live on (wire, bin) slots; a ``Delay`` of k
 bins shifts bin t to bin t+k exactly and multiplies by ``exp(i*phase)``.
-``compile_circuit`` folds the element graph into a single complex matrix
-from (source, bin) coordinates to (terminal, bin) coordinates.  Because
-every element is unitary and obstacles reroute amplitude to loss terminals
-instead of destroying it, the unrolled map is an isometry.
+``compile_circuit`` validates the element graph and fixes its terminal
+layout; ``CompiledCircuit.propagate`` then walks one length-``n_bins``
+amplitude vector per wire through the elements in topological order, so
+a pass costs O(elements x n_bins).  The dense map from (source, bin) to
+(terminal, bin) coordinates is derived on demand, and size-guarded, by
+walking identity columns.  Because every element is unitary and obstacles
+reroute amplitude to loss terminals instead of destroying it, that
+unrolled map is an isometry.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field, replace
 from typing import Optional, Sequence, Union
 
@@ -28,9 +33,13 @@ from .errors import (
     DanglingPortError,
     NonUnitaryBeamSplitterError,
     PortCountMismatchError,
+    StateTooLargeError,
 )
 
 UNITARITY_TOL = 1e-10
+
+# Largest dense ``CompiledCircuit.unrolled_map`` that will be built.
+MAX_MAP_BYTES = 1 << 30
 
 _VACUUM_PREFIX = "vac"
 
@@ -170,15 +179,16 @@ class CircuitSpec:
 
 @dataclass(frozen=True, eq=False)
 class CompiledCircuit:
-    """Time-unrolled linear map of a validated circuit.
+    """A validated circuit with its input and terminal layout.
 
-    ``unrolled_map`` has one row per (terminal, bin) and one column per
-    (source, bin); its columns are orthonormal.  Row blocks are laid out
-    in ``terminal_order`` (detectors first, then loss terminals), bin-major
+    ``propagate`` walks a source-side amplitude vector to per-terminal
+    amplitudes.  ``unrolled_map`` is the same walk applied to identity
+    columns: one row per (terminal, bin) and one column per (source, bin);
+    its columns are orthonormal.  Row blocks are laid out in
+    ``terminal_order`` (detectors first, then loss terminals), bin-major
     within each block.  Immutable after build and safe to share.
     """
 
-    unrolled_map: np.ndarray
     n_bins: int
     terminal_order: tuple[str, ...]
     terminal_index: dict[str, tuple[int, int]]
@@ -190,7 +200,44 @@ class CompiledCircuit:
 
     @property
     def input_dim(self) -> int:
-        return self.unrolled_map.shape[1]
+        return sum(hi - lo for lo, hi in self.input_index.values())
+
+    @functools.cached_property
+    def unrolled_map(self) -> np.ndarray:
+        """Dense (terminal, bin) x (source, bin) matrix of the circuit.
+
+        Raises ``StateTooLargeError`` before allocating if it would exceed
+        ``MAX_MAP_BYTES``; propagation never needs it.
+        """
+        rows = len(self.terminal_order) * self.n_bins
+        size = rows * self.input_dim * np.dtype(complex).itemsize
+        if size > MAX_MAP_BYTES:
+            raise StateTooLargeError(
+                f"unrolled map of {rows}x{self.input_dim} needs {size} bytes, "
+                f"over the bound of {MAX_MAP_BYTES} bytes")
+        terminals, _, _ = _walk(self._order, self.n_bins, self.input_index,
+                                np.eye(self.input_dim, dtype=complex))
+        return np.vstack(list(terminals.values()))
+
+    def propagate(self, amplitudes: np.ndarray,
+                  source_id: Optional[str] = None) -> dict[str, np.ndarray]:
+        """Walk a source-side amplitude vector to per-terminal amplitudes.
+
+        ``amplitudes`` feeds the first bins of the sole source (or
+        ``source_id``); every other source stays vacuum.  Returns one
+        length-``n_bins`` array per terminal, in ``terminal_order``.
+        Linear and norm preserving.
+        """
+        source = self._source(source_id)
+        lo, hi = self.input_index[source.id]
+        if len(amplitudes) > hi - lo:
+            raise BinOverflowError(
+                f"{len(amplitudes)} input amplitudes exceed the {hi - lo} "
+                f"input bins of source {source.id!r}")
+        x = np.zeros(self.input_dim, dtype=complex)
+        x[lo:lo + len(amplitudes)] = amplitudes
+        terminals, _, _ = _walk(self._order, self.n_bins, self.input_index, x)
+        return terminals
 
     def detector_ids(self) -> tuple[str, ...]:
         return tuple(t for t in self.terminal_order if t not in self.loss_terminals)
@@ -219,6 +266,7 @@ class CompiledCircuit:
 
     # populated by compile_circuit
     _sources: tuple[Source, ...] = field(default=(), repr=False)
+    _order: tuple[Element, ...] = field(default=(), repr=False)
 
 
 def _is_vacuum(wire: str) -> bool:
@@ -306,11 +354,13 @@ def validate(spec: CircuitSpec) -> list[Element]:
 
 
 def compile_circuit(spec: CircuitSpec) -> CompiledCircuit:
-    """Compile a validated spec into its time-unrolled isometry.
+    """Validate a spec and lay out its sources and terminals.
 
     Raises ``BinOverflowError`` naming the offending delay if any populated
-    source bin would be shifted past ``n_bins``.  Deterministic: the same
-    spec yields a bit-identical matrix.
+    source bin would be shifted past ``n_bins``.  Builds no matrix: the
+    checks, the terminal layout and the path delays come from one walk of
+    zero-width ``(n_bins, 0)`` signals.  Deterministic: the same spec
+    yields bit-identical propagation.
     """
     order = validate(spec)
     sources = [e for e in order if isinstance(e, Source)]
@@ -323,117 +373,113 @@ def compile_circuit(spec: CircuitSpec) -> CompiledCircuit:
     for s in sources:
         input_index[s.id] = (col, col + s.n_bins)
         col += s.n_bins
-    input_dim = col
 
     n_bins = spec.n_bins
     if n_bins is None:
         n_bins = _required_bins(order, sources)
 
-    # Per-wire transfer matrix: amplitude on (wire, bin t) as a linear map
-    # of the input coordinates.  max_bin tracks the populated extent;
-    # delays the set of accumulated delay offsets of all contributing paths.
-    transfer: dict[str, np.ndarray] = {}
-    max_bin: dict[str, int] = {}
-    delays: dict[str, frozenset[int]] = {}
+    terminals, losses, path_delays = _walk(
+        order, n_bins, input_index, np.zeros((col, 0), dtype=complex))
+    terminal_order = tuple(terminals)
+    return CompiledCircuit(
+        n_bins=n_bins,
+        terminal_order=terminal_order,
+        terminal_index={t: (k * n_bins, (k + 1) * n_bins)
+                        for k, t in enumerate(terminal_order)},
+        loss_terminals=losses,
+        source_order=tuple(s.id for s in sources),
+        input_index=input_index,
+        max_path_delay=max(path_delays) if path_delays else 0,
+        path_delays=path_delays,
+        _sources=tuple(sources),
+        _order=tuple(order),
+    )
 
-    det_blocks: list[tuple[str, np.ndarray]] = []
-    loss_blocks: list[tuple[str, np.ndarray]] = []
+
+def _walk(order: Sequence[Element], n_bins: int,
+          input_index: dict[str, tuple[int, int]], x: np.ndarray,
+          ) -> tuple[dict[str, np.ndarray], frozenset[str], frozenset[int]]:
+    """Push per-wire signals through the elements in topological order.
+
+    ``x`` has shape ``(input_dim, *trail)``: rows ``input_index[s]`` feed
+    the first bins of source ``s``.  Every wire carries an ``(n_bins,
+    *trail)`` signal; vacuum wires enter as zeros.  A splitter mixes two
+    signals, a delay shifts one along the bin axis and multiplies by its
+    phase, a phase shifter multiplies, and an inserted obstacle splits a
+    signal by a bin mask between its loss terminal and its output.
+    Returns the terminal signals (detectors first, then loss terminals,
+    each in walk order), the loss terminal ids and the accumulated delays
+    of all paths.
+    """
+    trail = x.shape[1:]
+    signal: dict[str, np.ndarray] = {}
+    # Per wire: last populated bin (-1 for vacuum only) and path delays.
+    extent: dict[str, tuple[int, frozenset[int]]] = {}
+    detectors: dict[str, np.ndarray] = {}
+    losses: dict[str, np.ndarray] = {}
     path_delays: set[int] = set()
+
+    def take(wire):
+        # Each wire is consumed once, so its signal can be released.
+        if _is_vacuum(wire):
+            return np.zeros((n_bins,) + trail, dtype=complex), -1, frozenset()
+        return (signal.pop(wire),) + extent.pop(wire)
 
     for e in order:
         if isinstance(e, Source):
-            t = np.zeros((n_bins, input_dim), dtype=complex)
-            lo, _ = input_index[e.id]
             if e.n_bins > n_bins:
                 raise BinOverflowError(
                     f"source {e.id!r}: {e.n_bins} pulse bins exceed n_bins={n_bins}")
-            for b in range(e.n_bins):
-                t[b, lo + b] = 1.0
-            transfer[e.out] = t
-            max_bin[e.out] = e.n_bins - 1
-            delays[e.out] = frozenset({0})
+            lo, hi = input_index[e.id]
+            t = np.zeros((n_bins,) + trail, dtype=complex)
+            t[:hi - lo] = x[lo:hi]
+            signal[e.out] = t
+            extent[e.out] = (e.n_bins - 1, frozenset({0}))
         elif isinstance(e, BeamSplitter):
-            t0, t1 = (_take(transfer, max_bin, delays, w, n_bins, input_dim)
-                      for w in e.inputs)
+            (t0, mb0, ds0), (t1, mb1, ds1) = (take(w) for w in e.inputs)
             m = e.resolved_matrix()
-            transfer[e.outputs[0]] = m[0, 0] * t0[0] + m[0, 1] * t1[0]
-            transfer[e.outputs[1]] = m[1, 0] * t0[0] + m[1, 1] * t1[0]
-            mb = max(t0[1], t1[1])
-            ds = t0[2] | t1[2]
+            signal[e.outputs[0]] = m[0, 0] * t0 + m[0, 1] * t1
+            signal[e.outputs[1]] = m[1, 0] * t0 + m[1, 1] * t1
             for w in e.outputs:
-                max_bin[w] = mb
-                delays[w] = ds
+                extent[w] = (max(mb0, mb1), ds0 | ds1)
         elif isinstance(e, Delay):
-            t, mb, ds = _take(transfer, max_bin, delays, e.input, n_bins, input_dim)
+            t, mb, ds = take(e.input)
             if mb >= 0 and mb + e.bins >= n_bins:
                 raise BinOverflowError(
                     f"delay {e.id!r}: bin {mb}+{e.bins} exceeds n_bins={n_bins}")
             out = np.zeros_like(t)
             if e.bins:
-                out[e.bins:, :] = t[:-e.bins, :]
+                out[e.bins:] = t[:-e.bins]
             else:
-                out[:, :] = t
+                out[:] = t
             if e.phase:
                 out = out * np.exp(1j * e.phase)
-            transfer[e.output] = out
-            max_bin[e.output] = mb + e.bins
-            delays[e.output] = frozenset(d + e.bins for d in ds)
+            signal[e.output] = out
+            extent[e.output] = (mb + e.bins, frozenset(d + e.bins for d in ds))
         elif isinstance(e, PhaseShift):
-            t, mb, ds = _take(transfer, max_bin, delays, e.input, n_bins, input_dim)
-            transfer[e.output] = t * np.exp(1j * e.angle)
-            max_bin[e.output] = mb
-            delays[e.output] = ds
+            t, mb, ds = take(e.input)
+            signal[e.output] = t * np.exp(1j * e.angle)
+            extent[e.output] = (mb, ds)
         elif isinstance(e, Obstacle):
-            t, mb, ds = _take(transfer, max_bin, delays, e.input, n_bins, input_dim)
+            t, mb, ds = take(e.input)
             if not e.inserted:
-                transfer[e.output] = t
-                max_bin[e.output] = mb
-                delays[e.output] = ds
-                continue
-            if e.bins is None:
-                loss_blocks.append((e.id, t))
-                transfer[e.output] = np.zeros_like(t)
+                signal[e.output] = t
+            elif e.bins is None:
+                losses[e.id] = t
+                signal[e.output] = np.zeros_like(t)
             else:
-                gate = np.zeros((n_bins, 1))
+                gate = np.zeros(n_bins)
                 for b in e.bins:
-                    gate[b, 0] = 1.0
-                loss_blocks.append((e.id, t * gate))
-                transfer[e.output] = t * (1.0 - gate)
-            max_bin[e.output] = mb
-            delays[e.output] = ds
-        elif isinstance(e, Detector):
-            t, mb, ds = _take(transfer, max_bin, delays, e.wire, n_bins, input_dim)
-            det_blocks.append((e.id, t))
+                    gate[b] = 1.0
+                gate = gate.reshape((n_bins,) + (1,) * len(trail))
+                losses[e.id] = t * gate
+                signal[e.output] = t * (1.0 - gate)
+            extent[e.output] = (mb, ds)
+        elif isinstance(e, (Detector, Absorber)):
+            t, _, ds = take(e.wire)
+            (detectors if isinstance(e, Detector) else losses)[e.id] = t
             path_delays.update(ds)
-        elif isinstance(e, Absorber):
-            t, mb, ds = _take(transfer, max_bin, delays, e.wire, n_bins, input_dim)
-            loss_blocks.append((e.id, t))
-            path_delays.update(ds)
-
-    blocks = det_blocks + loss_blocks
-    rows = np.vstack([b for _, b in blocks]) if blocks else np.zeros((0, input_dim))
-    terminal_index = {}
-    for k, (tid, _) in enumerate(blocks):
-        terminal_index[tid] = (k * n_bins, (k + 1) * n_bins)
-
-    return CompiledCircuit(
-        unrolled_map=rows,
-        n_bins=n_bins,
-        terminal_order=tuple(tid for tid, _ in blocks),
-        terminal_index=terminal_index,
-        loss_terminals=frozenset(tid for tid, _ in loss_blocks),
-        source_order=tuple(s.id for s in sources),
-        input_index=input_index,
-        max_path_delay=max(path_delays) if path_delays else 0,
-        path_delays=frozenset(path_delays),
-        _sources=tuple(sources),
-    )
-
-
-def _take(transfer, max_bin, delays, wire, n_bins, input_dim):
-    if _is_vacuum(wire):
-        return np.zeros((n_bins, input_dim), dtype=complex), -1, frozenset()
-    return transfer[wire], max_bin[wire], delays[wire]
+    return {**detectors, **losses}, frozenset(losses), frozenset(path_delays)
 
 
 def _required_bins(order: Sequence[Element], sources: Sequence[Source]) -> int:

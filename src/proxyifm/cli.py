@@ -67,6 +67,19 @@ def _default_seed(scenario_seed: int) -> int:
     return int(env) if env else scenario_seed
 
 
+def _int_at_least(low: int):
+    """argparse ``type=`` that rejects integers below ``low`` (exit 2)."""
+    def parse(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"invalid integer {text!r}") from None
+        if value < low:
+            raise argparse.ArgumentTypeError(f"must be >= {low}, got {value}")
+        return value
+    return parse
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="proxyifm",
@@ -80,9 +93,9 @@ def build_parser() -> argparse.ArgumentParser:
     sim.add_argument("--engine", choices=["coherent", "singlephoton", "fock"],
                      help="override the source's natural engine")
     sim.add_argument("--mode", choices=["exact", "mc"], default=None)
-    sim.add_argument("--shots", type=int, default=None)
+    sim.add_argument("--shots", type=_int_at_least(1), default=None)
     sim.add_argument("--seed", type=int, default=None)
-    sim.add_argument("--cutoff", type=int, default=5,
+    sim.add_argument("--cutoff", type=_int_at_least(0), default=5,
                      help="Fock truncation (fock engine only)")
     sim.add_argument("--out", required=True)
     sim.add_argument("--format", choices=["csv", "jsonl"], default="csv")
@@ -92,12 +105,12 @@ def build_parser() -> argparse.ArgumentParser:
     sw.add_argument("--param", default="delay_phase")
     sw.add_argument("--from", dest="start", type=float, required=True)
     sw.add_argument("--to", dest="stop", type=float, required=True)
-    sw.add_argument("--steps", type=int, required=True)
+    sw.add_argument("--steps", type=_int_at_least(1), required=True)
     sw.add_argument("--out", required=True)
 
     orc = sub.add_parser("oracle", help="exact Fock-space joint distribution")
     orc.add_argument("--scenario", required=True)
-    orc.add_argument("--cutoff", type=int, default=5)
+    orc.add_argument("--cutoff", type=_int_at_least(0), default=5)
     orc.add_argument("--out", required=True)
 
     dec = sub.add_parser("decompose",

@@ -1,10 +1,10 @@
 """Coherent-state propagation, threshold-click statistics, and Monte Carlo.
 
 A train of weak coherent pulses stays coherent under any passive linear
-circuit: the per-(terminal, bin) amplitudes are just the unrolled map
-applied to the per-pulse input amplitudes.  Detection uses a threshold
-(click / no-click) model, so each output cell clicks independently with
-probability ``1 - exp(-|amplitude|^2)``.
+circuit: the per-(terminal, bin) amplitudes are the per-pulse input
+amplitudes walked through the circuit by ``CompiledCircuit.propagate``.
+Detection uses a threshold (click / no-click) model, so each output cell
+clicks independently with probability ``1 - exp(-|amplitude|^2)``.
 
 The conditional no-interaction figure quantifies how counterfactual a
 click is: given a click on a trigger cell, the probability that the
@@ -21,7 +21,7 @@ from typing import Iterable, Optional, Sequence
 import numpy as np
 
 from .circuit import CircuitSpec, CompiledCircuit, Delay, Obstacle, compile_circuit
-from .errors import BinOverflowError, NoLossTerminalError, ZeroPulsesError
+from .errors import NoLossTerminalError, ZeroPulsesError
 
 # Fixed Monte-Carlo chunk size: results are a pure function of (seed, shot
 # index, cell index), independent of how a caller batches or parallelises.
@@ -122,27 +122,13 @@ class EventLog:
 
 def propagate_coherent(circuit: CompiledCircuit, train: CoherentTrain,
                        source_id: Optional[str] = None) -> FieldConfiguration:
-    """Push a coherent train through the unrolled map.
+    """Walk a coherent train through the circuit.
 
     The train feeds the circuit's sole source (or ``source_id``); the
-    other input coordinates stay vacuum.  Linear, energy conserving.
+    other sources stay vacuum.  Linear, energy conserving.
     """
-    if source_id is None:
-        if len(circuit.source_order) != 1:
-            raise ValueError("source_id required for multi-source circuits")
-        source_id = circuit.source_order[0]
-    lo, hi = circuit.input_index[source_id]
-    if train.n_pulses > hi - lo:
-        raise BinOverflowError(
-            f"train of {train.n_pulses} pulses exceeds the {hi - lo} input bins "
-            f"of source {source_id!r}")
-    x = np.zeros(circuit.input_dim, dtype=complex)
-    x[lo:lo + train.n_pulses] = train.amplitudes()
-    y = circuit.unrolled_map @ x
-    amps = {t: y[circuit.terminal_index[t][0]:circuit.terminal_index[t][1]]
-            for t in circuit.terminal_order}
     return FieldConfiguration(
-        amplitudes=amps,
+        amplitudes=circuit.propagate(train.amplitudes(), source_id),
         source_energy=train.mean_photons,
         loss_terminals=circuit.loss_terminals,
         n_bins=circuit.n_bins,

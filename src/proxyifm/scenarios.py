@@ -228,9 +228,15 @@ def _parse_source(raw: dict) -> SourceSpec:
             phases = [0.0] * n
         if len(phases) != n:
             raise ParseError(f"pulses: {len(phases)} phases for {n} pulses")
-        return CoherentSourceSpec(n_pulses=n,
-                                  alpha_squared=float(raw["alpha_squared"]),
-                                  phases=tuple(float(p) for p in phases))
+        alpha_squared = float(raw["alpha_squared"])
+        if not (math.isfinite(alpha_squared) and alpha_squared >= 0):
+            raise ParseError(f"pulses: alpha_squared {alpha_squared!r} must be "
+                             "finite and non-negative")
+        phases = tuple(float(p) for p in phases)
+        if not all(math.isfinite(p) for p in phases):
+            raise ParseError("pulses: phases must be finite")
+        return CoherentSourceSpec(n_pulses=n, alpha_squared=alpha_squared,
+                                  phases=phases)
     if kind == "tensor_sum":
         return TensorSumSourceSpec(n_pulses=int(raw["n"]))
     if kind == "single_photons":

@@ -1,11 +1,12 @@
 """First-quantization engine for one photon spread over time bins.
 
 One photon delocalised over N bins is a complex amplitude per (mode, bin)
-slot; a passive circuit acts on it with the same unrolled map that
-propagates coherent amplitudes.  Amplitude routed into an inserted
-obstacle moves to an absorbed ledger, so detector probabilities plus
-absorbed probabilities sum to one and exactly one outcome occurs per
-run: a detection somewhere, or absorption at the obstacle.
+slot; a passive circuit acts on it with the same per-wire walk,
+``CompiledCircuit.propagate``, that carries coherent amplitudes.
+Amplitude routed into an inserted obstacle moves to an absorbed ledger,
+so detector probabilities plus absorbed probabilities sum to one and
+exactly one outcome occurs per run: a detection somewhere, or absorption
+at the obstacle.
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ from typing import Optional
 import numpy as np
 
 from .circuit import CompiledCircuit
-from .errors import BinOverflowError, ZeroPulsesError
+from .errors import ZeroPulsesError
 
 _MC_CHUNK = 1 << 17
 
@@ -77,26 +78,13 @@ def single_bin_state(bin_index: int, n: Optional[int] = None) -> PhotonWavefunct
 
 def propagate_wavefunction(circuit: CompiledCircuit, psi: PhotonWavefunction,
                            source_id: Optional[str] = None) -> PhotonWavefunction:
-    """Apply the unrolled isometry to a source-side wavefunction."""
+    """Walk a source-side wavefunction through the circuit's isometry."""
     (mode, amps), = psi.amplitudes.items()
     if psi.absorbed:
         raise ValueError("input wavefunction already carries absorbed amplitude")
-    if source_id is None:
-        if len(circuit.source_order) != 1:
-            raise ValueError("source_id required for multi-source circuits")
-        source_id = circuit.source_order[0]
-    lo, hi = circuit.input_index[source_id]
-    if len(amps) > hi - lo:
-        raise BinOverflowError(
-            f"wavefunction over {len(amps)} bins exceeds the {hi - lo} input bins "
-            f"of source {source_id!r}")
-    x = np.zeros(circuit.input_dim, dtype=complex)
-    x[lo:lo + len(amps)] = amps
-    y = circuit.unrolled_map @ x
     live, gone = {}, {}
-    for t in circuit.terminal_order:
-        block = y[circuit.terminal_index[t][0]:circuit.terminal_index[t][1]]
-        (gone if t in circuit.loss_terminals else live)[t] = block
+    for t, a in circuit.propagate(amps, source_id).items():
+        (gone if t in circuit.loss_terminals else live)[t] = a
     return PhotonWavefunction(amplitudes=live, absorbed=gone)
 
 

@@ -31,6 +31,16 @@ def fig2_spec(n_pulses=10, inserted=False, mismatch=0.0):
     ))
 
 
+def gated_fig2_spec(n_pulses, gate):
+    """fig2 with the long-arm obstacle absorbing only the ``gate`` bins."""
+    spec = fig2_spec(n_pulses=n_pulses, inserted=True)
+    elements = tuple(
+        Obstacle(e.id, e.input, e.output, inserted=True, bins=frozenset(gate))
+        if isinstance(e, Obstacle) else e
+        for e in spec.elements)
+    return CircuitSpec(elements=elements)
+
+
 def fig3_spec(n_pulses=4, blocked=None):
     """Three-pulse cascade (same topology as the fig3_* scenarios).
 

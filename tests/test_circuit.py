@@ -1,9 +1,12 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from proxyifm.circuit import (
+    MAX_MAP_BYTES,
+    Absorber,
     BeamSplitter,
     CircuitSpec,
     Delay,
@@ -14,14 +17,17 @@ from proxyifm.circuit import (
     compile_circuit,
     default_beamsplitter,
 )
+from proxyifm.coherent import CoherentTrain, propagate_coherent
 from proxyifm.errors import (
     BinOverflowError,
     CyclicGraphError,
     DanglingPortError,
     NonUnitaryBeamSplitterError,
+    StateTooLargeError,
 )
+from proxyifm.scenarios import GOLDEN_SCENARIOS, load_scenario
 
-from conftest import ALPHA, fig2_spec, fig3_spec
+from conftest import ALPHA, fig2_spec, fig3_spec, gated_fig2_spec
 
 
 def test_default_beamsplitter_is_unitary():
@@ -253,3 +259,76 @@ def test_interior_bins_fig2():
 def test_interior_bins_fig3():
     cc = compile_circuit(fig3_spec(n_pulses=4))
     assert list(cc.interior_bins()) == [2, 3]
+
+
+def two_source_spec():
+    """Two sources, two vacuum inputs, a rotated splitter, a phased delay,
+    a gated obstacle and an absorber."""
+    theta, phi = 0.3, 1.1
+    rotated = np.array([[math.cos(theta), -math.sin(theta) * np.exp(-1j * phi)],
+                        [math.sin(theta) * np.exp(1j * phi), math.cos(theta)]])
+    return CircuitSpec(elements=(
+        Source("src_a", "a", 3),
+        Source("src_b", "b", 2),
+        BeamSplitter("bs1", ("a", "vac1"), ("x", "y")),
+        Delay("dl", "y", "y1", bins=2, phase=0.7),
+        BeamSplitter("bs2", ("x", "b"), ("c", "d"), matrix=rotated),
+        Obstacle("ob", "d", "d1", inserted=True, bins=frozenset({1})),
+        BeamSplitter("bs3", ("y1", "vac2"), ("e", "f")),
+        Detector("D1", "c"),
+        Detector("D2", "d1"),
+        Detector("D3", "e"),
+        Absorber("dump", "f"),
+    ))
+
+
+WALK_CASES = {name: (lambda name=name: load_scenario(name).spec)
+              for name in GOLDEN_SCENARIOS}
+WALK_CASES["gated_fig2"] = lambda: gated_fig2_spec(6, gate={1, 4})
+WALK_CASES["two_sources"] = two_source_spec
+
+
+@pytest.mark.parametrize("case", sorted(WALK_CASES))
+def test_walk_matches_dense_map(case, rng):
+    # The dense map stays the reference for the per-wire walk.  Inputs of
+    # magnitude <= 1; the walk sums paths in another order than a
+    # matrix-vector product, so agreement is to rounding, not bitwise.
+    cc = compile_circuit(WALK_CASES[case]())
+    for source_id in cc.source_order:
+        lo, hi = cc.input_index[source_id]
+        amps = rng.uniform(0, 1, hi - lo) * np.exp(2j * np.pi * rng.uniform(0, 1, hi - lo))
+        x = np.zeros(cc.input_dim, dtype=complex)
+        x[lo:hi] = amps
+        walked = cc.propagate(amps, source_id)
+        assert tuple(walked) == cc.terminal_order
+        got = np.concatenate([walked[t] for t in cc.terminal_order])
+        assert np.abs(got - cc.unrolled_map @ x).max() <= 1e-15
+
+
+def test_unrolled_map_guard_raises_before_allocating():
+    cc = compile_circuit(fig2_spec(n_pulses=20000, inserted=True))
+    assert cc.input_dim == 20000
+    assert "unrolled_map" not in vars(cc)      # reading input_dim built nothing
+    size = 3 * 20001 * 20000 * 16
+    assert size > MAX_MAP_BYTES
+    tracemalloc.start()
+    try:
+        with pytest.raises(StateTooLargeError, match=str(size)):
+            cc.unrolled_map
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
+
+
+def test_long_train_propagates_in_linear_memory():
+    # The dense map of this circuit alone would be 9006 x 3000 x 16 B = 432 MB.
+    tracemalloc.start()
+    try:
+        cc = compile_circuit(fig3_spec(n_pulses=3000))
+        field = propagate_coherent(cc, CoherentTrain.uniform(3000, 0.1))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 << 20
+    assert field.total_output_energy() == pytest.approx(300.0, rel=1e-12)

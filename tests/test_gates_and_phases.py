@@ -11,7 +11,6 @@ from proxyifm.circuit import (
     CircuitSpec,
     Delay,
     Detector,
-    Obstacle,
     PhaseShift,
     Source,
     compile_circuit,
@@ -26,16 +25,7 @@ from proxyifm.coherent import (
 from proxyifm.errors import NoLossTerminalError
 from proxyifm.fock import FockOracle
 
-from conftest import ALPHA, ALPHA_SQ, fig2_spec
-
-
-def gated_fig2_spec(n_pulses, gate):
-    spec = fig2_spec(n_pulses=n_pulses, inserted=True)
-    elements = tuple(
-        Obstacle(e.id, e.input, e.output, inserted=True, bins=frozenset(gate))
-        if isinstance(e, Obstacle) else e
-        for e in spec.elements)
-    return CircuitSpec(elements=elements)
+from conftest import ALPHA, ALPHA_SQ, fig2_spec, gated_fig2_spec
 
 
 def test_gated_obstacle_blocks_only_listed_bins():

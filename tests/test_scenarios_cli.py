@@ -280,3 +280,40 @@ def test_cli_list_scenarios():
     assert r.returncode == 0
     for name in GOLDEN_SCENARIOS:
         assert name in r.stdout
+
+
+@pytest.mark.parametrize("key, value", [
+    ("alpha_squared", -0.1),
+    ("alpha_squared", float("nan")),
+    ("alpha_squared", float("inf")),
+    ("phases", float("nan")),
+])
+def test_cli_rejects_bad_coherent_numbers(tmp_path, key, value):
+    doc = _golden_doc("fig2_blocked")
+    if key == "phases":
+        doc["pulses"]["phases"][3] = value
+    else:
+        doc["pulses"][key] = value
+    scenario = tmp_path / "s.json"
+    scenario.write_text(json.dumps(doc))
+    out = tmp_path / "r.csv"
+    r = _cli("simulate", "--scenario", str(scenario), "--mode", "exact",
+             "--out", str(out))
+    assert r.returncode == 2, r.stderr
+    assert key in r.stderr and "Traceback" not in r.stderr
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("args", [
+    ("simulate", "--scenario", "fig2_blocked", "--mode", "mc", "--shots", "0"),
+    ("simulate", "--scenario", "hom_pair", "--cutoff", "-1"),
+    ("oracle", "--scenario", "hom_pair", "--cutoff", "-1"),
+    ("sweep", "--scenario", "fringe_sweep", "--from", "0", "--to", "1",
+     "--steps", "-3"),
+])
+def test_cli_rejects_out_of_range_counts(tmp_path, args):
+    out = tmp_path / "r.csv"
+    r = _cli(*args, "--out", str(out))
+    assert r.returncode == 2, r.stderr
+    assert "must be >=" in r.stderr and "Traceback" not in r.stderr
+    assert not out.exists()
