@@ -94,7 +94,7 @@ def build_parser() -> argparse.ArgumentParser:
                      help="override the source's natural engine")
     sim.add_argument("--mode", choices=["exact", "mc"], default=None)
     sim.add_argument("--shots", type=_int_at_least(1), default=None)
-    sim.add_argument("--seed", type=int, default=None)
+    sim.add_argument("--seed", type=_int_at_least(0), default=None)
     sim.add_argument("--cutoff", type=_int_at_least(0), default=5,
                      help="Fock truncation (fock engine only)")
     sim.add_argument("--out", required=True)

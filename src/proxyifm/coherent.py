@@ -28,6 +28,21 @@ from .errors import NoLossTerminalError, ZeroPulsesError
 _MC_CHUNK = 1 << 17
 
 
+def _sample_chunks(shots: int, seed: int, draw) -> list:
+    """``draw(rng, start, count)`` for each fixed chunk of ``shots``.
+
+    Chunk ``start`` draws from its own counter-based Philox stream keyed on
+    ``(seed, start)``, so every shot's random numbers depend only on the
+    seed and the shot index.  Returns the per-chunk results in order.
+    """
+    if shots < 1:
+        raise ValueError("shots must be >= 1")
+    return [draw(np.random.Generator(np.random.Philox(
+                 np.random.SeedSequence(seed, spawn_key=(start,)))),
+                 start, min(_MC_CHUNK, shots - start))
+            for start in range(0, shots, _MC_CHUNK)]
+
+
 @dataclass(frozen=True)
 class CoherentTrain:
     """N identical pulses ``|alpha * exp(i phase_j)>`` on bins 0..N-1."""
@@ -151,8 +166,6 @@ def sample_clicks(dist: ClickDistribution, shots: int, seed: int) -> EventLog:
     Uses a counter-based Philox stream keyed on (seed, chunk); output is
     bit-identical for a given seed no matter how the work is batched.
     """
-    if shots < 1:
-        raise ValueError("shots must be >= 1")
     terminals = tuple(dist.p_click)
     pvec = np.concatenate([dist.p_click[t] for t in terminals]) if terminals \
         else np.zeros(0)
@@ -161,25 +174,15 @@ def sample_clicks(dist: ClickDistribution, shots: int, seed: int) -> EventLog:
     cell_bin = np.concatenate([np.arange(n) for n in bins_per]) if terminals \
         else np.zeros(0, dtype=int)
 
-    shot_parts, term_parts, bin_parts = [], [], []
-    for start in range(0, shots, _MC_CHUNK):
-        count = min(_MC_CHUNK, shots - start)
-        rng = np.random.Generator(
-            np.random.Philox(np.random.SeedSequence(seed, spawn_key=(start,))))
-        u = rng.random((count, len(pvec)))
-        hit_shot, hit_cell = np.nonzero(u < pvec)
-        shot_parts.append(hit_shot + start)
-        term_parts.append(cell_terminal[hit_cell])
-        bin_parts.append(cell_bin[hit_cell])
+    def draw(rng, start, count):
+        hit_shot, hit_cell = np.nonzero(rng.random((count, len(pvec))) < pvec)
+        return hit_shot + start, cell_terminal[hit_cell], cell_bin[hit_cell]
 
-    return EventLog(
-        shots=shots,
-        seed=seed,
-        shot_idx=np.concatenate(shot_parts) if shot_parts else np.zeros(0, int),
-        terminal=np.concatenate(term_parts) if term_parts else np.zeros(0, int),
-        bin_idx=np.concatenate(bin_parts) if bin_parts else np.zeros(0, int),
-        terminal_order=terminals,
-    )
+    shot_idx, terminal, bin_idx = (
+        np.concatenate(parts) for parts in zip(*_sample_chunks(shots, seed, draw)))
+    return EventLog(shots=shots, seed=seed, shot_idx=shot_idx,
+                    terminal=terminal, bin_idx=bin_idx,
+                    terminal_order=terminals)
 
 
 def conditional_no_interaction(field: FieldConfiguration,

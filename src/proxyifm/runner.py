@@ -1,7 +1,13 @@
 """Experiment orchestration: dispatch a scenario to an engine and emit
 the results as byte-stable CSV or JSONL.
 
-Every number is printed with 17 significant digits so regression diffs
+Tables are columnar: a :class:`Table` keeps one numpy array or list per
+header, and Monte-Carlo event tables take their columns straight from the
+sampler arrays, so no Python object is built per event.  ``emit`` renders
+each column in blocks of ``_BLOCK`` rows and writes every block to the open
+file, so writing costs O(block) memory however long the log is.
+
+Every float is printed with 17 significant digits so regression diffs
 are exact, and nothing volatile (timestamps included) reaches the output
 files: the bytes are a pure function of (scenario, engine, mode, shots,
 seed).
@@ -11,6 +17,7 @@ from __future__ import annotations
 
 import datetime as _dt
 import json
+from collections.abc import Sequence as _SequenceABC
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Optional, Sequence, Union
@@ -42,11 +49,77 @@ _ENGINE_SOURCES = {
     "fock": (CoherentSourceSpec, TensorSumSourceSpec, FockSourceSpec),
 }
 
+# Rows rendered and written at a time by ``emit``.
+_BLOCK = 1024
 
-@dataclass(frozen=True)
+
 class Table:
-    headers: tuple[str, ...]
-    rows: list[tuple]
+    """A result table stored column by column.
+
+    ``columns`` holds one sequence per header, a numpy array or a list, all
+    of one length.  ``Table(headers, rows)`` transposes row tuples into
+    list columns; ``Table(headers, columns=...)`` takes columns as they
+    are.  ``rows`` is a read-only view that builds a row tuple (of Python
+    scalars) only when one is read, so ``len(table.rows)`` builds none.
+    """
+
+    __slots__ = ("headers", "columns")
+
+    def __init__(self, headers: Sequence[str], rows: Sequence[tuple] = (), *,
+                 columns: Optional[Sequence[Sequence]] = None):
+        self.headers = tuple(headers)
+        if columns is None:
+            rows = list(rows)
+            if any(len(row) != len(self.headers) for row in rows):
+                raise ValueError(f"every row needs {len(self.headers)} values")
+            columns = [list(c) for c in zip(*rows)] if rows else \
+                [[] for _ in self.headers]
+        self.columns = tuple(columns)
+        if len(self.columns) != len(self.headers):
+            raise ValueError(f"{len(self.columns)} columns for "
+                             f"{len(self.headers)} headers")
+        if len({len(c) for c in self.columns}) > 1:
+            raise ValueError("columns differ in length")
+
+    @property
+    def rows(self) -> "_RowView":
+        return _RowView(self.columns)
+
+
+class _RowView(_SequenceABC):
+    """Row tuples of a columnar table, built on access."""
+
+    __slots__ = ("_columns",)
+
+    def __init__(self, columns: tuple):
+        self._columns = columns
+
+    def __len__(self) -> int:
+        return len(self._columns[0]) if self._columns else 0
+
+    def __getitem__(self, i):
+        if isinstance(i, slice):
+            return [self[k] for k in range(*i.indices(len(self)))]
+        return tuple(_py(c[i]) for c in self._columns)
+
+    def __iter__(self):
+        return zip(*(_as_list(c) for c in self._columns))
+
+
+def _py(x):
+    return x.item() if isinstance(x, np.generic) else x
+
+
+def _as_list(column) -> list:
+    return column.tolist() if isinstance(column, np.ndarray) else column
+
+
+def _cell_columns(names: Sequence[str], lengths: Sequence[int]):
+    """Terminal-name and bin columns for per-terminal blocks of ``lengths``."""
+    lengths = np.asarray(lengths, dtype=int)
+    starts = np.cumsum(lengths) - lengths
+    terminal = np.repeat(np.asarray(names, dtype=object), lengths)
+    return terminal, np.arange(int(lengths.sum())) - np.repeat(starts, lengths)
 
 
 @dataclass(frozen=True)
@@ -69,6 +142,18 @@ def _fmt(x) -> str:
     if isinstance(x, float):
         return format(x, ".17g")
     return str(x)
+
+
+_json_encode = json.JSONEncoder(separators=(",", ":")).encode
+
+
+def _json_value(x) -> str:
+    """One value as ``json.dumps`` writes it inside a row object."""
+    if isinstance(x, float):
+        x = float(format(x, ".17g"))
+        if x - x == 0.0:        # finite: json writes float.__repr__
+            return repr(x)
+    return _json_encode(x)
 
 
 def run(scenario: Scenario, engine: Optional[str] = None,
@@ -124,15 +209,15 @@ def _coherent_train(scenario: Scenario) -> CoherentTrain:
 
 
 def _field_table(field_cfg, order: Sequence[str]) -> Table:
-    rows = []
-    for term in order:
-        amps = field_cfg.amplitudes[term]
-        for b, a in enumerate(amps):
-            mean = float(abs(a) ** 2)
-            rows.append((term, b, float(a.real), float(a.imag), mean,
-                         float(-np.expm1(-mean))))
+    amps = [field_cfg.amplitudes[term] for term in order]
+    flat = np.concatenate(amps) if amps else np.zeros(0, dtype=complex)
+    # Scalar arithmetic on purpose: the vectorised np.abs of a complex array
+    # can differ from the scalar one in the last digit.
+    mean = [float(abs(a) ** 2) for a in flat]
     return Table(headers=("terminal", "bin", "re", "im", "mean_n", "p_click"),
-                 rows=rows)
+                 columns=(*_cell_columns(order, [len(a) for a in amps]),
+                          flat.real, flat.imag, mean,
+                          [float(-np.expm1(-m)) for m in mean]))
 
 
 def _run_coherent(scenario: Scenario, mode: str, shots: int, seed: int) -> dict:
@@ -155,10 +240,10 @@ def _run_coherent(scenario: Scenario, mode: str, shots: int, seed: int) -> dict:
                 ])
     elif mode == "mc":
         log = sample_clicks(click_distribution(field_cfg), shots, seed)
+        names = np.asarray(log.terminal_order, dtype=object)
         tables["events"] = Table(
             headers=("shot", "terminal", "bin"),
-            rows=[(int(s), log.terminal_order[t], int(b))
-                  for s, t, b in zip(log.shot_idx, log.terminal, log.bin_idx)])
+            columns=(log.shot_idx, names[log.terminal], log.bin_idx))
     else:
         raise ValueError(f"unknown mode {mode!r}")
     return tables
@@ -170,19 +255,22 @@ def _run_singlephoton(scenario: Scenario, mode: str, shots: int, seed: int) -> d
     dist = propagate_photon(compiled, psi)
     tables: dict[str, Table] = {}
     if mode == "exact":
-        rows = []
-        for term in compiled.terminal_order:
-            for b, p in enumerate(dist.p_bins[term]):
-                rows.append((term, b, float(p)))
-        tables["field"] = Table(headers=("terminal", "bin", "p"), rows=rows)
+        order = compiled.terminal_order
+        p_bins = [np.asarray(dist.p_bins[t], dtype=float) for t in order]
+        tables["field"] = Table(
+            headers=("terminal", "bin", "p"),
+            columns=(*_cell_columns(order, [len(p) for p in p_bins]),
+                     np.concatenate(p_bins) if p_bins else np.zeros(0)))
         tables["p_outcome"] = Table(
             headers=("terminal", "probability"),
-            rows=[(t, float(dist.p[t])) for t in compiled.terminal_order])
+            columns=(list(order), [float(dist.p[t]) for t in order]))
     elif mode == "mc":
         cells, draws = sample_outcomes(dist, shots, seed)
+        names = np.array([t for t, _ in cells], dtype=object)
+        bins = np.array([b for _, b in cells], dtype=int)
         tables["events"] = Table(
             headers=("shot", "terminal", "bin"),
-            rows=[(s, cells[i][0], cells[i][1]) for s, i in enumerate(draws)])
+            columns=(np.arange(shots), names[draws], bins[draws]))
     else:
         raise ValueError(f"unknown mode {mode!r}")
     return tables
@@ -214,20 +302,20 @@ def _run_fock(scenario: Scenario, mode: str, shots: int, seed: int,
     dist = oracle.run(state)
     tables: dict[str, Table] = {}
     if mode == "exact":
-        rows = [(outcome_vector_string(dist, o), float(p))
-                for o, p in sorted(dist.table.items(),
-                                   key=lambda kv: (-kv[1], kv[0]))]
-        tables["joint"] = Table(headers=("outcome_vector", "probability"),
-                                rows=rows)
+        ranked = sorted(dist.table.items(), key=lambda kv: (-kv[1], kv[0]))
+        tables["joint"] = Table(
+            headers=("outcome_vector", "probability"),
+            columns=([outcome_vector_string(dist, o) for o, _ in ranked],
+                     [float(p) for _, p in ranked]))
         tables["marginals"] = Table(
             headers=("terminal", "bin", "mean_n"),
             rows=[(t, b, dist.mean(t, b)) for (t, b) in dist.cells])
     elif mode == "mc":
         draws = sample_joint(dist, shots, seed)
+        text = {o: outcome_vector_string(dist, o) for o in set(draws)}
         tables["events"] = Table(
             headers=("shot", "outcome_vector"),
-            rows=[(s, outcome_vector_string(dist, o))
-                  for s, o in enumerate(draws)])
+            columns=(np.arange(shots), [text[o] for o in draws]))
     else:
         raise ValueError(f"unknown mode {mode!r}")
     return tables
@@ -239,42 +327,88 @@ def emit(report: RunReport, fmt: str, path: Union[str, Path]) -> None:
     CSV: the first table lands at ``path``, any further table at
     ``<path>.<table>.csv``.  JSONL: one object per row, keyed by the
     table headers (a ``table`` key is added only when several tables are
-    present).
+    present).  Rows are rendered and written ``_BLOCK`` at a time.
     """
     path = Path(path)
     try:
         if fmt == "csv":
-            names = list(report.tables)
-            for k, name in enumerate(names):
+            for k, (name, table) in enumerate(report.tables.items()):
                 target = path if k == 0 else path.with_suffix(f".{name}.csv")
-                _write_csv(report.tables[name], target)
+                with open(target, "w", encoding="utf-8") as fh:
+                    fh.write(",".join(table.headers) + "\n")
+                    # 0, ",", 1, ",", ..., "\n": columns joined by commas
+                    template = [p for i in range(len(table.headers))
+                                for p in (",", i)][1:] + ["\n"]
+                    _write_rows(fh, table, template, _fmt)
         elif fmt == "jsonl":
-            _write_jsonl(report, path)
+            many = len(report.tables) > 1
+            with open(path, "w", encoding="utf-8") as fh:
+                for name, table in report.tables.items():
+                    _write_rows(fh, table, _jsonl_template(name, table, many),
+                                _json_value)
         else:
             raise ValueError(f"unknown format {fmt!r}")
     except OSError as exc:
         raise IoError(f"cannot write {path}: {exc}") from exc
 
 
-def _write_csv(table: Table, path: Path) -> None:
-    lines = [",".join(table.headers)]
-    for row in table.rows:
-        lines.append(",".join(_fmt(x) for x in row))
-    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+def _jsonl_template(name: str, table: Table, many: bool) -> list:
+    """Row template of one JSONL table, with the key order of a row dict.
+
+    A ``table`` key comes first when several tables share the file; a
+    repeated key keeps its first place and its last value, as in a dict.
+    """
+    source: dict = {"table": json.dumps(name)} if many else {}
+    for i, h in enumerate(table.headers):
+        source[h] = i
+    template: list = []
+    for key, value in source.items():
+        template += [("," if template else "{") + json.dumps(key) + ":", value]
+    return template + ["}\n"]
 
 
-def _write_jsonl(report: RunReport, path: Path) -> None:
-    many = len(report.tables) > 1
-    lines = []
-    for name, table in report.tables.items():
-        for row in table.rows:
-            obj = {}
-            if many:
-                obj["table"] = name
-            for h, x in zip(table.headers, row):
-                obj[h] = float(format(x, ".17g")) if isinstance(x, float) else x
-            lines.append(json.dumps(obj, separators=(",", ":")))
-    path.write_text("\n".join(lines) + ("\n" if lines else ""), encoding="utf-8")
+def _write_rows(fh, table: Table, template: list, cell) -> None:
+    """Write every row of ``table`` as ``template`` filled in, block by block.
+
+    ``template`` alternates literal text and column indices and ends with
+    text; ``cell`` formats one value of a list or non-numeric column.
+    """
+    width = len(template)
+    memos: dict[int, dict] = {}
+    n = len(table.rows)
+    for start in range(0, n, _BLOCK):
+        stop = min(start + _BLOCK, n)
+        parts: list = [None] * ((stop - start) * width)
+        for k, piece in enumerate(template):
+            if isinstance(piece, str):
+                parts[k::width] = [piece] * (stop - start)
+            else:
+                parts[k::width] = _render(table.columns[piece][start:stop], cell,
+                                          memos.setdefault(piece, {}))
+        fh.write("".join(parts))
+
+
+def _render(values, cell, memo: dict) -> list[str]:
+    """Text of each value of a column block.
+
+    Integer arrays print with ``str``.  Strings are formatted once per
+    distinct value; the memo holds strings only, because ``1``, ``1.0``
+    and ``True`` are equal dict keys.
+    """
+    if isinstance(values, np.ndarray):
+        if values.dtype.kind in "iu":
+            return list(map(str, values.tolist()))
+        values = values.tolist()
+    out = []
+    for x in values:
+        if type(x) is str:
+            text = memo.get(x)
+            if text is None:
+                text = memo[x] = cell(x)
+        else:
+            text = cell(x)
+        out.append(text)
+    return out
 
 
 def sweep_table(scenario: Scenario, param: str, values: Sequence[float]) -> Table:
@@ -295,6 +429,6 @@ def sweep_table(scenario: Scenario, param: str, values: Sequence[float]) -> Tabl
     source = None
     if isinstance(scenario.source, CoherentSourceSpec):
         source = _coherent_train(scenario)
-    rows = fringe_sweep(scenario.spec, values, source=source)
-    return Table(headers=("phase", "p_d1", "p_d2"),
-                 rows=[(float(a), float(b), float(c)) for a, b, c in rows])
+    rows = np.array(fringe_sweep(scenario.spec, values, source=source),
+                    dtype=float).reshape(-1, 3)
+    return Table(headers=("phase", "p_d1", "p_d2"), columns=tuple(rows.T))

@@ -14,7 +14,8 @@ Schema ``proxy-ifm/1``.  Top-level keys:
 * ``detectors`` - ``[{"id", "wire", "label"}]``.
 * ``sweep``     - sweepable parameter name -> ``{"element", "field"}``.
 * ``analysis``  - optional ``{"trigger": detector_id}``.
-* ``defaults``  - ``{"shots", "seed", "mode"}``.
+* ``defaults``  - ``{"shots", "seed", "mode"}``: integers ``shots >= 1``
+  and ``seed >= 0``, ``mode`` ``"exact"`` or ``"mc"``.
 
 The golden scenarios shipped with the package double as schema examples.
 """
@@ -196,10 +197,13 @@ def _scenario_from_dict(raw: dict) -> Scenario:
             f"analysis trigger references unknown detector {trigger!r}")
 
     defaults_raw = raw.get("defaults", {})
+    mode = defaults_raw.get("mode", "exact")
+    if mode not in ("exact", "mc"):
+        raise ParseError(f"defaults: mode {mode!r} must be 'exact' or 'mc'")
     defaults = RunDefaults(
-        shots=int(defaults_raw.get("shots", 100_000)),
-        seed=int(defaults_raw.get("seed", 1)),
-        mode=str(defaults_raw.get("mode", "exact")),
+        shots=_default_int(defaults_raw, "shots", 100_000, low=1),
+        seed=_default_int(defaults_raw, "seed", 1, low=0),
+        mode=mode,
     )
 
     spec = CircuitSpec(
@@ -217,6 +221,16 @@ def _scenario_from_dict(raw: dict) -> Scenario:
         sweep_params=sweep_params,
         trigger_terminal=trigger,
     )
+
+
+def _default_int(raw: dict, key: str, default: int, low: int) -> int:
+    """An integer run default of at least ``low`` (``ParseError`` if not)."""
+    value = raw.get(key, default)
+    if isinstance(value, float) and value.is_integer():
+        value = int(value)
+    if type(value) is not int or value < low:
+        raise ParseError(f"defaults: {key} {value!r} must be an integer >= {low}")
+    return value
 
 
 def _parse_source(raw: dict) -> SourceSpec:

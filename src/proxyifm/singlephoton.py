@@ -18,9 +18,8 @@ from typing import Optional
 import numpy as np
 
 from .circuit import CompiledCircuit
+from .coherent import _sample_chunks
 from .errors import ZeroPulsesError
-
-_MC_CHUNK = 1 << 17
 
 
 @dataclass(frozen=True, eq=False)
@@ -115,8 +114,6 @@ def sample_outcomes(dist: OutcomeDistribution, shots: int, seed: int
     Counter-based Philox streams keyed on (seed, chunk) keep the result
     independent of batching.
     """
-    if shots < 1:
-        raise ValueError("shots must be >= 1")
     cells: list[tuple[str, int]] = []
     probs: list[float] = []
     for t, v in sorted(dist.p_bins.items()):
@@ -127,14 +124,10 @@ def sample_outcomes(dist: OutcomeDistribution, shots: int, seed: int
     pvec = np.asarray(probs)
     pvec = pvec / pvec.sum()
     cdf = np.cumsum(pvec)
-    parts = []
-    for start in range(0, shots, _MC_CHUNK):
-        count = min(_MC_CHUNK, shots - start)
-        rng = np.random.Generator(
-            np.random.Philox(np.random.SeedSequence(seed, spawn_key=(start,))))
-        u = rng.random(count)
-        parts.append(np.searchsorted(cdf, u, side="right"))
-    draws = np.concatenate(parts)
+    draws = np.concatenate(_sample_chunks(
+        shots, seed,
+        lambda rng, start, count: np.searchsorted(cdf, rng.random(count),
+                                                  side="right")))
     draws[draws == len(cells)] = len(cells) - 1  # guard the u ~ 1.0 edge
     return cells, draws
 

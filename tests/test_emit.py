@@ -1,0 +1,194 @@
+"""Columnar tables and the block-streamed writers of ``runner.emit``.
+
+The writers must produce the bytes of the plain row-by-row writers kept
+below as a reference, for every column type and at every block boundary.
+"""
+
+import json
+import tempfile
+import tracemalloc
+from pathlib import Path
+
+import numpy as np
+import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
+
+from proxyifm import runner
+from proxyifm.runner import RunReport, Table, emit, run
+from proxyifm.scenarios import load_scenario
+
+
+# -- reference: the row-by-row writers the columnar ones replace ------------
+
+def _ref_fmt(x) -> str:
+    if isinstance(x, float):
+        return format(x, ".17g")
+    return str(x)
+
+
+def _ref_write_csv(headers, rows, path: Path) -> None:
+    lines = [",".join(headers)]
+    for row in rows:
+        lines.append(",".join(_ref_fmt(x) for x in row))
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+
+
+def _ref_write_jsonl(tables, path: Path) -> None:
+    many = len(tables) > 1
+    lines = []
+    for name, (headers, rows) in tables.items():
+        for row in rows:
+            obj = {}
+            if many:
+                obj["table"] = name
+            for h, x in zip(headers, row):
+                obj[h] = float(format(x, ".17g")) if isinstance(x, float) else x
+            lines.append(json.dumps(obj, separators=(",", ":")))
+    path.write_text("\n".join(lines) + ("\n" if lines else ""), encoding="utf-8")
+
+
+def _ref_emit(tables, fmt: str, path: Path) -> None:
+    if fmt == "csv":
+        for k, (name, (headers, rows)) in enumerate(tables.items()):
+            target = path if k == 0 else path.with_suffix(f".{name}.csv")
+            _ref_write_csv(headers, rows, target)
+    else:
+        _ref_write_jsonl(tables, path)
+
+
+# -- generated tables --------------------------------------------------------
+
+BLOCK = runner._BLOCK
+_text = st.text(alphabet=st.characters(blacklist_categories=("Cs",)), max_size=6)
+_floats = st.floats() | st.sampled_from(
+    [-0.0, 0.0, 5e-324, 2.2250738585072014e-308 / 3, 1e300, -1e300, 0.1])
+_strings = _text | st.sampled_from(['"', 'a"b', '\\', "ü", "☃", "\n", "1", "True"])
+_mixed = st.one_of(st.integers(), _floats, _floats.map(np.float64), _strings,
+                   st.booleans())
+
+# (value pool, numpy dtype of an array column or None for a list only)
+_KINDS = {
+    "int": (st.integers(-2**63, 2**63 - 1), np.int64),
+    "float": (_floats, np.float64),
+    "str": (_strings, object),
+    "mixed": (_mixed, None),
+}
+
+
+@st.composite
+def _column(draw, n_rows):
+    kind = draw(st.sampled_from(sorted(_KINDS)))
+    values, dtype = _KINDS[kind]
+    pool = draw(st.lists(values, min_size=1, max_size=12))
+    seed = draw(st.integers(0, 2**32 - 1))
+    picks = np.random.default_rng(seed).integers(0, len(pool), n_rows)
+    py_values = [pool[i] for i in picks]
+    as_array = dtype is not None and draw(st.booleans())
+    column = np.array(py_values, dtype=dtype) if as_array else py_values
+    return py_values, column
+
+
+@st.composite
+def _table(draw):
+    n_rows = draw(st.sampled_from([0, 1, BLOCK - 1, BLOCK, BLOCK + 1])
+                  | st.integers(0, 30))
+    headers = draw(st.lists(st.sampled_from(["shot", "bin", "table", "x"]) | _text,
+                            min_size=1, max_size=4))
+    drawn = [draw(_column(n_rows)) for _ in headers]
+    rows = list(zip(*(values for values, _ in drawn)))
+    return headers, rows, Table(headers, columns=[c for _, c in drawn])
+
+
+_names = st.lists(st.text(alphabet="abcdefghij_", min_size=1, max_size=5),
+                  min_size=1, max_size=3, unique=True)
+
+
+def _files(directory: Path) -> dict:
+    return {p.name: p.read_bytes() for p in sorted(directory.iterdir())}
+
+
+@settings(max_examples=60, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow, HealthCheck.data_too_large])
+@given(names=_names, data=st.data(), fmt=st.sampled_from(["csv", "jsonl"]))
+def test_emit_matches_row_writer(names, data, fmt):
+    drawn = {name: data.draw(_table()) for name in names}
+    report = RunReport("s", "coherent", "mc", {n: t for n, (_, _, t) in drawn.items()})
+    reference = {n: (h, rows) for n, (h, rows, _) in drawn.items()}
+    with tempfile.TemporaryDirectory() as tmp:
+        new, ref = Path(tmp, "new"), Path(tmp, "ref")
+        new.mkdir()
+        ref.mkdir()
+        emit(report, fmt, new / f"out.{fmt}")
+        _ref_emit(reference, fmt, ref / f"out.{fmt}")
+        assert _files(new) == _files(ref)
+
+
+@pytest.mark.parametrize("fmt", ["csv", "jsonl"])
+def test_emit_matches_row_writer_on_a_run(tmp_path, fmt):
+    """Exact multi-table reports, as the engines build them."""
+    for name in ("fig2_blocked", "fig2_tensor_sum_blocked", "hom_pair"):
+        report = run(load_scenario(name), mode="exact")
+        reference = {n: (t.headers, list(t.rows)) for n, t in report.tables.items()}
+        (tmp_path / name / "new").mkdir(parents=True)
+        (tmp_path / name / "ref").mkdir()
+        emit(report, fmt, tmp_path / name / "new" / f"out.{fmt}")
+        _ref_emit(reference, fmt, tmp_path / name / "ref" / f"out.{fmt}")
+        assert _files(tmp_path / name / "new") == _files(tmp_path / name / "ref")
+
+
+# -- the Table itself ---------------------------------------------------------
+
+def test_table_rows_round_trip():
+    rows = [("D1", 0, 0.5), ("D2", 3, -0.0)]
+    table = Table(("terminal", "bin", "p"), rows)
+    assert list(table.rows) == rows
+    assert table.rows[1] == rows[1]
+    assert len(table.rows) == 2
+    assert Table(("a", "b"), []).columns == ([], [])
+
+
+def test_table_rows_view_yields_python_scalars():
+    table = Table(("shot", "p"), columns=(np.arange(3), np.array([0.5, 1.0, 2.0])))
+    assert [type(x) for x in table.rows[0]] == [int, float]
+    assert [type(x) for x in next(iter(table.rows))] == [int, float]
+
+
+def test_table_rejects_ragged_input():
+    with pytest.raises(ValueError):
+        Table(("a", "b"), [(1, 2), (3,)])
+    with pytest.raises(ValueError):
+        Table(("a", "b"), columns=(np.arange(3),))
+    with pytest.raises(ValueError):
+        Table(("a", "b"), columns=(np.arange(3), [1, 2]))
+
+
+def test_row_count_builds_no_rows():
+    n = 1_000_000
+    table = Table(("shot", "bin"), columns=(np.arange(n), np.zeros(n, dtype=int)))
+    tracemalloc.start()
+    try:
+        assert len(table.rows) == n
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 10_000
+
+
+@pytest.fixture(scope="module")
+def event_report():
+    report = run(load_scenario("fig2_blocked"), mode="mc", shots=410_000, seed=11)
+    assert len(report.tables["events"].rows) >= 400_000
+    return report
+
+
+@pytest.mark.parametrize("fmt", ["csv", "jsonl"])
+def test_emit_memory_is_bounded_by_the_block(tmp_path, event_report, fmt):
+    """Writing a 400k-row event log stays far below the log's own size."""
+    tracemalloc.start()
+    try:
+        emit(event_report, fmt, tmp_path / f"events.{fmt}")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 * 2**20, f"{peak / 2**20:.1f} MB"

@@ -317,3 +317,46 @@ def test_cli_rejects_out_of_range_counts(tmp_path, args):
     assert r.returncode == 2, r.stderr
     assert "must be >=" in r.stderr and "Traceback" not in r.stderr
     assert not out.exists()
+
+
+@pytest.mark.parametrize("defaults, key", [
+    ({"shots": 0, "mode": "mc"}, "shots"),
+    ({"shots": -5}, "shots"),
+    ({"shots": 2.5}, "shots"),
+    ({"shots": "1000"}, "shots"),
+    ({"shots": True}, "shots"),
+    ({"seed": 1.5, "mode": "mc"}, "seed"),
+    ({"seed": "7"}, "seed"),
+    ({"seed": -1, "mode": "mc"}, "seed"),
+    ({"mode": "bogus"}, "mode"),
+    ({"mode": None}, "mode"),
+])
+def test_cli_rejects_bad_scenario_defaults(tmp_path, defaults, key):
+    doc = _golden_doc("fig2_blocked")
+    doc["defaults"].update(defaults)
+    scenario = tmp_path / "s.json"
+    scenario.write_text(json.dumps(doc))
+    out = tmp_path / "r.csv"
+    r = _cli("simulate", "--scenario", str(scenario), "--out", str(out))
+    assert r.returncode == 2, r.stderr
+    assert key in r.stderr and "Traceback" not in r.stderr
+    assert not out.exists()
+
+
+def test_scenario_defaults_accept_integral_numbers(tmp_path):
+    doc = _golden_doc("fig2_blocked")
+    doc["defaults"] = {"shots": 1e3, "seed": 0, "mode": "mc"}
+    scenario = tmp_path / "s.json"
+    scenario.write_text(json.dumps(doc))
+    defaults = load_scenario(str(scenario)).defaults
+    assert (defaults.shots, defaults.seed, defaults.mode) == (1000, 0, "mc")
+    assert type(defaults.shots) is int
+
+
+def test_cli_rejects_negative_seed(tmp_path):
+    out = tmp_path / "r.csv"
+    r = _cli("simulate", "--scenario", "fig2_blocked", "--mode", "mc",
+             "--shots", "10", "--seed", "-1", "--out", str(out))
+    assert r.returncode == 2, r.stderr
+    assert "must be >=" in r.stderr and "Traceback" not in r.stderr
+    assert not out.exists()
