@@ -9,10 +9,13 @@ once without being produced.
 
 Time is discrete.  Amplitudes live on (wire, bin) slots; a ``Delay`` of k
 bins shifts bin t to bin t+k exactly and multiplies by ``exp(i*phase)``.
-``compile_circuit`` validates the element graph and fixes its terminal
-layout; ``CompiledCircuit.propagate`` then walks one length-``n_bins``
-amplitude vector per wire through the elements in topological order, so
-a pass costs O(elements x n_bins).  The dense map from (source, bin) to
+``compile_circuit`` validates the element graph and lays it out once:
+each wire's spatial slot, last populated bin and path delays, and from
+them ``n_bins``, the terminal order and the overflow checks.  The Fock
+oracle and ``circuit_spatial_unitary`` read that same layout.
+``CompiledCircuit.propagate`` walks one length-``n_bins`` amplitude
+vector per wire through the elements in topological order, so a pass
+costs O(elements x n_bins).  The dense map from (source, bin) to
 (terminal, bin) coordinates is derived on demand, and size-guarded, by
 walking identity columns.  Because every element is unitary and obstacles
 reroute amplitude to loss terminals instead of destroying it, that
@@ -23,7 +26,7 @@ from __future__ import annotations
 
 import functools
 from dataclasses import dataclass, field, replace
-from typing import Optional, Sequence, Union
+from typing import Optional, Union
 
 import numpy as np
 
@@ -179,14 +182,17 @@ class CircuitSpec:
 
 @dataclass(frozen=True, eq=False)
 class CompiledCircuit:
-    """A validated circuit with its input and terminal layout.
+    """A validated circuit with its input, slot and terminal layout.
 
     ``propagate`` walks a source-side amplitude vector to per-terminal
     amplitudes.  ``unrolled_map`` is the same walk applied to identity
     columns: one row per (terminal, bin) and one column per (source, bin);
     its columns are orthonormal.  Row blocks are laid out in
     ``terminal_order`` (detectors first, then loss terminals), bin-major
-    within each block.  Immutable after build and safe to share.
+    within each block.  ``wire_slot`` maps every wire to one of
+    ``n_slots`` spatial slots: the ports of ``circuit_spatial_unitary``
+    and the mode blocks of the Fock oracle.  Immutable after build and
+    safe to share.
     """
 
     n_bins: int
@@ -197,6 +203,8 @@ class CompiledCircuit:
     input_index: dict[str, tuple[int, int]]
     max_path_delay: int
     path_delays: frozenset[int]
+    wire_slot: dict[str, int]
+    n_slots: int
 
     @property
     def input_dim(self) -> int:
@@ -215,8 +223,7 @@ class CompiledCircuit:
             raise StateTooLargeError(
                 f"unrolled map of {rows}x{self.input_dim} needs {size} bytes, "
                 f"over the bound of {MAX_MAP_BYTES} bytes")
-        terminals, _, _ = _walk(self._order, self.n_bins, self.input_index,
-                                np.eye(self.input_dim, dtype=complex))
+        terminals = self._walk(np.eye(self.input_dim, dtype=complex))
         return np.vstack(list(terminals.values()))
 
     def propagate(self, amplitudes: np.ndarray,
@@ -236,8 +243,7 @@ class CompiledCircuit:
                 f"input bins of source {source.id!r}")
         x = np.zeros(self.input_dim, dtype=complex)
         x[lo:lo + len(amplitudes)] = amplitudes
-        terminals, _, _ = _walk(self._order, self.n_bins, self.input_index, x)
-        return terminals
+        return self._walk(x)
 
     def detector_ids(self) -> tuple[str, ...]:
         return tuple(t for t in self.terminal_order if t not in self.loss_terminals)
@@ -263,6 +269,70 @@ class CompiledCircuit:
                 raise ValueError("source_id required for multi-source circuits")
             return self._sources[0]
         return ids[source_id]
+
+    def _walk(self, x: np.ndarray) -> dict[str, np.ndarray]:
+        """Push per-wire signals through the elements in topological order.
+
+        ``x`` has shape ``(input_dim, *trail)``: rows ``input_index[s]``
+        feed the first bins of source ``s``.  Every wire carries an
+        ``(n_bins, *trail)`` signal; vacuum wires enter as zeros.  A
+        splitter mixes two signals, a delay shifts one along the bin axis
+        and multiplies by its phase, a phase shifter multiplies, and an
+        inserted obstacle splits a signal by a bin mask between its loss
+        terminal and its output.  Returns the terminal signals in
+        ``terminal_order``.
+        """
+        n_bins = self.n_bins
+        trail = x.shape[1:]
+        signal: dict[str, np.ndarray] = {}
+        terminals: dict[str, np.ndarray] = {}
+
+        def take(wire):
+            # Each wire is consumed once, so its signal can be released.
+            if _is_vacuum(wire):
+                return np.zeros((n_bins,) + trail, dtype=complex)
+            return signal.pop(wire)
+
+        for e in self._order:
+            if isinstance(e, Source):
+                lo, hi = self.input_index[e.id]
+                t = np.zeros((n_bins,) + trail, dtype=complex)
+                t[:hi - lo] = x[lo:hi]
+                signal[e.out] = t
+            elif isinstance(e, BeamSplitter):
+                t0, t1 = (take(w) for w in e.inputs)
+                m = e.resolved_matrix()
+                signal[e.outputs[0]] = m[0, 0] * t0 + m[0, 1] * t1
+                signal[e.outputs[1]] = m[1, 0] * t0 + m[1, 1] * t1
+            elif isinstance(e, Delay):
+                t = take(e.input)
+                out = np.zeros_like(t)
+                if e.bins:
+                    out[e.bins:] = t[:-e.bins]
+                else:
+                    out[:] = t
+                if e.phase:
+                    out = out * np.exp(1j * e.phase)
+                signal[e.output] = out
+            elif isinstance(e, PhaseShift):
+                signal[e.output] = take(e.input) * np.exp(1j * e.angle)
+            elif isinstance(e, Obstacle):
+                t = take(e.input)
+                if not e.inserted:
+                    signal[e.output] = t
+                elif e.bins is None:
+                    terminals[e.id] = t
+                    signal[e.output] = np.zeros_like(t)
+                else:
+                    gate = np.zeros(n_bins)
+                    for b in e.bins:
+                        gate[b] = 1.0
+                    gate = gate.reshape((n_bins,) + (1,) * len(trail))
+                    terminals[e.id] = t * gate
+                    signal[e.output] = t * (1.0 - gate)
+            elif isinstance(e, (Detector, Absorber)):
+                terminals[e.id] = take(e.wire)
+        return {t: terminals[t] for t in self.terminal_order}
 
     # populated by compile_circuit
     _sources: tuple[Source, ...] = field(default=(), repr=False)
@@ -354,13 +424,17 @@ def validate(spec: CircuitSpec) -> list[Element]:
 
 
 def compile_circuit(spec: CircuitSpec) -> CompiledCircuit:
-    """Validate a spec and lay out its sources and terminals.
+    """Validate a spec and lay it out; the one place a circuit is laid out.
 
-    Raises ``BinOverflowError`` naming the offending delay if any populated
-    source bin would be shifted past ``n_bins``.  Builds no matrix: the
-    checks, the terminal layout and the path delays come from one walk of
-    zero-width ``(n_bins, 0)`` signals.  Deterministic: the same spec
-    yields bit-identical propagation.
+    One pass over the topological order gives every wire its spatial slot
+    (sources and vacuum inputs claim slots in order of first appearance,
+    elements pass them through), its last populated bin (-1 while it
+    carries only vacuum, also after a delay) and the delays of its paths.
+    ``n_bins`` is the spec's, or one past the last populated bin.  Raises
+    ``BinOverflowError`` naming the offending source or delay if a
+    populated bin would land past an explicit ``n_bins``.  Builds no
+    matrix and propagates nothing.  Deterministic: the same spec yields
+    bit-identical propagation.
     """
     order = validate(spec)
     sources = [e for e in order if isinstance(e, Source)]
@@ -374,159 +448,86 @@ def compile_circuit(spec: CircuitSpec) -> CompiledCircuit:
         input_index[s.id] = (col, col + s.n_bins)
         col += s.n_bins
 
+    # Per wire: spatial slot, last populated bin (-1 for vacuum only) and
+    # path delays.
     n_bins = spec.n_bins
+    n_slots = 0
+    slot: dict[str, int] = {}
+    last: dict[str, int] = {}
+    delays: dict[str, frozenset[int]] = {}
+    detectors: list[str] = []
+    losses: list[str] = []
+    path_delays: set[int] = set()
+    for e in order:
+        ins, outs = _element_io(e)
+        for w in ins:
+            if _is_vacuum(w):
+                slot[w], last[w], delays[w] = n_slots, -1, frozenset()
+                n_slots += 1
+        if isinstance(e, Source):
+            if n_bins is not None and e.n_bins > n_bins:
+                raise BinOverflowError(
+                    f"source {e.id!r}: {e.n_bins} pulse bins exceed n_bins={n_bins}")
+            slot[e.out], last[e.out] = n_slots, e.n_bins - 1
+            delays[e.out] = frozenset({0})
+            n_slots += 1
+            continue
+        shift = e.bins if isinstance(e, Delay) else 0
+        lb = max(last[w] for w in ins)
+        # Inputs already fit, so only a delay can push a bin past n_bins.
+        if n_bins is not None and lb >= 0 and lb + shift >= n_bins:
+            raise BinOverflowError(
+                f"delay {e.id!r}: bin {lb}+{shift} exceeds n_bins={n_bins}")
+        ds = frozenset(d + shift for w in ins for d in delays[w])
+        for w_in, w_out in zip(ins, outs):
+            slot[w_out] = slot[w_in]
+            last[w_out] = lb + shift if lb >= 0 else -1
+            delays[w_out] = ds
+        if isinstance(e, Detector):
+            detectors.append(e.id)
+        elif isinstance(e, Absorber) or (isinstance(e, Obstacle) and e.inserted):
+            losses.append(e.id)
+        if isinstance(e, (Detector, Absorber)):
+            path_delays |= ds
     if n_bins is None:
-        n_bins = _required_bins(order, sources)
+        n_bins = max(last.values()) + 1
 
-    terminals, losses, path_delays = _walk(
-        order, n_bins, input_index, np.zeros((col, 0), dtype=complex))
-    terminal_order = tuple(terminals)
+    terminal_order = tuple(detectors + losses)
     return CompiledCircuit(
         n_bins=n_bins,
         terminal_order=terminal_order,
         terminal_index={t: (k * n_bins, (k + 1) * n_bins)
                         for k, t in enumerate(terminal_order)},
-        loss_terminals=losses,
+        loss_terminals=frozenset(losses),
         source_order=tuple(s.id for s in sources),
         input_index=input_index,
-        max_path_delay=max(path_delays) if path_delays else 0,
-        path_delays=path_delays,
+        max_path_delay=max(path_delays, default=0),
+        path_delays=frozenset(path_delays),
+        wire_slot=slot,
+        n_slots=n_slots,
         _sources=tuple(sources),
         _order=tuple(order),
     )
 
 
-def _walk(order: Sequence[Element], n_bins: int,
-          input_index: dict[str, tuple[int, int]], x: np.ndarray,
-          ) -> tuple[dict[str, np.ndarray], frozenset[str], frozenset[int]]:
-    """Push per-wire signals through the elements in topological order.
-
-    ``x`` has shape ``(input_dim, *trail)``: rows ``input_index[s]`` feed
-    the first bins of source ``s``.  Every wire carries an ``(n_bins,
-    *trail)`` signal; vacuum wires enter as zeros.  A splitter mixes two
-    signals, a delay shifts one along the bin axis and multiplies by its
-    phase, a phase shifter multiplies, and an inserted obstacle splits a
-    signal by a bin mask between its loss terminal and its output.
-    Returns the terminal signals (detectors first, then loss terminals,
-    each in walk order), the loss terminal ids and the accumulated delays
-    of all paths.
-    """
-    trail = x.shape[1:]
-    signal: dict[str, np.ndarray] = {}
-    # Per wire: last populated bin (-1 for vacuum only) and path delays.
-    extent: dict[str, tuple[int, frozenset[int]]] = {}
-    detectors: dict[str, np.ndarray] = {}
-    losses: dict[str, np.ndarray] = {}
-    path_delays: set[int] = set()
-
-    def take(wire):
-        # Each wire is consumed once, so its signal can be released.
-        if _is_vacuum(wire):
-            return np.zeros((n_bins,) + trail, dtype=complex), -1, frozenset()
-        return (signal.pop(wire),) + extent.pop(wire)
-
-    for e in order:
-        if isinstance(e, Source):
-            if e.n_bins > n_bins:
-                raise BinOverflowError(
-                    f"source {e.id!r}: {e.n_bins} pulse bins exceed n_bins={n_bins}")
-            lo, hi = input_index[e.id]
-            t = np.zeros((n_bins,) + trail, dtype=complex)
-            t[:hi - lo] = x[lo:hi]
-            signal[e.out] = t
-            extent[e.out] = (e.n_bins - 1, frozenset({0}))
-        elif isinstance(e, BeamSplitter):
-            (t0, mb0, ds0), (t1, mb1, ds1) = (take(w) for w in e.inputs)
-            m = e.resolved_matrix()
-            signal[e.outputs[0]] = m[0, 0] * t0 + m[0, 1] * t1
-            signal[e.outputs[1]] = m[1, 0] * t0 + m[1, 1] * t1
-            for w in e.outputs:
-                extent[w] = (max(mb0, mb1), ds0 | ds1)
-        elif isinstance(e, Delay):
-            t, mb, ds = take(e.input)
-            if mb >= 0 and mb + e.bins >= n_bins:
-                raise BinOverflowError(
-                    f"delay {e.id!r}: bin {mb}+{e.bins} exceeds n_bins={n_bins}")
-            out = np.zeros_like(t)
-            if e.bins:
-                out[e.bins:] = t[:-e.bins]
-            else:
-                out[:] = t
-            if e.phase:
-                out = out * np.exp(1j * e.phase)
-            signal[e.output] = out
-            extent[e.output] = (mb + e.bins, frozenset(d + e.bins for d in ds))
-        elif isinstance(e, PhaseShift):
-            t, mb, ds = take(e.input)
-            signal[e.output] = t * np.exp(1j * e.angle)
-            extent[e.output] = (mb, ds)
-        elif isinstance(e, Obstacle):
-            t, mb, ds = take(e.input)
-            if not e.inserted:
-                signal[e.output] = t
-            elif e.bins is None:
-                losses[e.id] = t
-                signal[e.output] = np.zeros_like(t)
-            else:
-                gate = np.zeros(n_bins)
-                for b in e.bins:
-                    gate[b] = 1.0
-                gate = gate.reshape((n_bins,) + (1,) * len(trail))
-                losses[e.id] = t * gate
-                signal[e.output] = t * (1.0 - gate)
-            extent[e.output] = (mb, ds)
-        elif isinstance(e, (Detector, Absorber)):
-            t, _, ds = take(e.wire)
-            (detectors if isinstance(e, Detector) else losses)[e.id] = t
-            path_delays.update(ds)
-    return {**detectors, **losses}, frozenset(losses), frozenset(path_delays)
-
-
-def _required_bins(order: Sequence[Element], sources: Sequence[Source]) -> int:
-    """Smallest n_bins with room for every pulse after every delay chain."""
-    depth: dict[str, int] = {}
-    for e in order:
-        if isinstance(e, Source):
-            depth[e.out] = e.n_bins - 1
-        elif isinstance(e, BeamSplitter):
-            d = max(depth.get(w, 0) for w in e.inputs)
-            for w in e.outputs:
-                depth[w] = d
-        elif isinstance(e, Delay):
-            depth[e.output] = depth.get(e.input, 0) + e.bins
-        elif isinstance(e, (PhaseShift, Obstacle)):
-            depth[e.output] = depth.get(e.input, 0)
-    return max(depth.values(), default=0) + 1
-
-
 def circuit_spatial_unitary(spec: CircuitSpec) -> np.ndarray:
     """Collapse the delay-ignored spatial part of a cascade into one matrix.
 
-    Each source or vacuum input claims a port slot in order of first
-    appearance; beam splitters and phase shifters act on those slots;
-    delays (including their propagation phase, which is temporal) and
-    retracted or inserted obstacles are the identity.  The result is the
-    product of element matrices in topological order, hence unitary.
+    Rows and columns are the spatial slots of ``compile_circuit``.  Beam
+    splitters and phase shifters act on those slots; delays (including
+    their propagation phase, which is temporal) and retracted or inserted
+    obstacles are the identity.  The result is the product of element
+    matrices in topological order, hence unitary.
     """
-    order = validate(spec)
-    slot: dict[str, int] = {}
-    n = 0
-    for e in order:
-        ins, outs = _element_io(e)
-        for w in ins:
-            if _is_vacuum(w) and w not in slot:
-                slot[w] = n
-                n += 1
-        if isinstance(e, Source):
-            slot[e.out] = n
-            n += 1
-    n_out = len([e for e in order if isinstance(e, (Detector, Absorber))])
+    compiled = compile_circuit(spec)
+    n, slot = compiled.n_slots, compiled.wire_slot
+    n_out = len(spec.terminals())
     if n_out != n:
         raise PortCountMismatchError(
             f"{n} spatial input ports vs {n_out} terminals")
 
     u = np.eye(n, dtype=complex)
-    for e in order:
+    for e in compiled._order:
         if isinstance(e, BeamSplitter):
             i, j = slot[e.inputs[0]], slot[e.inputs[1]]
             m = e.resolved_matrix()
@@ -534,13 +535,9 @@ def circuit_spatial_unitary(spec: CircuitSpec) -> np.ndarray:
             step[i, i], step[i, j] = m[0, 0], m[0, 1]
             step[j, i], step[j, j] = m[1, 0], m[1, 1]
             u = step @ u
-            slot[e.outputs[0]], slot[e.outputs[1]] = i, j
         elif isinstance(e, PhaseShift):
             i = slot[e.input]
             step = np.eye(n, dtype=complex)
             step[i, i] = np.exp(1j * e.angle)
             u = step @ u
-            slot[e.output] = i
-        elif isinstance(e, (Delay, Obstacle)):
-            slot[e.output] = slot[e.input]
     return u

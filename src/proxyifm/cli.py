@@ -64,7 +64,12 @@ def _out_path(raw: str) -> Path:
 
 def _default_seed(scenario_seed: int) -> int:
     env = os.environ.get("PROXYIFM_SEED")
-    return int(env) if env else scenario_seed
+    if not env:
+        return scenario_seed
+    try:
+        return _int_at_least(0)(env)
+    except argparse.ArgumentTypeError as exc:
+        raise ParseError(f"PROXYIFM_SEED: {exc}") from None
 
 
 def _int_at_least(low: int):

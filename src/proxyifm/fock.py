@@ -1,8 +1,10 @@
 """Brute-force truncated Fock-space oracle.
 
-Ground truth for the fast engines: every (wire, bin) slot of the
-time-unrolled circuit becomes a bosonic mode, the state is expanded over
-all occupation vectors with total photon number up to a cutoff, and each
+Ground truth for the fast engines.  The oracle takes the circuit's
+``compile_circuit`` layout, so its ``n_bins`` and spatial slots are those
+of the other engines, and every (slot, bin) pair of the time-unrolled
+circuit becomes a bosonic mode.  The state is expanded over all
+occupation vectors with total photon number up to a cutoff, and each
 element is applied exactly (two-mode unitaries bin by bin, delays as mode
 permutations, obstacles as photon-number measurements with branch
 bookkeeping).  Passive elements conserve total photon number, so the
@@ -29,10 +31,7 @@ from .circuit import (
     Detector,
     Obstacle,
     PhaseShift,
-    Source,
-    _element_io,
-    _required_bins,
-    validate,
+    compile_circuit,
 )
 from .errors import (
     BinOverflowError,
@@ -375,49 +374,27 @@ class JointDistribution:
 class FockOracle:
     """Walks a CircuitSpec exactly in a truncated Fock space.
 
-    Mode layout: each source or vacuum input claims a wire slot in order
-    of first appearance and mode ``slot * n_bins + bin`` carries that
-    wire's amplitude at the given time bin.
+    Mode layout: the spec's ``compile_circuit`` layout, so ``n_bins`` and
+    the spatial slots are those of the other engines.  Mode
+    ``slot * n_bins + bin`` carries the amplitude of the wires in that
+    slot at the given time bin.
     """
 
     def __init__(self, spec: CircuitSpec, cutoff: int):
         self.spec = spec
         self.cutoff = cutoff
-        self.order = validate(spec)
-        sources = [e for e in self.order if isinstance(e, Source)]
-        n_bins = spec.n_bins if spec.n_bins is not None \
-            else _required_bins(self.order, sources)
-        self.n_bins = n_bins
-
-        slot: dict[str, int] = {}
-        n_slots = 0
-        for e in self.order:
-            ins, _ = _element_io(e)
-            for w in ins:
-                if w.startswith("vac") and w not in slot:
-                    slot[w] = n_slots
-                    n_slots += 1
-            if isinstance(e, Source):
-                slot[e.out] = n_slots
-                n_slots += 1
-        self._first_slot = dict(slot)
-        self.n_slots = n_slots
-        self.n_modes = n_slots * n_bins
+        self.compiled = compile_circuit(spec)
+        self.n_bins = self.compiled.n_bins
+        self.n_modes = self.compiled.n_slots * self.n_bins
         self.basis = FockBasis.build(self.n_modes, cutoff)
-        self.source_ids = tuple(s.id for s in sources)
-        self._source_by_id = {s.id: s for s in sources}
 
     def mode(self, slot: int, bin_idx: int) -> int:
         return slot * self.n_bins + bin_idx
 
     def source_modes(self, source_id: Optional[str] = None) -> list[int]:
         """Mode indices of a source's populated input bins."""
-        if source_id is None:
-            if len(self.source_ids) != 1:
-                raise ValueError("source_id required for multi-source circuits")
-            source_id = self.source_ids[0]
-        s = self._source_by_id[source_id]
-        base = self._first_slot[s.out]
+        s = self.compiled._source(source_id)
+        base = self.compiled.wire_slot[s.out]
         return [self.mode(base, b) for b in range(s.n_bins)]
 
     # -- input preparation -------------------------------------------------
@@ -447,8 +424,8 @@ class FockOracle:
                             ) -> FockStateVector:
         modes = []
         for source_id, b in photons:
-            s = self._source_by_id[source_id]
-            modes.append(self.mode(self._first_slot[s.out], b))
+            s = self.compiled._source(source_id)
+            modes.append(self.mode(self.compiled.wire_slot[s.out], b))
         return prepare_single_photons(self.basis, modes)
 
     # -- evolution ---------------------------------------------------------
@@ -458,16 +435,14 @@ class FockOracle:
         exact joint distribution over detector and absorbed counts."""
         if state.basis is not self.basis:
             raise ValueError("state was prepared on a different basis")
-        slot = dict(self._first_slot)
+        slot = self.compiled.wire_slot
         # branches: (absorbed record dict cell -> count, unnormalised amplitudes)
         branches: list[tuple[dict, np.ndarray]] = [({}, state.amplitudes.copy())]
         detector_cells: list[tuple[str, int]] = []
         loss_cells: list[tuple[str, int]] = []
         readout_slots: dict[str, int] = {}
 
-        for e in self.order:
-            if isinstance(e, Source):
-                continue
+        for e in self.compiled._order:
             if isinstance(e, BeamSplitter):
                 i, j = slot[e.inputs[0]], slot[e.inputs[1]]
                 u = e.resolved_matrix()
@@ -476,20 +451,16 @@ class FockOracle:
                     branches = [(rec, apply_two_mode_unitary(
                         FockStateVector(self.basis, amps), pair, u).amplitudes)
                         for rec, amps in branches]
-                slot[e.outputs[0]], slot[e.outputs[1]] = i, j
             elif isinstance(e, PhaseShift):
                 s = slot[e.input]
                 branches = [(rec, self._slot_phase(amps, s, e.angle))
                             for rec, amps in branches]
-                slot[e.output] = s
             elif isinstance(e, Delay):
                 s = slot[e.input]
                 branches = [(rec, self._slot_delay(amps, s, e))
                             for rec, amps in branches]
-                slot[e.output] = s
             elif isinstance(e, Obstacle):
                 if not e.inserted:
-                    slot[e.output] = slot[e.input]
                     continue
                 s = slot[e.input]
                 gate = sorted(e.bins) if e.bins is not None else range(self.n_bins)
@@ -511,7 +482,6 @@ class FockOracle:
                 for b in gate:
                     if (e.id, b) not in loss_cells:
                         loss_cells.append((e.id, b))
-                slot[e.output] = s
             elif isinstance(e, Detector):
                 readout_slots[e.id] = slot[e.wire]
                 detector_cells.extend((e.id, b) for b in range(self.n_bins))
@@ -548,7 +518,8 @@ class FockOracle:
     def _slot_delay(self, amps: np.ndarray, s: int, e: Delay) -> np.ndarray:
         if e.bins == 0:
             return amps if not e.phase else self._slot_phase(amps, s, e.phase)
-        wrapped = [self.mode(s, b) for b in range(self.n_bins - e.bins, self.n_bins)]
+        wrapped = [self.mode(s, b)
+                   for b in range(max(self.n_bins - e.bins, 0), self.n_bins)]
         occ_w = self.basis.occupations[:, wrapped].sum(axis=1)
         if np.any((occ_w > 0) & (np.abs(amps) > 1e-12)):
             raise BinOverflowError(

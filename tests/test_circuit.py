@@ -18,6 +18,7 @@ from proxyifm.circuit import (
     default_beamsplitter,
 )
 from proxyifm.coherent import CoherentTrain, propagate_coherent
+from proxyifm.fock import FockOracle
 from proxyifm.errors import (
     BinOverflowError,
     CyclicGraphError,
@@ -332,3 +333,28 @@ def test_long_train_propagates_in_linear_memory():
         tracemalloc.stop()
     assert peak < 16 << 20
     assert field.total_output_energy() == pytest.approx(300.0, rel=1e-12)
+
+
+def _vacuum_delay_chain_spec(n_bins):
+    """A one-bin source beside a vacuum input that passes two delays."""
+    return CircuitSpec(elements=(
+        Source("src", "a", 1),
+        Detector("D1", "a"),
+        Delay("d1", "vac0", "v1", bins=2),
+        Delay("d2", "v1", "v2", bins=2),
+        Detector("D2", "v2"),
+    ), n_bins=n_bins)
+
+
+def test_vacuum_only_delays_never_overflow():
+    cc = compile_circuit(_vacuum_delay_chain_spec(3))
+    assert cc.n_bins == 3
+    out = cc.propagate(np.array([1.0]))
+    assert out["D1"][0] == 1.0 and not out["D2"].any()
+    oracle = FockOracle(_vacuum_delay_chain_spec(3), 1)
+    dist = oracle.run(oracle.single_photon_state([("src", 0)]))
+    assert dist.mean("D1", 0) == pytest.approx(1.0, abs=1e-12)
+
+
+def test_auto_bins_ignore_vacuum_only_delays():
+    assert compile_circuit(_vacuum_delay_chain_spec(None)).n_bins == 1

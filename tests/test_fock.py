@@ -3,9 +3,21 @@ import math
 import numpy as np
 import pytest
 
-from proxyifm.circuit import compile_circuit, default_beamsplitter
+from proxyifm.circuit import (
+    CircuitSpec,
+    Delay,
+    Detector,
+    Source,
+    compile_circuit,
+    default_beamsplitter,
+)
 from proxyifm.coherent import CoherentTrain, propagate_coherent
-from proxyifm.errors import CutoffTooSmallError, NonUnitaryError, StateTooLargeError
+from proxyifm.errors import (
+    BinOverflowError,
+    CutoffTooSmallError,
+    NonUnitaryError,
+    StateTooLargeError,
+)
 from proxyifm.fock import (
     FockBasis,
     FockOracle,
@@ -21,7 +33,12 @@ from proxyifm.fock import (
     state_overlap,
     vacuum_state,
 )
-from proxyifm.singlephoton import coherent_train_expansion, propagate_photon, tensor_sum_state
+from proxyifm.singlephoton import (
+    coherent_train_expansion,
+    propagate_photon,
+    single_bin_state,
+    tensor_sum_state,
+)
 
 from conftest import (
     ALPHA,
@@ -358,3 +375,31 @@ def test_simulate_fock_wrapper():
     state = oracle.tensor_sum_state(2)
     dist = simulate_fock(spec, state, oracle=oracle)
     assert dist.terminal_probability("obstacle_l") == pytest.approx(0.5, abs=1e-10)
+
+
+@pytest.mark.parametrize("bin_idx", [0, 1, 2])
+def test_oracle_vacuum_delay_longer_than_the_bins(bin_idx):
+    # The delay shifts every bin of the vacuum slot out of range; none of
+    # the source slot's modes may be read as wrapped.
+    spec = CircuitSpec(elements=(
+        Source("src", "a", 3),
+        Detector("D1", "a"),
+        Delay("d", "vac0", "v1", bins=5),
+        Detector("D2", "v1"),
+    ), n_bins=3)
+    oracle = FockOracle(spec, 1)
+    dist = oracle.run(oracle.single_photon_state([("src", bin_idx)]))
+    engine = propagate_photon(compile_circuit(spec), single_bin_state(bin_idx))
+    assert dist.mean("D1", bin_idx) == pytest.approx(1.0, abs=1e-12)
+    for t, b in dist.cells:
+        assert dist.mean(t, b) == pytest.approx(engine.p_bins[t][b], abs=1e-12)
+
+
+def test_oracle_rejects_too_few_bins_when_built():
+    spec = CircuitSpec(elements=(
+        Source("src", "a", 4),
+        Delay("late", "a", "b", bins=2),
+        Detector("D", "b"),
+    ), n_bins=5)
+    with pytest.raises(BinOverflowError, match="late"):
+        FockOracle(spec, 1)

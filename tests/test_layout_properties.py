@@ -1,0 +1,128 @@
+"""The one circuit layout, checked on random valid circuits.
+
+``compile_circuit`` fixes each circuit's slots, bins and terminals once;
+the Fock oracle, the one-photon engine and ``circuit_spatial_unitary``
+all read that layout.  Circuits are drawn from the element grammar:
+sources, splitters with random 2x2 unitaries, delays (also on vacuum
+inputs), phases, obstacles with and without gated bins, detectors and
+absorbers, declared in a random order.
+"""
+
+import math
+from dataclasses import replace
+
+import numpy as np
+import pytest
+from hypothesis import HealthCheck, assume, given, settings
+from hypothesis import strategies as st
+
+from proxyifm.circuit import (
+    Absorber,
+    BeamSplitter,
+    CircuitSpec,
+    Delay,
+    Detector,
+    Obstacle,
+    PhaseShift,
+    Source,
+    circuit_spatial_unitary,
+    compile_circuit,
+)
+from proxyifm.fock import FockOracle
+from proxyifm.singlephoton import propagate_photon, single_bin_state
+
+MAX_FOCK_MODES = 16
+
+_angles = st.floats(0.0, 2.0 * math.pi)
+
+
+@st.composite
+def _unitaries(draw):
+    """exp(ia) [[x, y], [-conj(y), conj(x)]] with |x|^2 + |y|^2 = 1."""
+    t, a, b, c = (draw(_angles) for _ in range(4))
+    x = math.cos(t) * np.exp(1j * b)
+    y = math.sin(t) * np.exp(1j * c)
+    return np.exp(1j * a) * np.array([[x, y], [-np.conj(y), np.conj(x)]])
+
+
+@st.composite
+def _circuits(draw):
+    """A valid circuit with at most ``MAX_FOCK_MODES`` modes at cutoff 1."""
+    sources = [Source(f"src{k}", f"s{k}", draw(st.integers(1, 3)))
+               for k in range(draw(st.integers(1, 2)))]
+    max_source_bins = max(s.n_bins for s in sources)
+    elements = list(sources)
+    open_wires = [s.out for s in sources]
+    counter = iter(range(1000))
+
+    def take():
+        # An open wire, or (index == len) a fresh vacuum input.
+        k = draw(st.integers(0, len(open_wires)))
+        return open_wires.pop(k) if k < len(open_wires) else f"vac{next(counter)}"
+
+    def fresh():
+        wire = f"w{next(counter)}"
+        open_wires.append(wire)
+        return wire
+
+    for k, kind in enumerate(draw(st.lists(
+            st.sampled_from(["splitter", "delay", "phase", "obstacle"]),
+            max_size=5))):
+        if kind == "splitter":
+            inputs = (take(), take())
+            matrix = draw(st.none() | _unitaries())
+            elements.append(BeamSplitter(f"bs{k}", inputs, (fresh(), fresh()),
+                                         matrix=matrix))
+        elif kind == "delay":
+            elements.append(Delay(f"d{k}", take(), fresh(), draw(st.integers(0, 2)),
+                                  phase=draw(st.just(0.0) | _angles)))
+        elif kind == "phase":
+            elements.append(PhaseShift(f"p{k}", take(), fresh(), draw(_angles)))
+        else:
+            gate = draw(st.none() | st.frozensets(
+                st.integers(0, max_source_bins - 1)))
+            elements.append(Obstacle(f"o{k}", take(), fresh(),
+                                     inserted=draw(st.booleans()), bins=gate))
+    for k, wire in enumerate(open_wires):
+        terminal = draw(st.sampled_from([Detector, Absorber]))
+        elements.append(terminal(f"T{k}", wire))
+
+    spec = CircuitSpec(elements=tuple(draw(st.permutations(elements))))
+    compiled = compile_circuit(spec)
+    extra = draw(st.sampled_from([None, 0, 1]))
+    if extra is not None:
+        spec = replace(spec, n_bins=compiled.n_bins + extra)
+        compiled = compile_circuit(spec)
+    assume(compiled.n_slots * compiled.n_bins <= MAX_FOCK_MODES)
+    return spec
+
+
+_settings = settings(max_examples=300, deadline=None,
+                     suppress_health_check=[HealthCheck.too_slow])
+
+
+@_settings
+@given(spec=_circuits())
+def test_fock_oracle_matches_one_photon_engine(spec):
+    compiled = compile_circuit(spec)
+    oracle = FockOracle(spec, 1)
+    assert oracle.n_bins == compiled.n_bins
+    for source in spec.sources():
+        for b in range(source.n_bins):
+            dist = oracle.run(oracle.single_photon_state([(source.id, b)]))
+            engine = propagate_photon(compiled, single_bin_state(b), source.id)
+            assert dist.total() == pytest.approx(1.0, abs=1e-12)
+            for terminal, cell_bin in dist.cells:
+                assert dist.mean(terminal, cell_bin) == pytest.approx(
+                    engine.p_bins[terminal][cell_bin], abs=1e-12)
+
+
+@_settings
+@given(spec=_circuits())
+def test_spatial_unitary_is_unitary(spec):
+    # Every slot runs from a source or vacuum input to one detector or
+    # absorber, so a valid circuit always has as many ports as terminals.
+    compiled = compile_circuit(spec)
+    assert compiled.n_slots == len(spec.terminals())
+    u = circuit_spatial_unitary(spec)
+    assert np.linalg.norm(u.conj().T @ u - np.eye(compiled.n_slots)) < 1e-10

@@ -360,3 +360,13 @@ def test_cli_rejects_negative_seed(tmp_path):
     assert r.returncode == 2, r.stderr
     assert "must be >=" in r.stderr and "Traceback" not in r.stderr
     assert not out.exists()
+
+
+@pytest.mark.parametrize("value", ["-5", "abc"])
+def test_cli_rejects_bad_seed_env(tmp_path, value):
+    out = tmp_path / "r.csv"
+    r = _cli("simulate", "--scenario", "fig2_blocked", "--mode", "mc",
+             "--shots", "10", "--out", str(out), env={"PROXYIFM_SEED": value})
+    assert r.returncode == 2, r.stderr
+    assert "PROXYIFM_SEED" in r.stderr and "Traceback" not in r.stderr
+    assert not out.exists()
