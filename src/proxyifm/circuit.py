@@ -35,7 +35,6 @@ from .errors import (
     CyclicGraphError,
     DanglingPortError,
     NonUnitaryBeamSplitterError,
-    PortCountMismatchError,
     StateTooLargeError,
 )
 
@@ -156,12 +155,6 @@ class CircuitSpec:
 
     def terminals(self) -> list[Union[Detector, Absorber]]:
         return [e for e in self.elements if isinstance(e, (Detector, Absorber))]
-
-    def element(self, element_id: str) -> Element:
-        for e in self.elements:
-            if e.id == element_id:
-                return e
-        raise KeyError(element_id)
 
     def with_obstacles(self, inserted: dict[str, bool]) -> "CircuitSpec":
         """Copy of the spec with obstacle ``inserted`` flags replaced."""
@@ -432,7 +425,8 @@ def compile_circuit(spec: CircuitSpec) -> CompiledCircuit:
     carries only vacuum, also after a delay) and the delays of its paths.
     ``n_bins`` is the spec's, or one past the last populated bin.  Raises
     ``BinOverflowError`` naming the offending source or delay if a
-    populated bin would land past an explicit ``n_bins``.  Builds no
+    populated bin would land past an explicit ``n_bins``, or the obstacle
+    whose gate lists a bin outside ``[0, n_bins)``.  Builds no
     matrix and propagates nothing.  Deterministic: the same spec yields
     bit-identical propagation.
     """
@@ -491,6 +485,13 @@ def compile_circuit(spec: CircuitSpec) -> CompiledCircuit:
             path_delays |= ds
     if n_bins is None:
         n_bins = max(last.values()) + 1
+    for e in order:
+        if isinstance(e, Obstacle) and e.bins is not None:
+            outside = [b for b in e.bins if not 0 <= b < n_bins]
+            if outside:
+                raise BinOverflowError(
+                    f"obstacle {e.id!r}: gate bin {min(outside)} is outside "
+                    f"0..{n_bins - 1}")
 
     terminal_order = tuple(detectors + losses)
     return CompiledCircuit(
@@ -521,11 +522,6 @@ def circuit_spatial_unitary(spec: CircuitSpec) -> np.ndarray:
     """
     compiled = compile_circuit(spec)
     n, slot = compiled.n_slots, compiled.wire_slot
-    n_out = len(spec.terminals())
-    if n_out != n:
-        raise PortCountMismatchError(
-            f"{n} spatial input ports vs {n_out} terminals")
-
     u = np.eye(n, dtype=complex)
     for e in compiled._order:
         if isinstance(e, BeamSplitter):

@@ -2,7 +2,10 @@
 
 Subcommands: ``simulate``, ``sweep``, ``oracle``, ``decompose``,
 ``list-scenarios``.  Exit codes: 0 success, 2 validation error (bad
-scenario file, bad wiring, bad arguments), 3 engine error.
+scenario file, wiring, input file or argument), 3 engine error.  argparse
+rejects bad arguments with 2; any :class:`~proxyifm.errors.ProxyIfmError`
+exits with its class's ``exit_code`` and one stderr line that names the
+``--scenario`` value.
 
 Environment overrides: ``PROXYIFM_SEED`` replaces the scenario's default
 seed; ``PROXYIFM_OUTDIR`` prefixes relative output paths.
@@ -11,47 +14,17 @@ seed; ``PROXYIFM_OUTDIR`` prefixes relative output paths.
 from __future__ import annotations
 
 import argparse
+import math
 import os
 import sys
 from pathlib import Path
 
 import numpy as np
 
-from .errors import (
-    BinOverflowError,
-    CutoffTooSmallError,
-    CyclicGraphError,
-    DanglingPortError,
-    DimensionMismatchError,
-    DimensionTooLargeError,
-    EngineSourceMismatchError,
-    IoError,
-    NoLossTerminalError,
-    NonUnitaryBeamSplitterError,
-    NonUnitaryError,
-    NonUnitaryInputError,
-    ParseError,
-    PortCountMismatchError,
-    ProxyIfmError,
-    StateTooLargeError,
-    UnknownSchemaVersionError,
-    UnresolvedElementIdError,
-    ZeroPulsesError,
-)
+from .errors import ParseError, ProxyIfmError
 from .multiport import reck_decompose
 from .runner import RunReport, Table, emit, run, sweep_table
 from .scenarios import list_builtin_scenarios, load_scenario
-
-_VALIDATION_ERRORS = (
-    ParseError, UnknownSchemaVersionError, UnresolvedElementIdError,
-    CyclicGraphError, DanglingPortError, NonUnitaryBeamSplitterError,
-    PortCountMismatchError, NonUnitaryInputError, DimensionTooLargeError,
-    DimensionMismatchError, ZeroPulsesError,
-)
-_ENGINE_ERRORS = (
-    BinOverflowError, CutoffTooSmallError, StateTooLargeError,
-    NoLossTerminalError, EngineSourceMismatchError, NonUnitaryError, IoError,
-)
 
 
 def _out_path(raw: str) -> Path:
@@ -72,17 +45,27 @@ def _default_seed(scenario_seed: int) -> int:
         raise ParseError(f"PROXYIFM_SEED: {exc}") from None
 
 
-def _int_at_least(low: int):
-    """argparse ``type=`` that rejects integers below ``low`` (exit 2)."""
-    def parse(text: str) -> int:
+def _checked(convert, accept, need: str):
+    """argparse ``type=``: ``convert`` the text, then require ``accept`` (exit 2)."""
+    def parse(text: str):
         try:
-            value = int(text)
+            value = convert(text)
         except ValueError:
-            raise argparse.ArgumentTypeError(f"invalid integer {text!r}") from None
-        if value < low:
-            raise argparse.ArgumentTypeError(f"must be >= {low}, got {value}")
+            raise argparse.ArgumentTypeError(
+                f"invalid {convert.__name__} {text!r}") from None
+        if not accept(value):
+            raise argparse.ArgumentTypeError(f"must be {need}, got {value}")
         return value
     return parse
+
+
+def _int_at_least(low: int):
+    return _checked(int, lambda v: v >= low, f">= {low}")
+
+
+_finite = _checked(float, math.isfinite, "finite")
+_finite_positive = _checked(float, lambda v: math.isfinite(v) and v > 0,
+                            "finite and > 0")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -108,8 +91,8 @@ def build_parser() -> argparse.ArgumentParser:
     sw = sub.add_parser("sweep", help="sweep a scenario phase parameter")
     sw.add_argument("--scenario", required=True)
     sw.add_argument("--param", default="delay_phase")
-    sw.add_argument("--from", dest="start", type=float, required=True)
-    sw.add_argument("--to", dest="stop", type=float, required=True)
+    sw.add_argument("--from", dest="start", type=_finite, required=True)
+    sw.add_argument("--to", dest="stop", type=_finite, required=True)
     sw.add_argument("--steps", type=_int_at_least(1), required=True)
     sw.add_argument("--out", required=True)
 
@@ -122,7 +105,7 @@ def build_parser() -> argparse.ArgumentParser:
                          help="triangular two-mode decomposition of a unitary")
     dec.add_argument("--unitary", required=True,
                      help="CSV of complex entries, one matrix row per line")
-    dec.add_argument("--tol", type=float, default=1e-10)
+    dec.add_argument("--tol", type=_finite_positive, default=1e-10)
     dec.add_argument("--out", required=True)
 
     sub.add_parser("list-scenarios", help="list the shipped golden scenarios")
@@ -152,20 +135,24 @@ def _cmd_oracle(args) -> int:
     scenario = load_scenario(args.scenario)
     report = run(scenario, engine="fock", mode="exact", cutoff=args.cutoff)
     report = RunReport(scenario_id=report.scenario_id, engine="fock",
-                       mode="exact", tables={"joint": report.tables["joint"]},
-                       provenance=report.provenance)
+                       mode="exact", tables={"joint": report.tables["joint"]})
     emit(report, "csv", _out_path(args.out))
     return 0
 
 
+def _read_unitary(path: str) -> np.ndarray:
+    """The complex matrix in a CSV file, one row per line."""
+    try:
+        text = Path(path).read_text(encoding="utf-8")
+        return np.array([[complex(tok.strip().replace(" ", ""))
+                          for tok in line.split(",")]
+                         for line in text.strip().splitlines()], dtype=complex)
+    except (OSError, ValueError) as exc:
+        raise ParseError(f"unitary {path}: {exc}") from None
+
+
 def _cmd_decompose(args) -> int:
-    rows = []
-    text = Path(args.unitary).read_text(encoding="utf-8")
-    for line in text.strip().splitlines():
-        rows.append([complex(tok.strip().replace(" ", ""))
-                     for tok in line.split(",")])
-    u = np.array(rows, dtype=complex)
-    d = reck_decompose(u, tol=args.tol)
+    d = reck_decompose(_read_unitary(args.unitary), tol=args.tol)
     out_rows: list[tuple] = []
     for op in d.steps:
         m = op.matrix
@@ -203,15 +190,12 @@ def main(argv=None) -> int:
     }
     try:
         return handlers[args.command](args)
-    except _VALIDATION_ERRORS as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except _ENGINE_ERRORS as exc:
-        print(f"engine error: {exc}", file=sys.stderr)
-        return 3
     except ProxyIfmError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 3
+        kind = "error" if exc.exit_code == 2 else "engine error"
+        scenario = getattr(args, "scenario", None)
+        where = f"scenario {scenario!r}: " if scenario else ""
+        print(f"{kind}: {where}{exc}", file=sys.stderr)
+        return exc.exit_code
 
 
 if __name__ == "__main__":

@@ -126,9 +126,6 @@ class FockStateVector:
     def norm_squared(self) -> float:
         return float(np.sum(np.abs(self.amplitudes) ** 2))
 
-    def copy(self) -> "FockStateVector":
-        return FockStateVector(self.basis, self.amplitudes.copy(), self.deficit)
-
     def mean_occupation(self, mode: int) -> float:
         w = np.abs(self.amplitudes) ** 2
         return float(np.dot(w, self.basis.occupations[:, mode].astype(float)))
@@ -324,7 +321,6 @@ class JointDistribution:
     cells in declaration order, then obstacle/absorber cells."""
 
     cells: tuple[tuple[str, int], ...]
-    loss_cells: frozenset[tuple[str, int]]
     table: dict[tuple[int, ...], float]
     deficit: float
 
@@ -506,9 +502,7 @@ class FockOracle:
                 counts.update(rec)
                 outcome = tuple(counts.get(c, 0) for c in cells)
                 table[outcome] = table.get(outcome, 0.0) + p
-        return JointDistribution(cells=cells,
-                                 loss_cells=frozenset(loss_cells),
-                                 table=table, deficit=state.deficit)
+        return JointDistribution(cells=cells, table=table, deficit=state.deficit)
 
     def _slot_phase(self, amps: np.ndarray, s: int, angle: float) -> np.ndarray:
         total = self.basis.occupations[:, self.mode(s, 0):self.mode(s, self.n_bins - 1) + 1]

@@ -119,10 +119,6 @@ class EquivalenceReport:
     left_phases: np.ndarray
     right_phases: np.ndarray
 
-    @property
-    def phase_fix(self) -> tuple[np.ndarray, np.ndarray]:
-        return self.left_phases, self.right_phases
-
 
 def phase_fix_distance(u: np.ndarray, target: np.ndarray) -> EquivalenceReport:
     """min over diagonal phase matrices L, R of ||L u R - target||_F.

@@ -15,16 +15,14 @@ seed).
 
 from __future__ import annotations
 
-import datetime as _dt
 import json
 from collections.abc import Sequence as _SequenceABC
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Optional, Sequence, Union
 
 import numpy as np
 
-from . import __version__
 from .circuit import Delay, compile_circuit
 from .coherent import (
     CoherentTrain,
@@ -33,7 +31,7 @@ from .coherent import (
     propagate_coherent,
     sample_clicks,
 )
-from .errors import EngineSourceMismatchError, IoError, ProxyIfmError
+from .errors import EngineSourceMismatchError, IoError
 from .fock import FockOracle, sample_joint
 from .scenarios import (
     CoherentSourceSpec,
@@ -124,18 +122,12 @@ def _cell_columns(names: Sequence[str], lengths: Sequence[int]):
 
 @dataclass(frozen=True)
 class RunReport:
-    """Engine output tables plus provenance.
-
-    The provenance (seed, tool version, timestamp) documents the run; only
-    the tables are emitted, so output files stay reproducible byte for
-    byte from (scenario, engine, mode, shots, seed).
-    """
+    """The engine output tables of one run, in emit order."""
 
     scenario_id: str
     engine: str
     mode: str
     tables: dict[str, Table]
-    provenance: dict = field(default_factory=dict)
 
 
 def _fmt(x) -> str:
@@ -163,43 +155,28 @@ def run(scenario: Scenario, engine: Optional[str] = None,
 
     ``engine`` defaults to the scenario source's natural engine; asking an
     engine to consume a source it cannot represent raises
-    ``EngineSourceMismatchError``.
+    ``EngineSourceMismatchError``.  Errors reach the caller as raised.
     """
     engine = engine or scenario.engine()
     mode = mode or scenario.defaults.mode
     shots = scenario.defaults.shots if shots is None else shots
     seed = scenario.defaults.seed if seed is None else seed
+    if mode not in ("exact", "mc"):
+        raise ValueError(f"unknown mode {mode!r}")
     if engine not in _ENGINE_SOURCES:
         raise EngineSourceMismatchError(f"unknown engine {engine!r}")
     if not isinstance(scenario.source, _ENGINE_SOURCES[engine]):
         raise EngineSourceMismatchError(
-            f"engine {engine!r} cannot consume a {scenario.source.kind!r} "
-            f"source (scenario {scenario.scenario_id!r})")
+            f"engine {engine!r} cannot consume a {scenario.source.kind!r} source")
 
-    try:
-        if engine == "coherent":
-            tables = _run_coherent(scenario, mode, shots, seed)
-        elif engine == "singlephoton":
-            tables = _run_singlephoton(scenario, mode, shots, seed)
-        else:
-            tables = _run_fock(scenario, mode, shots, seed, cutoff)
-    except ProxyIfmError as exc:
-        raise type(exc)(
-            f"scenario {scenario.scenario_id!r}, engine {engine!r}: {exc}"
-        ) from exc
-
-    return RunReport(
-        scenario_id=scenario.scenario_id,
-        engine=engine,
-        mode=mode,
-        tables=tables,
-        provenance={
-            "seed": seed,
-            "shots": shots,
-            "tool_version": __version__,
-            "timestamp": _dt.datetime.now(_dt.timezone.utc).isoformat(),
-        },
-    )
+    if engine == "coherent":
+        tables = _run_coherent(scenario, mode, shots, seed)
+    elif engine == "singlephoton":
+        tables = _run_singlephoton(scenario, mode, shots, seed)
+    else:
+        tables = _run_fock(scenario, mode, shots, seed, cutoff)
+    return RunReport(scenario_id=scenario.scenario_id, engine=engine,
+                     mode=mode, tables=tables)
 
 
 def _coherent_train(scenario: Scenario) -> CoherentTrain:
@@ -238,14 +215,12 @@ def _run_coherent(scenario: Scenario, mode: str, shots: int, seed: int) -> dict:
                     ("trigger_bin", trig_bin),
                     ("p_no_interaction", p_empty),
                 ])
-    elif mode == "mc":
+    else:
         log = sample_clicks(click_distribution(field_cfg), shots, seed)
         names = np.asarray(log.terminal_order, dtype=object)
         tables["events"] = Table(
             headers=("shot", "terminal", "bin"),
             columns=(log.shot_idx, names[log.terminal], log.bin_idx))
-    else:
-        raise ValueError(f"unknown mode {mode!r}")
     return tables
 
 
@@ -264,15 +239,13 @@ def _run_singlephoton(scenario: Scenario, mode: str, shots: int, seed: int) -> d
         tables["p_outcome"] = Table(
             headers=("terminal", "probability"),
             columns=(list(order), [float(dist.p[t]) for t in order]))
-    elif mode == "mc":
+    else:
         cells, draws = sample_outcomes(dist, shots, seed)
         names = np.array([t for t, _ in cells], dtype=object)
         bins = np.array([b for _, b in cells], dtype=int)
         tables["events"] = Table(
             headers=("shot", "terminal", "bin"),
             columns=(np.arange(shots), names[draws], bins[draws]))
-    else:
-        raise ValueError(f"unknown mode {mode!r}")
     return tables
 
 
@@ -310,14 +283,12 @@ def _run_fock(scenario: Scenario, mode: str, shots: int, seed: int,
         tables["marginals"] = Table(
             headers=("terminal", "bin", "mean_n"),
             rows=[(t, b, dist.mean(t, b)) for (t, b) in dist.cells])
-    elif mode == "mc":
+    else:
         draws = sample_joint(dist, shots, seed)
         text = {o: outcome_vector_string(dist, o) for o in set(draws)}
         tables["events"] = Table(
             headers=("shot", "outcome_vector"),
             columns=(np.arange(shots), [text[o] for o in draws]))
-    else:
-        raise ValueError(f"unknown mode {mode!r}")
     return tables
 
 
@@ -417,8 +388,7 @@ def sweep_table(scenario: Scenario, param: str, values: Sequence[float]) -> Tabl
     from .errors import ParseError, UnresolvedElementIdError
 
     if param not in scenario.sweep_params:
-        raise UnresolvedElementIdError(
-            f"scenario {scenario.scenario_id!r} exposes no parameter {param!r}")
+        raise UnresolvedElementIdError(f"no sweep parameter {param!r}")
     element_id, field_name = scenario.sweep_params[param]
     if field_name != "phase":
         raise ParseError(f"parameter {param!r} does not target a delay phase")

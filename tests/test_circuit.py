@@ -358,3 +358,18 @@ def test_vacuum_only_delays_never_overflow():
 
 def test_auto_bins_ignore_vacuum_only_delays():
     assert compile_circuit(_vacuum_delay_chain_spec(None)).n_bins == 1
+
+
+@pytest.mark.parametrize("gate, outside", [({-1}, -1), ({1, 5}, 5)])
+def test_gate_bins_outside_the_circuit_are_rejected(gate, outside):
+    # fig2 with 4 pulses and a one-bin delay has n_bins = 5.
+    spec = gated_fig2_spec(4, gate=gate)
+    with pytest.raises(BinOverflowError, match=f"'obstacle_l'.*bin {outside} "):
+        compile_circuit(spec)
+    with pytest.raises(BinOverflowError):
+        FockOracle(spec, 1)
+
+
+def test_gate_bins_inside_the_circuit_compile():
+    cc = compile_circuit(gated_fig2_spec(4, gate={0, 4}))
+    assert cc.n_bins == 5

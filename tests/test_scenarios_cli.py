@@ -370,3 +370,56 @@ def test_cli_rejects_bad_seed_env(tmp_path, value):
     assert r.returncode == 2, r.stderr
     assert "PROXYIFM_SEED" in r.stderr and "Traceback" not in r.stderr
     assert not out.exists()
+
+
+def test_cli_rejects_gate_bin_past_the_train(tmp_path):
+    doc = _golden_doc("fig2_blocked")
+    obstacle = next(e for e in doc["circuit"]["elements"]
+                    if e["kind"] == "obstacle")
+    obstacle["bins"] = [1, 99]
+    scenario = tmp_path / "s.json"
+    scenario.write_text(json.dumps(doc))
+    out = tmp_path / "r.csv"
+    r = _cli("simulate", "--scenario", str(scenario), "--mode", "exact",
+             "--out", str(out))
+    assert r.returncode == 3, r.stderr
+    assert r.stderr.startswith("engine error: ") and "Traceback" not in r.stderr
+    assert "obstacle_l" in r.stderr and "99" in r.stderr
+    assert str(scenario) in r.stderr
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("text", [None, "0,x\n1,0\n", "1,0\n0\n"],
+                         ids=["missing", "malformed", "ragged"])
+def test_cli_decompose_rejects_bad_unitary_file(tmp_path, text):
+    upath = tmp_path / "u.csv"
+    if text is not None:
+        upath.write_text(text)
+    out = tmp_path / "steps.csv"
+    r = _cli("decompose", "--unitary", str(upath), "--out", str(out))
+    assert r.returncode == 2, r.stderr
+    assert r.stderr.startswith("error: ") and str(upath) in r.stderr
+    assert "Traceback" not in r.stderr
+    assert not out.exists()
+
+
+def test_cli_decompose_rejects_nan_tolerance(tmp_path):
+    upath = tmp_path / "u.csv"
+    upath.write_text("2,0\n0,1\n")
+    out = tmp_path / "steps.csv"
+    r = _cli("decompose", "--unitary", str(upath), "--tol", "nan",
+             "--out", str(out))
+    assert r.returncode == 2, r.stderr
+    assert "--tol" in r.stderr and "Traceback" not in r.stderr
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("start, stop, flag", [("nan", "1", "--from"),
+                                               ("0", "inf", "--to")])
+def test_cli_sweep_rejects_non_finite_range(tmp_path, start, stop, flag):
+    out = tmp_path / "sweep.csv"
+    r = _cli("sweep", "--scenario", "fringe_sweep", "--from", start,
+             "--to", stop, "--steps", "4", "--out", str(out))
+    assert r.returncode == 2, r.stderr
+    assert flag in r.stderr and "Traceback" not in r.stderr
+    assert not out.exists()
