@@ -385,7 +385,7 @@ def validate(spec: CircuitSpec) -> list[Element]:
             if m.shape != (2, 2):
                 raise NonUnitaryBeamSplitterError(f"{e.id!r}: matrix must be 2x2")
             r = np.linalg.norm(m.conj().T @ m - np.eye(2))
-            if r > UNITARITY_TOL:
+            if not r <= UNITARITY_TOL:
                 raise NonUnitaryBeamSplitterError(
                     f"{e.id!r}: unitarity residual {r:.3e} exceeds {UNITARITY_TOL}")
         if isinstance(e, Delay) and (e.bins < 0 or e.bins != int(e.bins)):

@@ -244,7 +244,7 @@ def apply_two_mode_unitary(state: FockStateVector, mode_pair: tuple[int, int],
     u = np.asarray(matrix, dtype=complex)
     if u.shape != (2, 2):
         raise NonUnitaryError("two-mode matrix must be 2x2")
-    if np.linalg.norm(u.conj().T @ u - np.eye(2)) > 1e-10:
+    if not np.linalg.norm(u.conj().T @ u - np.eye(2)) <= 1e-10:
         raise NonUnitaryError("two-mode matrix is not unitary to 1e-10")
     a, b = mode_pair
     basis = state.basis

@@ -175,6 +175,15 @@ def _scenario_from_dict(raw: dict) -> Scenario:
         ids.add(d.id)
         elements.append(d)
 
+    if isinstance(source, FockSourceSpec):
+        source_bins = {e.id: e.n_bins for e in elements if isinstance(e, Source)}
+        for sid, b in source.photons:
+            if sid not in source_bins:
+                raise ParseError(f"pulses: photon on unknown source {sid!r}")
+            if not 0 <= b < source_bins[sid]:
+                raise ParseError(f"pulses: photon bin {b} of source {sid!r} is "
+                                 f"outside 0..{source_bins[sid] - 1}")
+
     obstacle_ids = {e.id for e in elements if isinstance(e, Obstacle)}
     inserted = {}
     for oid, flag in raw.get("obstacles", {}).items():
@@ -242,13 +251,11 @@ def _parse_source(raw: dict) -> SourceSpec:
             phases = [0.0] * n
         if len(phases) != n:
             raise ParseError(f"pulses: {len(phases)} phases for {n} pulses")
-        alpha_squared = float(raw["alpha_squared"])
-        if not (math.isfinite(alpha_squared) and alpha_squared >= 0):
+        alpha_squared = _finite(raw["alpha_squared"], "pulses: alpha_squared")
+        if alpha_squared < 0:
             raise ParseError(f"pulses: alpha_squared {alpha_squared!r} must be "
                              "finite and non-negative")
-        phases = tuple(float(p) for p in phases)
-        if not all(math.isfinite(p) for p in phases):
-            raise ParseError("pulses: phases must be finite")
+        phases = tuple(_finite(p, "pulses: phases") for p in phases)
         return CoherentSourceSpec(n_pulses=n, alpha_squared=alpha_squared,
                                   phases=phases)
     if kind == "tensor_sum":
@@ -268,17 +275,18 @@ def _parse_element(entry: dict, source: SourceSpec) -> Element:
     if kind == "beamsplitter":
         matrix = entry.get("matrix")
         if matrix is not None:
-            matrix = np.array([[complex(re, im) for re, im in row]
-                               for row in matrix])
+            what = f"beamsplitter {eid!r}: matrix entry"
+            matrix = np.array([[complex(_finite(re, what), _finite(im, what))
+                                for re, im in row] for row in matrix])
         return BeamSplitter(id=eid, inputs=tuple(entry["in"]),
                             outputs=tuple(entry["out"]), matrix=matrix)
     if kind == "delay":
         return Delay(id=eid, input=entry["in"], output=entry["out"],
                      bins=int(entry["bins"]),
-                     phase=float(entry.get("phase", 0.0)))
+                     phase=_finite(entry.get("phase", 0.0), f"delay {eid!r}: phase"))
     if kind == "phase":
         return PhaseShift(id=eid, input=entry["in"], output=entry["out"],
-                          angle=_angle(entry["angle"]))
+                          angle=_angle(entry["angle"], f"phase {eid!r}: angle"))
     if kind == "obstacle":
         bins = entry.get("bins")
         return Obstacle(id=eid, input=entry["in"], output=entry["out"],
@@ -289,17 +297,31 @@ def _parse_element(entry: dict, source: SourceSpec) -> Element:
     raise ParseError(f"unknown element kind {kind!r}")
 
 
-def _angle(value) -> float:
-    """Angles are plain numbers, or the strings 'pi', 'pi/2', '-pi', ..."""
+def _finite(value, what: str) -> float:
+    """``value`` as a finite float; every float a scenario holds passes here."""
+    x = float(value)
+    if not math.isfinite(x):
+        raise ParseError(f"{what} {x!r} must be finite")
+    return x
+
+
+def _angle(value, what: str) -> float:
+    """Angles are finite numbers, or the strings 'pi', 'pi/2', '-pi', ...
+
+    The divisor of ``'pi/x'`` must be finite and non-zero.
+    """
     if isinstance(value, str):
         sign = -1.0 if value.startswith("-") else 1.0
         body = value.lstrip("+-")
         if body == "pi":
             return sign * math.pi
         if body.startswith("pi/"):
-            return sign * math.pi / float(body[3:])
+            divisor = _finite(body[3:], f"{what} divisor")
+            if divisor == 0:
+                raise ParseError(f"{what} {value!r} divides by zero")
+            return sign * math.pi / divisor
         raise ParseError(f"cannot parse angle {value!r}")
-    return float(value)
+    return _finite(value, what)
 
 
 def _source_bins(source_id: str, source: SourceSpec, entry: dict) -> int:

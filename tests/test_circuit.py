@@ -210,6 +210,19 @@ def test_non_unitary_beamsplitter_rejected():
         compile_circuit(spec)
 
 
+def test_nan_beamsplitter_residual_rejected():
+    # A NaN residual never compares greater than the tolerance.
+    bad = np.array([[np.nan, 0.0], [0.0, 1.0]])
+    spec = CircuitSpec(elements=(
+        Source("src", "a", 2),
+        BeamSplitter("bs", ("a", "vac1"), ("x", "y"), matrix=bad),
+        Detector("D1", "x"),
+        Detector("D2", "y"),
+    ))
+    with pytest.raises(NonUnitaryBeamSplitterError, match="bs"):
+        compile_circuit(spec)
+
+
 def test_spatial_unitary_single_splitter():
     spec = CircuitSpec(elements=(
         Source("src", "a", 1),

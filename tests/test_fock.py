@@ -164,6 +164,13 @@ def test_two_mode_unitary_rejects_non_unitary():
                                np.array([[1.0, 0.0], [0.0, 0.5]]))
 
 
+def test_two_mode_unitary_rejects_nan_residual():
+    basis = FockBasis.build(2, 2)
+    with pytest.raises(NonUnitaryError):
+        apply_two_mode_unitary(vacuum_state(basis), (0, 1),
+                               np.array([[np.nan, 0.0], [0.0, 1.0]]))
+
+
 def test_mode_permutation_moves_photons():
     basis = FockBasis.build(3, 2)
     state = prepare_single_photons(basis, [0])

@@ -423,3 +423,58 @@ def test_cli_sweep_rejects_non_finite_range(tmp_path, start, stop, flag):
     assert r.returncode == 2, r.stderr
     assert flag in r.stderr and "Traceback" not in r.stderr
     assert not out.exists()
+
+
+def _element(doc, element_id):
+    return next(e for e in doc["circuit"]["elements"] if e["id"] == element_id)
+
+
+def _set_splitter_matrix(doc, entry):
+    h = 1 / math.sqrt(2)
+    _element(doc, "bs1")["matrix"] = [[[h, 0.0], entry], [[0.0, h], [h, 0.0]]]
+
+
+@pytest.mark.parametrize("edit, named", [
+    (lambda d: _element(d, "delay_l").update(phase=float("nan")), "delay_l"),
+    (lambda d: _element(d, "arm_l_matched").update(angle=float("nan")),
+     "arm_l_matched"),
+    (lambda d: _element(d, "arm_l_matched").update(angle="pi/nan"),
+     "arm_l_matched"),
+    (lambda d: _element(d, "arm_l_matched").update(angle="pi/0"),
+     "arm_l_matched"),
+    (lambda d: _set_splitter_matrix(d, [float("nan"), 0.0]), "bs1"),
+    (lambda d: _set_splitter_matrix(d, [0.0, float("inf")]), "bs1"),
+], ids=["delay-phase-nan", "angle-nan", "angle-pi-over-nan", "angle-pi-over-0",
+        "matrix-nan", "matrix-inf"])
+def test_cli_rejects_non_finite_element_numbers(tmp_path, edit, named):
+    doc = _golden_doc("fig2_blocked")
+    edit(doc)
+    scenario = tmp_path / "s.json"
+    scenario.write_text(json.dumps(doc))
+    out = tmp_path / "r.csv"
+    r = _cli("simulate", "--scenario", str(scenario), "--mode", "exact",
+             "--out", str(out))
+    assert r.returncode == 2, r.stderr
+    assert r.stderr.startswith("error: ") and "Traceback" not in r.stderr
+    assert named in r.stderr
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("photons, named", [
+    ([["src_a", 0], ["nosuch", 0]], "nosuch"),
+    ([["src_a", 0], ["src_a", -1], ["src_b", 0]], "-1"),
+    ([["src_a", 0], ["src_b", 1]], "src_b"),
+], ids=["unknown-source", "negative-bin", "bin-past-n_bins"])
+def test_cli_rejects_bad_photon_cells(tmp_path, photons, named):
+    doc = _golden_doc("hom_pair")
+    doc["pulses"]["photons"] = photons
+    _element(doc, "src_b")["n_bins"] = 1
+    scenario = tmp_path / "s.json"
+    scenario.write_text(json.dumps(doc))
+    out = tmp_path / "r.csv"
+    r = _cli("simulate", "--scenario", str(scenario), "--cutoff", "2",
+             "--out", str(out))
+    assert r.returncode == 2, r.stderr
+    assert r.stderr.startswith("error: ") and "Traceback" not in r.stderr
+    assert named in r.stderr
+    assert not out.exists()
