@@ -126,3 +126,31 @@ def test_spatial_unitary_is_unitary(spec):
     assert compiled.n_slots == len(spec.terminals())
     u = circuit_spatial_unitary(spec)
     assert np.linalg.norm(u.conj().T @ u - np.eye(compiled.n_slots)) < 1e-10
+
+
+@_settings
+@given(spec=_circuits(), data=st.data())
+def test_fock_oracle_two_photons_match_permanents(spec, data):
+    # Two photons in input cells i, j leave in output cells k <= l with
+    # probability |per V[{k,l},{i,j}]|^2 over the multiplicity factorials
+    # (Scheel, quant-ph/0406127), V being the unrolled map.
+    compiled = compile_circuit(spec)
+    v = compiled.unrolled_map
+    inputs = [(s.id, b) for s in spec.sources() for b in range(s.n_bins)]
+    photons = [data.draw(st.sampled_from(inputs)) for _ in range(2)]
+    i, j = (compiled.input_index[s][0] + b for s, b in photons)
+    oracle = FockOracle(spec, 2)
+    dist = oracle.run(oracle.single_photon_state(photons))
+    row = [compiled.terminal_index[t][0] + b for t, b in dist.cells]
+    got: dict[tuple[int, ...], float] = {}
+    for outcome, p in dist.table.items():
+        rows = tuple(sorted(r for r, n in zip(row, outcome) for _ in range(n)))
+        got[rows] = got.get(rows, 0.0) + p
+    want = {}
+    for k in range(len(v)):
+        for l in range(k, len(v)):
+            per = v[k, i] * v[l, j] + v[k, j] * v[l, i]
+            want[(k, l)] = abs(per) ** 2 / ((1 + (k == l)) * (1 + (i == j)))
+    assert set(got) <= set(want)
+    for key, p in want.items():
+        assert got.get(key, 0.0) == pytest.approx(p, abs=1e-12)
