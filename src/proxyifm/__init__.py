@@ -39,7 +39,6 @@ from .fock import (
     FockBasis,
     FockOracle,
     FockStateVector,
-    apply_absorber,
     apply_two_mode_unitary,
     prepare_coherent_train,
     simulate_fock,

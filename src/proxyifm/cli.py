@@ -133,9 +133,8 @@ def _cmd_sweep(args) -> int:
 
 def _cmd_oracle(args) -> int:
     scenario = load_scenario(args.scenario)
-    report = run(scenario, engine="fock", mode="exact", cutoff=args.cutoff)
-    report = RunReport(scenario_id=report.scenario_id, engine="fock",
-                       mode="exact", tables={"joint": report.tables["joint"]})
+    report = run(scenario, engine="fock", mode="exact", cutoff=args.cutoff,
+                 tables=("joint",))
     emit(report, "csv", _out_path(args.out))
     return 0
 

@@ -2,24 +2,34 @@
 
 Ground truth for the fast engines.  The oracle takes the circuit's
 ``compile_circuit`` layout, so its ``n_bins`` and spatial slots are those
-of the other engines, and every (slot, bin) pair of the time-unrolled
-circuit becomes a bosonic mode.  The state is expanded over all
-occupation vectors with total photon number up to a cutoff, and each
-element is applied exactly (two-mode unitaries bin by bin, delays as mode
-permutations, obstacles as photon-number measurements with branch
-bookkeeping).  Passive elements conserve total photon number, so the
-cutoff commutes with the evolution and the truncation deficit equals the
-input state's deficit.
+of the other engines.  Every (slot, bin) pair becomes a bosonic mode, laid
+out bin-major (``bin * n_slots + slot``), and the state is expanded over
+all occupation vectors with total photon number up to a cutoff.  Each
+element is applied exactly: two-mode unitaries bin by bin, phases per
+photon and delays as mode permutations.  Obstacles are deferred
+measurements (Nielsen & Chuang, section 4.4): measuring a mode's photon
+number and then emptying it equals swapping it with a fresh vacuum mode
+that is read at the end.  Each gated (inserted obstacle, bin) owns such a
+loss mode, so an obstacle is a permutation too and nothing branches; as
+every slot ends in one terminal, each basis vector is one joint outcome.
+Passive elements conserve photon number, so the cutoff commutes with the
+evolution and the truncation deficit is the input state's.
 
+Vectors are ranked in the combinatorial number system (Knuth, TAOCP 4A,
+section 7.2.1.3): an index is a sum of one table term per mode.  A basis
+whose occupation table and two amplitude vectors would exceed
+``MAX_BASIS_BYTES`` is refused, naming its size, before it is allocated.
 Deliberately desk-scale: no permanents, no large-mode sampling.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Iterable, Optional, Sequence
+from types import MappingProxyType
+from typing import Iterable, Mapping, Optional, Sequence
 
 import numpy as np
 
@@ -40,19 +50,10 @@ from .errors import (
     StateTooLargeError,
 )
 
-MAX_MODES = 16
-MAX_DIM = 500_000
+# Largest basis that will be built, counted as its uint8 occupation table
+# plus two complex amplitude vectors.
+MAX_BASIS_BYTES = 1 << 29
 DEFICIT_LIMIT = 1e-4
-
-
-def _compositions(total: int, parts: int):
-    """Occupation vectors of `parts` modes summing to `total`, lex order."""
-    if parts == 1:
-        yield (total,)
-        return
-    for head in range(total + 1):
-        for tail in _compositions(total - head, parts - 1):
-            yield (head,) + tail
 
 
 @dataclass(frozen=True, eq=False)
@@ -60,58 +61,71 @@ class FockBasis:
     """Graded-lexicographic basis of occupation vectors with total <= cutoff.
 
     Vectors are ordered by total photon number, then lexicographically,
-    so state files and indices are portable across runs.
+    so state files and indices are portable across runs.  The index of a
+    vector is the sum over modes j of ``terms[j, s_j]``, where ``s_j``
+    counts the photons in modes j and after.
     """
 
     n_modes: int
     cutoff: int
     occupations: np.ndarray          # (dim, n_modes) uint8
-    _sorted_keys: np.ndarray
-    _sorted_perm: np.ndarray
+    terms: np.ndarray                # (n_modes, cutoff + 1) int64
 
     @classmethod
     def build(cls, n_modes: int, cutoff: int) -> "FockBasis":
         if n_modes < 1 or cutoff < 0:
             raise ValueError("need n_modes >= 1 and cutoff >= 0")
-        if n_modes > MAX_MODES:
+        if cutoff > np.iinfo(np.uint8).max:
             raise StateTooLargeError(
-                f"{n_modes} modes exceed the desk-scale bound {MAX_MODES}")
+                f"cutoff {cutoff} exceeds the 255 photons a mode can hold")
         dim = math.comb(n_modes + cutoff, cutoff)
-        if dim > MAX_DIM:
+        size = dim * (n_modes + 2 * np.dtype(complex).itemsize)
+        if size > MAX_BASIS_BYTES:
             raise StateTooLargeError(
-                f"basis dimension {dim} exceeds the desk-scale bound {MAX_DIM}")
-        occ = np.empty((dim, n_modes), dtype=np.uint8)
-        i = 0
-        for total in range(cutoff + 1):
-            for v in _compositions(total, n_modes):
-                occ[i] = v
-                i += 1
-        keys = cls._ravel(occ, cutoff)
-        perm = np.argsort(keys, kind="stable")
-        return cls(n_modes=n_modes, cutoff=cutoff, occupations=occ,
-                   _sorted_keys=keys[perm], _sorted_perm=perm)
-
-    @staticmethod
-    def _ravel(occ: np.ndarray, cutoff: int) -> np.ndarray:
-        radix = cutoff + 1
-        keys = np.zeros(occ.shape[0], dtype=np.int64)
-        for m in range(occ.shape[1]):
-            keys = keys * radix + occ[:, m]
-        return keys
+                f"basis of {dim} states over {n_modes} modes needs {size} "
+                f"bytes, over the bound of {MAX_BASIS_BYTES} bytes")
+        # sectors[t]: the vectors over the last `width` modes with total t,
+        # in lexicographic order, grown one leading mode at a time.
+        sectors = [np.full((1, 1), t, dtype=np.uint8) for t in range(cutoff + 1)]
+        for _width in range(2, n_modes + 1):
+            sectors = [np.concatenate([
+                np.hstack((np.full((len(sectors[t - h]), 1), h, dtype=np.uint8),
+                           sectors[t - h]))
+                for h in range(t + 1)]) for t in range(cutoff + 1)]
+        # index = C(s_0 + M, M) - 1 - sum_{j >= 1} C(s_j + M - j - 1, M - j)
+        # over M modes: the vectors of smaller total, plus the lexicographic
+        # rank within the total (a telescoped hockey-stick sum).
+        terms = np.array(
+            [[math.comb(s + n_modes, n_modes) - 1 for s in range(cutoff + 1)]]
+            + [[-math.comb(s + n_modes - j - 1, n_modes - j)
+                for s in range(cutoff + 1)] for j in range(1, n_modes)],
+            dtype=np.int64)
+        return cls(n_modes=n_modes, cutoff=cutoff,
+                   occupations=np.concatenate(sectors), terms=terms)
 
     @property
     def dim(self) -> int:
         return self.occupations.shape[0]
 
     def index_of(self, occ: np.ndarray) -> np.ndarray:
-        """Indices of occupation rows; round-trips with ``occupations``."""
+        """Indices of occupation rows; round-trips with ``occupations``.
+
+        Ranked column by column from the last mode, so no wide copy of
+        ``occ`` is made.  Raises ``KeyError`` for a row outside the basis.
+        """
         occ = np.atleast_2d(occ)
-        keys = self._ravel(occ.astype(np.int64), self.cutoff)
-        pos = np.searchsorted(self._sorted_keys, keys)
-        if np.any(pos >= len(self._sorted_keys)) or \
-                np.any(self._sorted_keys[np.minimum(pos, len(self._sorted_keys) - 1)] != keys):
+        if occ.shape[1] != self.n_modes or (
+                occ.dtype.kind == "i" and occ.size and occ.min() < 0):
             raise KeyError("occupation vector outside the truncated basis")
-        return self._sorted_perm[pos]
+        photons = np.zeros(len(occ), dtype=np.intp)
+        index = np.zeros(len(occ), dtype=np.int64)
+        try:
+            for j in range(self.n_modes - 1, -1, -1):
+                photons += occ[:, j]
+                index += self.terms[j][photons]
+        except IndexError:
+            raise KeyError("occupation vector outside the truncated basis") from None
+        return index
 
 
 @dataclass(eq=False)
@@ -143,19 +157,20 @@ def prepare_coherent_train(basis: FockBasis, alpha: complex,
 
     Normalised after truncation; the removed tail (the Poisson weight of
     configurations above the cutoff) is recorded as ``deficit`` and must
-    stay below ``DEFICIT_LIMIT``.
+    stay below ``DEFICIT_LIMIT``.  Only the vectors with photons in pulse
+    modes alone carry amplitude, so only theirs are computed.
     """
     alpha = complex(alpha)
-    occ = basis.occupations.astype(np.int64)
-    amps = np.ones(basis.dim, dtype=complex)
-    pulse = set(int(m) for m in pulse_modes)
+    pulse = sorted(set(int(m) for m in pulse_modes))
+    active = pulse if alpha != 0 else []
+    occ = basis.occupations
+    others = [m for m in range(basis.n_modes) if m not in active]
+    support = np.flatnonzero(~occ[:, others].any(axis=1))
     fact = np.array([math.factorial(k) for k in range(basis.cutoff + 1)], dtype=float)
-    for m in range(basis.n_modes):
-        n_m = occ[:, m]
-        if m in pulse and alpha != 0:
-            amps = amps * alpha ** n_m / np.sqrt(fact[n_m])
-        else:
-            amps = amps * (n_m == 0)
+    amps = np.ones(len(support), dtype=complex)
+    for m in active:
+        n_m = occ[support, m].astype(np.int64)
+        amps = amps * alpha ** n_m / np.sqrt(fact[n_m])
     amps = amps * math.exp(-len(pulse) * abs(alpha) ** 2 / 2.0)
     norm2 = float(np.sum(np.abs(amps) ** 2))
     deficit = 1.0 - norm2
@@ -163,7 +178,9 @@ def prepare_coherent_train(basis: FockBasis, alpha: complex,
         raise CutoffTooSmallError(
             f"truncation deficit {deficit:.3e} exceeds {DEFICIT_LIMIT}; "
             f"raise the cutoff above {basis.cutoff}")
-    return FockStateVector(basis, amps / math.sqrt(norm2), deficit)
+    full = np.zeros(basis.dim, dtype=complex)
+    full[support] = amps / math.sqrt(norm2)
+    return FockStateVector(basis, full, deficit)
 
 
 def prepare_single_photons(basis: FockBasis, modes: Sequence[int]) -> FockStateVector:
@@ -190,13 +207,14 @@ def collective_power_state(basis: FockBasis, modes: Sequence[int],
     amps = np.zeros(basis.dim, dtype=complex)
     if power > basis.cutoff:
         raise CutoffTooSmallError("power exceeds the basis cutoff")
-    for v in _compositions(power, n):
-        occ = np.zeros(basis.n_modes, dtype=np.uint8)
-        for m, k in zip(modes, v):
-            occ[m] = k
+    # Every split of `power` photons over `modes`: the top sector of their basis.
+    splits = FockBasis.build(n, power).occupations[-math.comb(power + n - 1, power):]
+    occ = np.zeros((len(splits), basis.n_modes), dtype=np.uint8)
+    occ[:, list(modes)] = splits
+    for i, v in zip(basis.index_of(occ), splits.tolist()):
         w = math.factorial(power) / math.sqrt(
             math.prod(math.factorial(k) for k in v))
-        amps[int(basis.index_of(occ)[0])] = w * n ** (-power / 2.0)
+        amps[i] = w * n ** (-power / 2.0)
     return FockStateVector(basis, amps)
 
 
@@ -239,7 +257,11 @@ def apply_two_mode_unitary(state: FockStateVector, mode_pair: tuple[int, int],
     """Exact Fock-space action of a 2x2 mode unitary on ``mode_pair``.
 
     Total photon number is conserved sector by sector, so the truncated
-    space is closed under the map and the norm is preserved.
+    space is closed under the map and the norm is preserved.  Of the
+    index terms, only those of the modes after the pair's first, up to its
+    second, depend on how the pair splits its photons, so a target's index
+    is its source's index plus the change of those terms.  Sources of zero
+    amplitude are skipped; each target sums its sources in index order.
     """
     u = np.asarray(matrix, dtype=complex)
     if u.shape != (2, 2):
@@ -247,33 +269,39 @@ def apply_two_mode_unitary(state: FockStateVector, mode_pair: tuple[int, int],
     if not np.linalg.norm(u.conj().T @ u - np.eye(2)) <= 1e-10:
         raise NonUnitaryError("two-mode matrix is not unitary to 1e-10")
     a, b = mode_pair
+    lo, hi = sorted(mode_pair)
     basis = state.basis
-    occ = basis.occupations
-    na = occ[:, a].astype(np.int64)
-    t = na + occ[:, b].astype(np.int64)
+    occ, amps = basis.occupations, state.amplitudes
+    pair_total = occ[:, a] + occ[:, b]
+    new = np.where(pair_total == 0, amps, 0)
+    live = np.flatnonzero((pair_total > 0) & (amps != 0))
+    # Mode j in lo+1..hi indexes by rest[j] + n_hi, rest[j] counting the
+    # photons of modes j.. other than mode hi; `anchor` omits those terms.
+    positions = range(lo + 1, hi + 1)
+    n_hi = occ[live, hi]
+    rest = [occ[live, j:].sum(axis=1, dtype=np.intp) - n_hi for j in positions]
+    anchor = live - sum(basis.terms[j][r + n_hi] for j, r in zip(positions, rest))
+    n_a, sector = occ[live, a], pair_total[live]
     u_key = tuple(u.reshape(-1))
-    new = np.zeros_like(state.amplitudes)
-    for tt in range(int(t.max()) + 1):
-        sel = np.nonzero(t == tt)[0]
-        if len(sel) == 0:
-            continue
+    for tt in range(1, basis.cutoff + 1):
+        sel = np.flatnonzero(sector == tt)
         block = _two_mode_block(u_key, tt)
-        occ_sel = occ[sel].copy()
+        source, m_in, base = amps[live[sel]], n_a[sel], anchor[sel]
+        rest_sel = [r[sel] for r in rest]
         for mp in range(tt + 1):
-            occ_sel[:, a] = mp
-            occ_sel[:, b] = tt - mp
-            j = basis.index_of(occ_sel)
-            np.add.at(new, j, block[mp, na[sel]] * state.amplitudes[sel])
+            out_hi = mp if a == hi else tt - mp
+            target = base + sum(basis.terms[j][r + out_hi]
+                                for j, r in zip(positions, rest_sel))
+            np.add.at(new, target, block[mp, m_in] * source)
     return FockStateVector(basis, new, state.deficit)
 
 
 def apply_mode_phase(state: FockStateVector, mode: int, angle: float
                      ) -> FockStateVector:
     """Per-photon phase exp(i*angle*n) on one mode."""
-    n = state.basis.occupations[:, mode].astype(float)
-    return FockStateVector(state.basis,
-                           state.amplitudes * np.exp(1j * angle * n),
-                           state.deficit)
+    phases = np.exp(1j * angle * np.arange(state.basis.cutoff + 1.0))
+    return FockStateVector(state.basis, state.amplitudes
+                           * phases[state.basis.occupations[:, mode]], state.deficit)
 
 
 def apply_mode_permutation(state: FockStateVector, perm: Sequence[int]
@@ -283,88 +311,68 @@ def apply_mode_permutation(state: FockStateVector, perm: Sequence[int]
     inv = np.empty_like(perm)
     inv[perm] = np.arange(len(perm))
     basis = state.basis
-    target = basis.occupations[:, inv]
+    live = np.flatnonzero(state.amplitudes)
     new = np.zeros_like(state.amplitudes)
-    new[basis.index_of(target)] = state.amplitudes
+    new[basis.index_of(basis.occupations[np.ix_(live, inv)])] = \
+        state.amplitudes[live]
     return FockStateVector(basis, new, state.deficit)
-
-
-def apply_absorber(state: FockStateVector, mode: int
-                   ) -> list[tuple[int, float, FockStateVector]]:
-    """Photon-number measurement on one mode, one branch per count.
-
-    Returns ``(absorbed_count, weight, normalised post-state)`` triples;
-    the weights sum to the state's norm and the count-0 branch is the
-    interaction-free one.  The measured mode is left empty.
-    """
-    basis = state.basis
-    counts = basis.occupations[:, mode].astype(int)
-    out = []
-    for n in range(int(counts.max()) + 1):
-        sel = counts == n
-        w = float(np.sum(np.abs(state.amplitudes[sel]) ** 2))
-        if w <= 0.0:
-            continue
-        amps = np.zeros_like(state.amplitudes)
-        target = basis.occupations[sel].copy()
-        target[:, mode] = 0
-        amps[basis.index_of(target)] = state.amplitudes[sel]
-        out.append((n, w, FockStateVector(basis, amps / math.sqrt(w),
-                                          state.deficit)))
-    return out
 
 
 @dataclass(frozen=True, eq=False)
 class JointDistribution:
     """Exact joint outcome table over detector photon counts and absorbed
     counts.  ``cells`` orders the outcome vector: detector (terminal, bin)
-    cells in declaration order, then obstacle/absorber cells."""
+    cells in declaration order, then obstacle/absorber cells.  Row k of
+    ``outcomes`` (one column per cell) is a distinct outcome of
+    probability ``probabilities[k]``."""
 
     cells: tuple[tuple[str, int], ...]
-    table: dict[tuple[int, ...], float]
+    outcomes: np.ndarray             # (rows, cells) uint8 counts
+    probabilities: np.ndarray        # (rows,) float
     deficit: float
 
+    @functools.cached_property
+    def table(self) -> Mapping[tuple[int, ...], float]:
+        """Read-only outcome tuple -> probability view, built on first use."""
+        return MappingProxyType(dict(zip(map(tuple, self.outcomes.tolist()),
+                                         self.probabilities.tolist())))
+
     def total(self) -> float:
-        return float(sum(self.table.values()))
+        return float(self.probabilities.sum())
 
     def cell_index(self, terminal: str, bin_idx: int) -> int:
         return self.cells.index((terminal, bin_idx))
 
+    def _counts(self, cell: tuple[str, int]) -> np.ndarray:
+        return self.outcomes[:, self.cell_index(*cell)]
+
+    def _any_photon(self, terminal: str) -> np.ndarray:
+        idx = [i for i, (t, _) in enumerate(self.cells) if t == terminal]
+        return self.outcomes[:, idx].any(axis=1)
+
     def marginal_pmf(self, terminal: str, bin_idx: int, n_max: int) -> np.ndarray:
-        i = self.cell_index(terminal, bin_idx)
-        pmf = np.zeros(n_max + 1)
-        for outcome, p in self.table.items():
-            if outcome[i] <= n_max:
-                pmf[outcome[i]] += p
-        return pmf
+        return np.bincount(self._counts((terminal, bin_idx)),
+                           weights=self.probabilities,
+                           minlength=n_max + 1)[:n_max + 1]
 
     def mean(self, terminal: str, bin_idx: int) -> float:
-        i = self.cell_index(terminal, bin_idx)
-        return float(sum(outcome[i] * p for outcome, p in self.table.items()))
+        return float(self.probabilities @ self._counts((terminal, bin_idx)))
 
     def p_click(self, terminal: str, bin_idx: int) -> float:
-        i = self.cell_index(terminal, bin_idx)
-        return float(sum(p for outcome, p in self.table.items() if outcome[i] >= 1))
+        return float(self.probabilities[self._counts((terminal, bin_idx)) >= 1].sum())
 
     def p_coincidence(self, cell_a: tuple[str, int], cell_b: tuple[str, int]) -> float:
-        ia = self.cell_index(*cell_a)
-        ib = self.cell_index(*cell_b)
-        return float(sum(p for outcome, p in self.table.items()
-                         if outcome[ia] >= 1 and outcome[ib] >= 1))
+        both = (self._counts(cell_a) >= 1) & (self._counts(cell_b) >= 1)
+        return float(self.probabilities[both].sum())
 
     def terminal_probability(self, terminal: str) -> float:
         """P(at least one photon somewhere on the terminal)."""
-        idx = [i for i, (t, _) in enumerate(self.cells) if t == terminal]
-        return float(sum(p for outcome, p in self.table.items()
-                         if any(outcome[i] >= 1 for i in idx)))
+        return float(self.probabilities[self._any_photon(terminal)].sum())
 
     def p_terminal_coincidence(self, term_a: str, term_b: str) -> float:
         """P(both terminals see at least one photon, in any bins)."""
-        ia = [i for i, (t, _) in enumerate(self.cells) if t == term_a]
-        ib = [i for i, (t, _) in enumerate(self.cells) if t == term_b]
-        return float(sum(p for outcome, p in self.table.items()
-                         if any(outcome[i] >= 1 for i in ia)
-                         and any(outcome[i] >= 1 for i in ib)))
+        both = self._any_photon(term_a) & self._any_photon(term_b)
+        return float(self.probabilities[both].sum())
 
 
 class FockOracle:
@@ -372,20 +380,39 @@ class FockOracle:
 
     Mode layout: the spec's ``compile_circuit`` layout, so ``n_bins`` and
     the spatial slots are those of the other engines.  Mode
-    ``slot * n_bins + bin`` carries the amplitude of the wires in that
-    slot at the given time bin.
+    ``bin * n_slots + slot`` carries the amplitude of the wires in that
+    slot at the given time bin.  After those, each gated (inserted
+    obstacle, bin) owns one loss mode that receives what it absorbs.
     """
 
     def __init__(self, spec: CircuitSpec, cutoff: int):
-        self.spec = spec
-        self.cutoff = cutoff
         self.compiled = compile_circuit(spec)
         self.n_bins = self.compiled.n_bins
+        slot = self.compiled.wire_slot
         self.n_modes = self.compiled.n_slots * self.n_bins
+        # The mode read out for each cell; (slot mode, loss mode) swaps.
+        cell_mode: dict[tuple[str, int], int] = {}
+        self._swaps: dict[str, list[tuple[int, int]]] = {}
+        for e in self.compiled._order:
+            if isinstance(e, Obstacle) and e.inserted:
+                gate = sorted(e.bins) if e.bins is not None else range(self.n_bins)
+                self._swaps[e.id] = []
+                for b in gate:
+                    self._swaps[e.id].append((self.mode(slot[e.input], b),
+                                              self.n_modes))
+                    cell_mode[(e.id, b)] = self.n_modes
+                    self.n_modes += 1
+            elif isinstance(e, (Detector, Absorber)):
+                cell_mode.update(((e.id, b), self.mode(slot[e.wire], b))
+                                 for b in range(self.n_bins))
+        # Detector cells first, each kind in circuit order.
+        self.cells = tuple(sorted(
+            cell_mode, key=lambda c: c[0] in self.compiled.loss_terminals))
+        self._cell_modes = [cell_mode[c] for c in self.cells]
         self.basis = FockBasis.build(self.n_modes, cutoff)
 
     def mode(self, slot: int, bin_idx: int) -> int:
-        return slot * self.n_bins + bin_idx
+        return bin_idx * self.compiled.n_slots + slot
 
     def source_modes(self, source_id: Optional[str] = None) -> list[int]:
         """Mode indices of a source's populated input bins."""
@@ -409,11 +436,10 @@ class FockOracle:
     def tensor_sum_state(self, n_pulses: int,
                          source_id: Optional[str] = None) -> FockStateVector:
         modes = self.source_modes(source_id)[:n_pulses]
+        occ = np.zeros((len(modes), self.n_modes), dtype=np.uint8)
+        occ[np.arange(len(modes)), modes] = 1
         amps = np.zeros(self.basis.dim, dtype=complex)
-        for m in modes:
-            occ = np.zeros(self.n_modes, dtype=np.uint8)
-            occ[m] = 1
-            amps[int(self.basis.index_of(occ)[0])] = 1.0 / math.sqrt(n_pulses)
+        amps[self.basis.index_of(occ)] = 1.0 / math.sqrt(n_pulses)
         return FockStateVector(self.basis, amps)
 
     def single_photon_state(self, photons: Iterable[tuple[str, int]]
@@ -432,82 +458,36 @@ class FockOracle:
         if state.basis is not self.basis:
             raise ValueError("state was prepared on a different basis")
         slot = self.compiled.wire_slot
-        # branches: (absorbed record dict cell -> count, unnormalised amplitudes)
-        branches: list[tuple[dict, np.ndarray]] = [({}, state.amplitudes.copy())]
-        detector_cells: list[tuple[str, int]] = []
-        loss_cells: list[tuple[str, int]] = []
-        readout_slots: dict[str, int] = {}
-
+        amps = state.amplitudes
         for e in self.compiled._order:
             if isinstance(e, BeamSplitter):
                 i, j = slot[e.inputs[0]], slot[e.inputs[1]]
                 u = e.resolved_matrix()
                 for b in range(self.n_bins):
-                    pair = (self.mode(i, b), self.mode(j, b))
-                    branches = [(rec, apply_two_mode_unitary(
-                        FockStateVector(self.basis, amps), pair, u).amplitudes)
-                        for rec, amps in branches]
+                    amps = apply_two_mode_unitary(
+                        FockStateVector(self.basis, amps),
+                        (self.mode(i, b), self.mode(j, b)), u).amplitudes
             elif isinstance(e, PhaseShift):
-                s = slot[e.input]
-                branches = [(rec, self._slot_phase(amps, s, e.angle))
-                            for rec, amps in branches]
+                amps = self._slot_phase(amps, slot[e.input], e.angle)
             elif isinstance(e, Delay):
-                s = slot[e.input]
-                branches = [(rec, self._slot_delay(amps, s, e))
-                            for rec, amps in branches]
-            elif isinstance(e, Obstacle):
-                if not e.inserted:
-                    continue
-                s = slot[e.input]
-                gate = sorted(e.bins) if e.bins is not None else range(self.n_bins)
-                new_branches = []
-                for rec, amps in branches:
-                    subs = [(dict(rec), amps)]
-                    for b in gate:
-                        m = self.mode(s, b)
-                        nxt = []
-                        for r, a in subs:
-                            for count, w, post in apply_absorber(
-                                    FockStateVector(self.basis, a), m):
-                                r2 = dict(r)
-                                r2[(e.id, b)] = count
-                                nxt.append((r2, post.amplitudes * math.sqrt(w)))
-                        subs = nxt
-                    new_branches.extend(subs)
-                branches = new_branches
-                for b in gate:
-                    if (e.id, b) not in loss_cells:
-                        loss_cells.append((e.id, b))
-            elif isinstance(e, Detector):
-                readout_slots[e.id] = slot[e.wire]
-                detector_cells.extend((e.id, b) for b in range(self.n_bins))
-            elif isinstance(e, Absorber):
-                readout_slots[e.id] = slot[e.wire]
-                loss_cells.extend((e.id, b) for b in range(self.n_bins))
-
-        cells = tuple(detector_cells + loss_cells)
-        table: dict[tuple[int, ...], float] = {}
-        occ = self.basis.occupations
-        readout_order = [t for t in readout_slots]
-        readout_cols = {t: [self.mode(readout_slots[t], b) for b in range(self.n_bins)]
-                        for t in readout_order}
-        for rec, amps in branches:
-            nz = np.nonzero(np.abs(amps) ** 2 > 0.0)[0]
-            for i in nz:
-                p = float(np.abs(amps[i]) ** 2)
-                counts = {}
-                for t in readout_order:
-                    for b, col in enumerate(readout_cols[t]):
-                        counts[(t, b)] = int(occ[i, col])
-                counts.update(rec)
-                outcome = tuple(counts.get(c, 0) for c in cells)
-                table[outcome] = table.get(outcome, 0.0) + p
-        return JointDistribution(cells=cells, table=table, deficit=state.deficit)
+                amps = self._slot_delay(amps, slot[e.input], e)
+            elif isinstance(e, Obstacle) and e.inserted:
+                perm = np.arange(self.n_modes)
+                for m, loss in self._swaps[e.id]:
+                    perm[m], perm[loss] = loss, m
+                amps = apply_mode_permutation(
+                    FockStateVector(self.basis, amps), perm).amplitudes
+        live = np.flatnonzero(np.abs(amps) ** 2 > 0.0)
+        return JointDistribution(
+            cells=self.cells,
+            outcomes=self.basis.occupations[np.ix_(live, self._cell_modes)],
+            probabilities=np.abs(amps[live]) ** 2,
+            deficit=state.deficit)
 
     def _slot_phase(self, amps: np.ndarray, s: int, angle: float) -> np.ndarray:
-        total = self.basis.occupations[:, self.mode(s, 0):self.mode(s, self.n_bins - 1) + 1]
-        n = total.sum(axis=1).astype(float)
-        return amps * np.exp(1j * angle * n)
+        modes = [self.mode(s, b) for b in range(self.n_bins)]
+        n = self.basis.occupations[:, modes].sum(axis=1)
+        return amps * np.exp(1j * angle * np.arange(self.basis.cutoff + 1.0))[n]
 
     def _slot_delay(self, amps: np.ndarray, s: int, e: Delay) -> np.ndarray:
         if e.bins == 0:
@@ -541,12 +521,15 @@ def simulate_fock(spec: CircuitSpec, input_state: FockStateVector,
 
 
 def sample_joint(dist: JointDistribution, shots: int, seed: int) -> list[tuple[int, ...]]:
-    """Draw ``shots`` outcome vectors from the joint table (Philox-keyed)."""
-    outcomes = sorted(dist.table)
-    probs = np.array([dist.table[o] for o in outcomes])
+    """Draw ``shots`` outcome vectors from the joint table (Philox-keyed).
+
+    Outcomes lie on the cdf in lexicographic order.
+    """
+    order = np.lexsort(dist.outcomes.T[::-1])
+    probs = dist.probabilities[order]
     probs = probs / probs.sum()
     cdf = np.cumsum(probs)
     rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(seed)))
     draws = np.searchsorted(cdf, rng.random(shots), side="right")
-    draws[draws == len(outcomes)] = len(outcomes) - 1
-    return [outcomes[i] for i in draws]
+    draws[draws == len(order)] = len(order) - 1
+    return list(map(tuple, dist.outcomes[order[draws]].tolist()))

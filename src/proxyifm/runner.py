@@ -16,7 +16,7 @@ seed).
 from __future__ import annotations
 
 import json
-from collections.abc import Sequence as _SequenceABC
+from collections.abc import Collection, Sequence as _SequenceABC
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Optional, Sequence, Union
@@ -150,12 +150,15 @@ def _json_value(x) -> str:
 
 def run(scenario: Scenario, engine: Optional[str] = None,
         mode: Optional[str] = None, shots: Optional[int] = None,
-        seed: Optional[int] = None, cutoff: int = 5) -> RunReport:
+        seed: Optional[int] = None, cutoff: int = 5,
+        tables: Optional[Collection[str]] = None) -> RunReport:
     """Execute a scenario and collect the result tables.
 
     ``engine`` defaults to the scenario source's natural engine; asking an
     engine to consume a source it cannot represent raises
-    ``EngineSourceMismatchError``.  Errors reach the caller as raised.
+    ``EngineSourceMismatchError``.  ``tables`` names the tables to keep
+    (all by default); one that is not kept may not be built at all.
+    Errors reach the caller as raised.
     """
     engine = engine or scenario.engine()
     mode = mode or scenario.defaults.mode
@@ -170,13 +173,15 @@ def run(scenario: Scenario, engine: Optional[str] = None,
             f"engine {engine!r} cannot consume a {scenario.source.kind!r} source")
 
     if engine == "coherent":
-        tables = _run_coherent(scenario, mode, shots, seed)
+        built = _run_coherent(scenario, mode, shots, seed)
     elif engine == "singlephoton":
-        tables = _run_singlephoton(scenario, mode, shots, seed)
+        built = _run_singlephoton(scenario, mode, shots, seed)
     else:
-        tables = _run_fock(scenario, mode, shots, seed, cutoff)
+        built = _run_fock(scenario, mode, shots, seed, cutoff, tables)
+    if tables is not None:
+        built = {name: t for name, t in built.items() if name in tables}
     return RunReport(scenario_id=scenario.scenario_id, engine=engine,
-                     mode=mode, tables=tables)
+                     mode=mode, tables=built)
 
 
 def _coherent_train(scenario: Scenario) -> CoherentTrain:
@@ -259,33 +264,40 @@ def _prepare_fock_input(oracle: FockOracle, scenario: Scenario):
     return oracle.single_photon_state(src.photons)
 
 
-def outcome_vector_string(dist, outcome: tuple[int, ...]) -> str:
-    """Stable text form of a joint outcome: terminal=counts groups."""
-    groups: dict[str, list[int]] = {}
-    for (term, b), count in zip(dist.cells, outcome):
-        groups.setdefault(term, []).append(count)
-    return ";".join(f"{t}=" + ",".join(str(c) for c in counts)
-                    for t, counts in groups.items())
+def outcome_texts(cells: Sequence[tuple[str, int]],
+                  outcomes: np.ndarray) -> list[str]:
+    """Stable text of each outcome row: ``terminal=counts`` groups, ``;``-joined.
+
+    A terminal's cells are adjacent in ``cells``.
+    """
+    groups: dict[str, list[str]] = {}
+    for term, _ in cells:
+        groups.setdefault(term.replace("%", "%%"), []).append("%d")
+    template = ";".join(f"{t}=" + ",".join(c) for t, c in groups.items())
+    return [template % tuple(row) for start in range(0, len(outcomes), _BLOCK)
+            for row in outcomes[start:start + _BLOCK].tolist()]
 
 
 def _run_fock(scenario: Scenario, mode: str, shots: int, seed: int,
-              cutoff: int) -> dict:
+              cutoff: int, want: Optional[Collection[str]]) -> dict:
     oracle = FockOracle(scenario.spec, cutoff)
     state = _prepare_fock_input(oracle, scenario)
     dist = oracle.run(state)
     tables: dict[str, Table] = {}
     if mode == "exact":
-        ranked = sorted(dist.table.items(), key=lambda kv: (-kv[1], kv[0]))
+        # Most probable first, ties in lexicographic outcome order.
+        order = np.lexsort([*dist.outcomes.T[::-1], -dist.probabilities])
         tables["joint"] = Table(
             headers=("outcome_vector", "probability"),
-            columns=([outcome_vector_string(dist, o) for o, _ in ranked],
-                     [float(p) for _, p in ranked]))
-        tables["marginals"] = Table(
-            headers=("terminal", "bin", "mean_n"),
-            rows=[(t, b, dist.mean(t, b)) for (t, b) in dist.cells])
+            columns=(outcome_texts(dist.cells, dist.outcomes[order]),
+                     dist.probabilities[order]))
+        if want is None or "marginals" in want:
+            tables["marginals"] = Table(
+                headers=("terminal", "bin", "mean_n"),
+                rows=[(t, b, dist.mean(t, b)) for (t, b) in dist.cells])
     else:
         draws = sample_joint(dist, shots, seed)
-        text = {o: outcome_vector_string(dist, o) for o in set(draws)}
+        text = dict(zip(dist.table, outcome_texts(dist.cells, dist.outcomes)))
         tables["events"] = Table(
             headers=("shot", "outcome_vector"),
             columns=(np.arange(shots), [text[o] for o in draws]))

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -7,11 +8,17 @@ from proxyifm.circuit import (
     CircuitSpec,
     Delay,
     Detector,
+    Obstacle,
     Source,
     compile_circuit,
     default_beamsplitter,
 )
-from proxyifm.coherent import CoherentTrain, propagate_coherent
+from proxyifm.coherent import (
+    CoherentTrain,
+    interaction_free_probability,
+    partner_pulses,
+    propagate_coherent,
+)
 from proxyifm.errors import (
     BinOverflowError,
     CutoffTooSmallError,
@@ -19,9 +26,9 @@ from proxyifm.errors import (
     StateTooLargeError,
 )
 from proxyifm.fock import (
+    MAX_BASIS_BYTES,
     FockBasis,
     FockOracle,
-    apply_absorber,
     apply_mode_permutation,
     apply_two_mode_unitary,
     collective_power_state,
@@ -33,6 +40,7 @@ from proxyifm.fock import (
     state_overlap,
     vacuum_state,
 )
+from proxyifm.scenarios import load_scenario
 from proxyifm.singlephoton import (
     coherent_train_expansion,
     propagate_photon,
@@ -74,9 +82,26 @@ def test_basis_index_round_trips():
     assert np.array_equal(idx, np.arange(basis.dim))
 
 
-def test_basis_desk_scale_guard():
-    with pytest.raises(StateTooLargeError):
-        FockBasis.build(20, 6)
+def test_basis_byte_bound_refuses_before_allocating():
+    assert FockBasis.build(20, 6).dim == math.comb(26, 6)
+    size = math.comb(47, 7) * (40 + 32)
+    assert size > MAX_BASIS_BYTES
+    tracemalloc.start()
+    try:
+        with pytest.raises(StateTooLargeError, match=str(size)):
+            FockBasis.build(40, 7)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
+
+
+def test_basis_index_rejects_vectors_outside_the_basis():
+    basis = FockBasis.build(3, 2)
+    with pytest.raises(KeyError):
+        basis.index_of(np.array([1, 1, 1], dtype=np.uint8))
+    with pytest.raises(KeyError):
+        basis.index_of(np.array([2, -1, 0]))
 
 
 # -- state preparation -------------------------------------------------------
@@ -179,35 +204,42 @@ def test_mode_permutation_moves_photons():
     assert out.amplitudes[idx] == pytest.approx(1.0)
 
 
-# -- absorber ----------------------------------------------------------------
+# -- obstacles as deferred measurements -----------------------------------------
 
-def test_absorber_on_vacuum():
-    basis = FockBasis.build(2, 2)
-    branches = apply_absorber(vacuum_state(basis), 0)
-    assert len(branches) == 1
-    count, weight, _ = branches[0]
-    assert count == 0 and weight == pytest.approx(1.0)
-
-
-def test_absorber_on_single_photon():
-    basis = FockBasis.build(2, 2)
-    branches = apply_absorber(prepare_single_photons(basis, [0]), 0)
-    assert len(branches) == 1
-    count, weight, post = branches[0]
-    assert count == 1 and weight == pytest.approx(1.0)
-    assert post.amplitudes[0] == pytest.approx(1.0)   # mode emptied
+def _obstacle_spec():
+    """One source bin through an inserted obstacle onto a detector."""
+    return CircuitSpec(elements=(
+        Source("src", "a", 1),
+        Obstacle("o", "a", "b", inserted=True),
+        Detector("D", "b"),
+    ))
 
 
-def test_absorber_on_coherent_gives_poisson_branches():
-    basis = FockBasis.build(1, 6)
+def test_obstacle_on_vacuum():
+    oracle = FockOracle(_obstacle_spec(), 2)
+    dist = oracle.run(vacuum_state(oracle.basis))
+    assert dist.table == {(0, 0): 1.0}
+
+
+def test_obstacle_on_single_photon():
+    oracle = FockOracle(_obstacle_spec(), 2)
+    dist = oracle.run(oracle.single_photon_state([("src", 0)]))
+    assert dist.cells == (("D", 0), ("o", 0))
+    assert dict(dist.table) == {(0, 1): pytest.approx(1.0)}   # mode emptied
+
+
+def test_obstacle_on_coherent_gives_poisson_counts():
     beta_sq = 0.3
-    state = prepare_coherent_train(basis, math.sqrt(beta_sq), [0])
-    branches = apply_absorber(state, 0)
-    weights = {count: w for count, w, _ in branches}
+    oracle = FockOracle(_obstacle_spec(), 6)
+    dist = oracle.run(oracle.coherent_train_state(math.sqrt(beta_sq), 1))
+    weights = dist.marginal_pmf("o", 0, 6)
     for n in range(5):
         assert weights[n] == pytest.approx(poisson_pmf(n, beta_sq),
-                                           abs=state.deficit + 1e-12)
-    assert sum(weights.values()) == pytest.approx(1.0, abs=1e-12)
+                                           abs=dist.deficit + 1e-12)
+    # the count-0 weight is the interaction-free one
+    assert weights[0] == pytest.approx(math.exp(-beta_sq), abs=dist.deficit + 1e-12)
+    assert weights.sum() == pytest.approx(1.0, abs=1e-12)
+    assert dist.mean("D", 0) == 0.0
 
 
 # -- full-circuit oracle vs fast engines --------------------------------------
@@ -284,6 +316,49 @@ def test_oracle_fig3_matches_coherent_engine():
         for b, a in enumerate(amps):
             assert dist.mean(term, b) == pytest.approx(
                 abs(a) ** 2, abs=dist.deficit + 1e-9)
+
+
+def _heralded_no_interaction(dist, spec, trigger):
+    """P(no photon in the window loss cells | >= 1 photon on the trigger cell).
+
+    The trigger cell is the middle interior bin of ``trigger``; the window
+    holds the loss cells of the pulses that bin proxies.  Returns the figure
+    and P(trigger).
+    """
+    cc = compile_circuit(spec)
+    interior = cc.interior_bins()
+    trig_bin = interior[len(interior) // 2]
+    t = dist.cell_index(trigger, trig_bin)
+    window = [dist.cell_index(term, p) for term in cc.loss_terminals
+              for p in partner_pulses(cc, trig_bin)]
+    p_trigger = sum(p for o, p in dist.table.items() if o[t] >= 1)
+    p_empty = sum(p for o, p in dist.table.items()
+                  if o[t] >= 1 and not any(o[w] for w in window))
+    return p_empty / p_trigger, p_trigger, trig_bin
+
+
+def test_heralded_no_interaction_matches_the_coherent_figure():
+    # The paper's headline figure, from the joint table: no independence
+    # of the coherent output cells is assumed.  Conditioning on a trigger
+    # of probability P(trigger) amplifies the truncation error by up to
+    # 1/P(trigger), hence the tolerance.
+    spec = fig2_spec(n_pulses=4, inserted=True)
+    oracle = FockOracle(spec, 5)
+    train = CoherentTrain.uniform(4, ALPHA_SQ)
+    dist = oracle.run(oracle.coherent_train_state(train.alpha, 4))
+    figure, p_trigger, trig_bin = _heralded_no_interaction(dist, spec, "D2")
+    expected = interaction_free_probability(spec, train, trig_bin)
+    assert figure == pytest.approx(expected, abs=2 * dist.deficit / p_trigger)
+
+
+def test_heralded_no_interaction_is_one_for_one_photon():
+    # One photon cannot be both absorbed and detected.
+    scenario = load_scenario("fig2_tensor_sum_blocked")
+    oracle = FockOracle(scenario.spec, 1)
+    dist = oracle.run(oracle.tensor_sum_state(scenario.source.n_pulses))
+    figure, p_trigger, _ = _heralded_no_interaction(dist, scenario.spec, "D2")
+    assert p_trigger > 0
+    assert figure == 1.0
 
 
 # -- two-photon product train ------------------------------------------------
