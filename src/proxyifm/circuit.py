@@ -148,7 +148,6 @@ class CircuitSpec:
 
     elements: tuple[Element, ...]
     n_bins: Optional[int] = None
-    bin_spacing: float = 1.0
 
     def sources(self) -> list[Source]:
         return [e for e in self.elements if isinstance(e, Source)]
@@ -240,11 +239,6 @@ class CompiledCircuit:
 
     def detector_ids(self) -> tuple[str, ...]:
         return tuple(t for t in self.terminal_order if t not in self.loss_terminals)
-
-    def block(self, terminal_id: str) -> np.ndarray:
-        """The (n_bins, input_dim) sub-matrix feeding one terminal."""
-        lo, hi = self.terminal_index[terminal_id]
-        return self.unrolled_map[lo:hi, :]
 
     def interior_bins(self, source_id: Optional[str] = None) -> range:
         """Output bins reached by every delay offset of a populated bin.

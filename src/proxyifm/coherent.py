@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from typing import Iterable, Optional, Sequence
+from typing import Optional, Sequence
 
 import numpy as np
 
@@ -122,17 +122,6 @@ class EventLog:
 
     def __len__(self) -> int:
         return len(self.shot_idx)
-
-    def records(self) -> Iterable[dict]:
-        for s, t, b in zip(self.shot_idx, self.terminal, self.bin_idx):
-            yield {"shot": int(s), "terminal": self.terminal_order[t], "bin": int(b)}
-
-    def counts(self) -> dict[tuple[str, int], int]:
-        out: dict[tuple[str, int], int] = {}
-        for t, b in zip(self.terminal, self.bin_idx):
-            key = (self.terminal_order[t], int(b))
-            out[key] = out.get(key, 0) + 1
-        return out
 
 
 def propagate_coherent(circuit: CompiledCircuit, train: CoherentTrain,

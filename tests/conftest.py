@@ -75,6 +75,27 @@ def hom_spec(disjoint=False):
     ), n_bins=bins)
 
 
+def terminal_block(compiled, terminal_id):
+    """The (n_bins, input_dim) rows of the unrolled map feeding one terminal."""
+    lo, hi = compiled.terminal_index[terminal_id]
+    return compiled.unrolled_map[lo:hi, :]
+
+
+def event_records(log):
+    """The clicks of an EventLog as ``{"shot", "terminal", "bin"}`` dicts."""
+    for s, t, b in zip(log.shot_idx.tolist(), log.terminal.tolist(),
+                       log.bin_idx.tolist()):
+        yield {"shot": s, "terminal": log.terminal_order[t], "bin": b}
+
+
+def event_counts(log):
+    """Clicks per (terminal, bin) cell of an EventLog."""
+    cells, n = np.unique(np.stack([log.terminal, log.bin_idx]), axis=1,
+                         return_counts=True)
+    return {(log.terminal_order[t], b): k
+            for (t, b), k in zip(cells.T.tolist(), n.tolist())}
+
+
 def poisson_cdf(k: int, mu: float) -> float:
     return sum(math.exp(-mu) * mu**j / math.factorial(j) for j in range(k + 1))
 

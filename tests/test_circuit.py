@@ -28,7 +28,7 @@ from proxyifm.errors import (
 )
 from proxyifm.scenarios import GOLDEN_SCENARIOS, load_scenario
 
-from conftest import ALPHA, fig2_spec, fig3_spec, gated_fig2_spec
+from conftest import ALPHA, fig2_spec, fig3_spec, gated_fig2_spec, terminal_block
 
 
 def test_default_beamsplitter_is_unitary():
@@ -103,7 +103,7 @@ def test_fig2_blocked_matches_hand_multiplied_chain():
 
 def test_blocked_loss_rows_carry_full_arm_amplitude():
     cc = compile_circuit(fig2_spec(n_pulses=3, inserted=True))
-    loss = cc.block("obstacle_l")
+    loss = terminal_block(cc, "obstacle_l")
     # each pulse deposits |i/sqrt2|^2 = 1/2 of its energy at the obstacle
     col_energy = np.sum(np.abs(loss) ** 2, axis=0)
     assert np.allclose(col_energy, 0.5, atol=1e-12)

@@ -16,7 +16,7 @@ from proxyifm.coherent import (
 )
 from proxyifm.errors import BinOverflowError, NoLossTerminalError, ZeroPulsesError
 
-from conftest import ALPHA, ALPHA_SQ, fig2_spec, fig3_spec
+from conftest import ALPHA, ALPHA_SQ, event_counts, fig2_spec, fig3_spec
 
 
 @pytest.fixture(scope="module")
@@ -171,7 +171,7 @@ def test_click_frequencies_within_3_sigma(scenario_spec, cells):
     dist = click_distribution(field)
     shots = 200_000
     log = sample_clicks(dist, shots=shots, seed=90210)
-    counts = log.counts()
+    counts = event_counts(log)
     for term, b in cells:
         p = dist.p_click[term][b]
         got = counts.get((term, b), 0) / shots

@@ -25,7 +25,7 @@ from proxyifm.coherent import (
 from proxyifm.errors import NoLossTerminalError
 from proxyifm.fock import FockOracle
 
-from conftest import ALPHA, ALPHA_SQ, fig2_spec, gated_fig2_spec
+from conftest import ALPHA, ALPHA_SQ, event_records, fig2_spec, gated_fig2_spec
 
 
 def test_gated_obstacle_blocks_only_listed_bins():
@@ -123,7 +123,7 @@ def test_event_log_records_and_prefix_determinism():
     assert np.array_equal(big.shot_idx[cut], small.shot_idx)
     assert np.array_equal(big.terminal[cut], small.terminal)
     assert np.array_equal(big.bin_idx[cut], small.bin_idx)
-    rec = next(iter(small.records()), None)
+    rec = next(event_records(small), None)
     if rec is not None:
         assert set(rec) == {"shot", "terminal", "bin"}
         assert rec["terminal"] in small.terminal_order

@@ -18,7 +18,7 @@ from proxyifm.runner import emit, run
 from proxyifm.scenarios import GOLDEN_SCENARIOS, load_scenario
 from proxyifm.singlephoton import propagate_photon, sample_outcomes, tensor_sum_state
 
-from conftest import ALPHA_SQ, fig2_spec, fig3_spec
+from conftest import ALPHA_SQ, event_counts, fig2_spec, fig3_spec
 
 MC_SEED = 20260811
 COHERENT_SCENARIOS = ("fig2_open", "fig2_blocked", "fig3_open",
@@ -61,7 +61,7 @@ def test_mc_click_frequencies_within_3_sigma(name):
     dist = click_distribution(propagate_coherent(cc, train))
     shots = 1_000_000
     log = sample_clicks(dist, shots=shots, seed=MC_SEED)
-    counts = log.counts()
+    counts = event_counts(log)
     for t_idx, term in enumerate(log.terminal_order):
         for b, p in enumerate(dist.p_click[term]):
             got = counts.get((term, b), 0) / shots
