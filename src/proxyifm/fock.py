@@ -435,6 +435,8 @@ class FockOracle:
 
     def tensor_sum_state(self, n_pulses: int,
                          source_id: Optional[str] = None) -> FockStateVector:
+        if self.basis.cutoff < 1:
+            raise CutoffTooSmallError("the photon exceeds the basis cutoff 0")
         modes = self.source_modes(source_id)[:n_pulses]
         occ = np.zeros((len(modes), self.n_modes), dtype=np.uint8)
         occ[np.arange(len(modes)), modes] = 1

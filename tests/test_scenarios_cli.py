@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 from proxyifm.errors import (
+    CutoffTooSmallError,
     EngineSourceMismatchError,
     ParseError,
     UnknownSchemaVersionError,
@@ -477,4 +478,37 @@ def test_cli_rejects_bad_photon_cells(tmp_path, photons, named):
     assert r.returncode == 2, r.stderr
     assert r.stderr.startswith("error: ") and "Traceback" not in r.stderr
     assert named in r.stderr
+    assert not out.exists()
+
+
+# The smallest cutoff at which each shipped scenario's Fock input meets
+# DEFICIT_LIMIT (one photon, two photons, or the coherent Poisson tail).
+ORACLE_CUTOFFS = {
+    "fig2_tensor_sum_open": 1, "fig2_tensor_sum_blocked": 1, "hom_pair": 2,
+    "fig3_open": 4, "fig3_blocked_l": 4, "fig3_blocked_m": 4,
+    "fig2_open": 6, "fig2_blocked": 6, "fringe_sweep": 6,
+}
+
+
+@pytest.mark.parametrize("name", sorted(ORACLE_CUTOFFS))
+def test_oracle_cutoff_of_each_shipped_scenario(name):
+    # The cutoff-6 runs take seconds and hundreds of MB, so only the
+    # smaller ones are run here; every scenario must fail one below.
+    scenario = load_scenario(name)
+    cutoff = ORACLE_CUTOFFS[name]
+    with pytest.raises(CutoffTooSmallError):
+        run(scenario, engine="fock", mode="exact", cutoff=cutoff - 1)
+    if cutoff < 6:
+        report = run(scenario, engine="fock", mode="exact", cutoff=cutoff,
+                     tables=("joint",))
+        assert list(report.tables) == ["joint"]
+        assert sum(report.tables["joint"].columns[1]) == pytest.approx(1.0, abs=1e-12)
+
+
+def test_cli_oracle_tensor_sum_below_one_photon(tmp_path):
+    out = tmp_path / "joint.csv"
+    r = _cli("oracle", "--scenario", "fig2_tensor_sum_open", "--cutoff", "0",
+             "--out", str(out))
+    assert r.returncode == 3, r.stderr
+    assert r.stderr.startswith("engine error: ") and "Traceback" not in r.stderr
     assert not out.exists()
