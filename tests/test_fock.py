@@ -1,3 +1,4 @@
+import itertools
 import math
 import tracemalloc
 
@@ -29,6 +30,8 @@ from proxyifm.fock import (
     MAX_BASIS_BYTES,
     FockBasis,
     FockOracle,
+    FockStateVector,
+    _two_mode_block,
     apply_mode_permutation,
     apply_two_mode_unitary,
     collective_power_state,
@@ -74,6 +77,14 @@ def test_basis_is_graded_lexicographic():
     basis = FockBasis.build(2, 2)
     expected = [(0, 0), (0, 1), (1, 0), (0, 2), (1, 1), (2, 0)]
     assert [tuple(v) for v in basis.occupations] == expected
+
+
+@pytest.mark.parametrize("n_modes,cutoff", [(1, 3), (3, 0), (4, 3), (6, 2)])
+def test_basis_matches_sorted_enumeration(n_modes, cutoff):
+    vectors = sorted((v for v in itertools.product(range(cutoff + 1), repeat=n_modes)
+                      if sum(v) <= cutoff), key=lambda v: (sum(v), v))
+    assert FockBasis.build(n_modes, cutoff).occupations.tolist() == \
+        [list(v) for v in vectors]
 
 
 def test_basis_index_round_trips():
@@ -180,6 +191,31 @@ def test_two_mode_unitary_preserves_norm():
     for pair in ((0, 1), (1, 2), (0, 2)):
         out = apply_two_mode_unitary(out, pair, default_beamsplitter())
     assert out.norm_squared() == pytest.approx(1.0, abs=1e-9)
+
+
+@pytest.mark.parametrize("pair", [(0, 1), (1, 0), (3, 1), (0, 3), (2, 4)])
+def test_two_mode_unitary_matches_basis_vector_loop(pair):
+    # Reference: each basis vector's amplitude spread over its pair sector,
+    # targets found by lookup and summed in source index order.  Products
+    # are taken on length-1 arrays: scalar complex products can differ
+    # from array ones in the last bit.
+    basis = FockBasis.build(5, 3)
+    rng = np.random.default_rng(11)
+    amps = rng.normal(size=basis.dim) + 1j * rng.normal(size=basis.dim)
+    amps[rng.random(basis.dim) < 0.3] = 0.0
+    u = np.array([[0.6, 0.8j], [0.8j, 0.6]]) * np.exp(0.3j)
+    a, b = pair
+    index = {tuple(v): i for i, v in enumerate(basis.occupations.tolist())}
+    want = np.zeros_like(amps)
+    for i, v in enumerate(basis.occupations.tolist()):
+        t = v[a] + v[b]
+        block = _two_mode_block(tuple(u.reshape(-1)), t)
+        for mp in range(t + 1):
+            w = list(v)
+            w[a], w[b] = mp, t - mp
+            want[[index[tuple(w)]]] += block[mp, [v[a]]] * amps[[i]]
+    got = apply_two_mode_unitary(FockStateVector(basis, amps), pair, u).amplitudes
+    assert np.array_equal(got, want)
 
 
 def test_two_mode_unitary_rejects_non_unitary():
