@@ -532,6 +532,6 @@ def sample_joint(dist: JointDistribution, shots: int, seed: int) -> list[tuple[i
     probs = probs / probs.sum()
     cdf = np.cumsum(probs)
     rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(seed)))
-    draws = np.searchsorted(cdf, rng.random(shots), side="right")
+    draws = np.digitize(rng.random(shots), cdf)
     draws[draws == len(order)] = len(order) - 1
     return list(map(tuple, dist.outcomes[order[draws]].tolist()))

@@ -17,7 +17,9 @@ Schema ``proxy-ifm/1``.  Top-level keys:
 * ``defaults``  - ``{"shots", "seed", "mode"}``: integers ``shots >= 1``
   and ``seed >= 0``, ``mode`` ``"exact"`` or ``"mc"``.
 
-The golden scenarios shipped with the package double as schema examples.
+Every float must be finite (``ParseError`` otherwise), and each photon
+must name a source and one of its bins.  The golden scenarios shipped with
+the package double as schema examples.
 """
 
 from __future__ import annotations
