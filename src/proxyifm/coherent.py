@@ -6,6 +6,15 @@ amplitudes walked through the circuit by ``CompiledCircuit.propagate``.
 Detection uses a threshold (click / no-click) model, so each output cell
 clicks independently with probability ``1 - exp(-|amplitude|^2)``.
 
+Monte Carlo runs on counter-based Philox streams keyed on (seed, chunk of
+``_MC_CHUNK`` shots), so a shot's draws depend only on the seed and the
+shot index.  ``sample_clicks`` draws one uniform per (shot, cell) but
+walks each chunk in row blocks of ``_DRAW_BYTES`` of uniforms, so its
+memory is bounded by the block and the event log, not by shots x cells;
+the blocks continue the chunk's stream, so the events are those of one
+whole-chunk draw.  ``_sample_categorical`` is the one keyed draw of an
+index from a probability vector, for the one-photon and Fock samplers.
+
 The conditional no-interaction figure quantifies how counterfactual a
 click is: given a click on a trigger cell, the probability that the
 delayed partial waves it proxies carried no photon at all.  See
@@ -27,6 +36,10 @@ from .errors import NoLossTerminalError, ZeroPulsesError
 # index, cell index), independent of how a caller batches or parallelises.
 _MC_CHUNK = 1 << 17
 
+# Bytes of uniforms ``sample_clicks`` holds at a time: a block is
+# max(1, _DRAW_BYTES // (8 * cells)) shots of one chunk.
+_DRAW_BYTES = 1 << 20
+
 
 def _sample_chunks(shots: int, seed: int, draw) -> list:
     """``draw(rng, start, count)`` for each fixed chunk of ``shots``.
@@ -41,6 +54,21 @@ def _sample_chunks(shots: int, seed: int, draw) -> list:
                  np.random.SeedSequence(seed, spawn_key=(start,)))),
                  start, min(_MC_CHUNK, shots - start))
             for start in range(0, shots, _MC_CHUNK)]
+
+
+def _sample_categorical(probs: np.ndarray, shots: int, seed: int) -> np.ndarray:
+    """Per shot, the index ``k`` drawn with probability ``probs[k] / sum``.
+
+    One keyed uniform per shot is placed on the cdf
+    (``searchsorted(side="right")``), chunk by chunk.
+    """
+    cdf = np.cumsum(probs / probs.sum())
+    draws = np.concatenate(_sample_chunks(
+        shots, seed,
+        lambda rng, start, count: np.searchsorted(cdf, rng.random(count),
+                                                  side="right")))
+    draws[draws == len(cdf)] = len(cdf) - 1  # guard the u ~ 1.0 edge
+    return draws
 
 
 @dataclass(frozen=True)
@@ -154,6 +182,10 @@ def sample_clicks(dist: ClickDistribution, shots: int, seed: int) -> EventLog:
 
     Uses a counter-based Philox stream keyed on (seed, chunk); output is
     bit-identical for a given seed no matter how the work is batched.
+    Each chunk is drawn in row blocks of at most ``_DRAW_BYTES`` of
+    uniforms (one row when a row alone is larger); successive blocks
+    continue the chunk's stream, so the events equal those of one
+    ``rng.random((count, cells))`` draw per chunk.
     """
     terminals = tuple(dist.p_click)
     pvec = np.concatenate([dist.p_click[t] for t in terminals]) if terminals \
@@ -163,12 +195,21 @@ def sample_clicks(dist: ClickDistribution, shots: int, seed: int) -> EventLog:
     cell_bin = np.concatenate([np.arange(n) for n in bins_per]) if terminals \
         else np.zeros(0, dtype=int)
 
+    rows = max(1, _DRAW_BYTES // (8 * max(1, len(pvec))))
+
     def draw(rng, start, count):
-        hit_shot, hit_cell = np.nonzero(rng.random((count, len(pvec))) < pvec)
-        return hit_shot + start, cell_terminal[hit_cell], cell_bin[hit_cell]
+        blocks = []
+        for lo in range(start, start + count, rows):
+            hit_shot, hit_cell = np.nonzero(
+                rng.random((min(rows, start + count - lo), len(pvec))) < pvec)
+            blocks.append((hit_shot + lo, cell_terminal[hit_cell],
+                           cell_bin[hit_cell]))
+        return blocks
 
     shot_idx, terminal, bin_idx = (
-        np.concatenate(parts) for parts in zip(*_sample_chunks(shots, seed, draw)))
+        np.concatenate(parts) for parts in
+        zip(*(block for chunk in _sample_chunks(shots, seed, draw)
+              for block in chunk)))
     return EventLog(shots=shots, seed=seed, shot_idx=shot_idx,
                     terminal=terminal, bin_idx=bin_idx,
                     terminal_order=terminals)

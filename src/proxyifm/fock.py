@@ -43,6 +43,7 @@ from .circuit import (
     PhaseShift,
     compile_circuit,
 )
+from .coherent import _sample_categorical
 from .errors import (
     BinOverflowError,
     CutoffTooSmallError,
@@ -523,15 +524,12 @@ def simulate_fock(spec: CircuitSpec, input_state: FockStateVector,
 
 
 def sample_joint(dist: JointDistribution, shots: int, seed: int) -> list[tuple[int, ...]]:
-    """Draw ``shots`` outcome vectors from the joint table (Philox-keyed).
+    """Draw ``shots`` outcome vectors from the joint table.
 
-    Outcomes lie on the cdf in lexicographic order.
+    Outcomes lie on the cdf in lexicographic order; the draws are keyed on
+    (seed, chunk) like every Monte-Carlo sampler, so a shorter run is a
+    prefix of a longer one.
     """
     order = np.lexsort(dist.outcomes.T[::-1])
-    probs = dist.probabilities[order]
-    probs = probs / probs.sum()
-    cdf = np.cumsum(probs)
-    rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(seed)))
-    draws = np.digitize(rng.random(shots), cdf)
-    draws[draws == len(order)] = len(order) - 1
+    draws = _sample_categorical(dist.probabilities[order], shots, seed)
     return list(map(tuple, dist.outcomes[order[draws]].tolist()))

@@ -1,11 +1,14 @@
 """Experiment orchestration: dispatch a scenario to an engine and emit
 the results as byte-stable CSV or JSONL.
 
-Tables are columnar: a :class:`Table` keeps one numpy array or list per
-header, and Monte-Carlo event tables take their columns straight from the
-sampler arrays, so no Python object is built per event.  ``emit`` renders
-each column in blocks of ``_BLOCK`` rows and writes every block to the open
-file, so writing costs O(block) memory however long the log is.
+Tables are columnar: a :class:`Table` keeps one numpy array, list or
+:class:`Categorical` per header, and Monte-Carlo event tables take their
+columns straight from the sampler arrays, so no Python object is built per
+event.  A column of repeated names (terminals, Fock outcome vectors) is a
+:class:`Categorical`: integer codes into a category list.  ``emit``
+formats each category once and renders each column in blocks of
+``_BLOCK`` rows, writing every block to the open file, so writing costs
+O(block) memory however long the log is.
 
 Every float is printed with 17 significant digits so regression diffs
 are exact, and nothing volatile (timestamps included) reaches the output
@@ -54,11 +57,12 @@ _BLOCK = 1024
 class Table:
     """A result table stored column by column.
 
-    ``columns`` holds one sequence per header, a numpy array or a list, all
-    of one length.  ``Table(headers, rows)`` transposes row tuples into
-    list columns; ``Table(headers, columns=...)`` takes columns as they
-    are.  ``rows`` is a read-only view that builds a row tuple (of Python
-    scalars) only when one is read, so ``len(table.rows)`` builds none.
+    ``columns`` holds one sequence per header, a numpy array, a list or a
+    :class:`Categorical`, all of one length.  ``Table(headers, rows)``
+    transposes row tuples into list columns; ``Table(headers, columns=...)``
+    takes columns as they are.  ``rows`` is a read-only view that builds a
+    row tuple (of Python scalars) only when one is read, so
+    ``len(table.rows)`` builds none.
     """
 
     __slots__ = ("headers", "columns")
@@ -82,6 +86,31 @@ class Table:
     @property
     def rows(self) -> "_RowView":
         return _RowView(self.columns)
+
+
+class Categorical:
+    """A column of repeated values: ``categories[codes[i]]`` is row ``i``.
+
+    Indexing a row gives its category; a slice is a categorical of the
+    same categories.
+    """
+
+    __slots__ = ("codes", "categories")
+
+    def __init__(self, codes: np.ndarray, categories: Sequence):
+        self.codes = np.asarray(codes)
+        self.categories = list(categories)
+
+    def __len__(self) -> int:
+        return len(self.codes)
+
+    def __getitem__(self, i):
+        if isinstance(i, slice):
+            return Categorical(self.codes[i], self.categories)
+        return self.categories[self.codes[i]]
+
+    def tolist(self) -> list:
+        return [self.categories[k] for k in self.codes.tolist()]
 
 
 class _RowView(_SequenceABC):
@@ -109,14 +138,15 @@ def _py(x):
 
 
 def _as_list(column) -> list:
-    return column.tolist() if isinstance(column, np.ndarray) else column
+    return column.tolist() if isinstance(column, (np.ndarray, Categorical)) \
+        else column
 
 
 def _cell_columns(names: Sequence[str], lengths: Sequence[int]):
     """Terminal-name and bin columns for per-terminal blocks of ``lengths``."""
     lengths = np.asarray(lengths, dtype=int)
     starts = np.cumsum(lengths) - lengths
-    terminal = np.repeat(np.asarray(names, dtype=object), lengths)
+    terminal = Categorical(np.repeat(np.arange(len(names)), lengths), names)
     return terminal, np.arange(int(lengths.sum())) - np.repeat(starts, lengths)
 
 
@@ -222,10 +252,10 @@ def _run_coherent(scenario: Scenario, mode: str, shots: int, seed: int) -> dict:
                 ])
     else:
         log = sample_clicks(click_distribution(field_cfg), shots, seed)
-        names = np.asarray(log.terminal_order, dtype=object)
         tables["events"] = Table(
             headers=("shot", "terminal", "bin"),
-            columns=(log.shot_idx, names[log.terminal], log.bin_idx))
+            columns=(log.shot_idx, Categorical(log.terminal, log.terminal_order),
+                     log.bin_idx))
     return tables
 
 
@@ -246,11 +276,12 @@ def _run_singlephoton(scenario: Scenario, mode: str, shots: int, seed: int) -> d
             columns=(list(order), [float(dist.p[t]) for t in order]))
     else:
         cells, draws = sample_outcomes(dist, shots, seed)
-        names = np.array([t for t, _ in cells], dtype=object)
+        names, terminal = np.unique([t for t, _ in cells], return_inverse=True)
         bins = np.array([b for _, b in cells], dtype=int)
         tables["events"] = Table(
             headers=("shot", "terminal", "bin"),
-            columns=(np.arange(shots), names[draws], bins[draws]))
+            columns=(np.arange(shots), Categorical(terminal[draws], names.tolist()),
+                     bins[draws]))
     return tables
 
 
@@ -297,10 +328,12 @@ def _run_fock(scenario: Scenario, mode: str, shots: int, seed: int,
                 rows=[(t, b, dist.mean(t, b)) for (t, b) in dist.cells])
     else:
         draws = sample_joint(dist, shots, seed)
-        text = dict(zip(dist.table, outcome_texts(dist.cells, dist.outcomes)))
+        row = {outcome: k for k, outcome in enumerate(dist.table)}
+        codes = np.fromiter(map(row.__getitem__, draws), dtype=np.intp, count=shots)
         tables["events"] = Table(
             headers=("shot", "outcome_vector"),
-            columns=(np.arange(shots), [text[o] for o in draws]))
+            columns=(np.arange(shots),
+                     Categorical(codes, outcome_texts(dist.cells, dist.outcomes))))
     return tables
 
 
@@ -357,7 +390,8 @@ def _write_rows(fh, table: Table, template: list, cell) -> None:
     text; ``cell`` formats one value of a list or non-numeric column.
     """
     width = len(template)
-    memos: dict[int, dict] = {}
+    render = {piece: _render(table.columns[piece], cell)
+              for piece in template if not isinstance(piece, str)}
     n = len(table.rows)
     for start in range(0, n, _BLOCK):
         stop = min(start + _BLOCK, n)
@@ -366,32 +400,26 @@ def _write_rows(fh, table: Table, template: list, cell) -> None:
             if isinstance(piece, str):
                 parts[k::width] = [piece] * (stop - start)
             else:
-                parts[k::width] = _render(table.columns[piece][start:stop], cell,
-                                          memos.setdefault(piece, {}))
+                parts[k::width] = render[piece](start, stop)
         fh.write("".join(parts))
 
 
-def _render(values, cell, memo: dict) -> list[str]:
-    """Text of each value of a column block.
+def _render(column, cell):
+    """``block(start, stop)``: the text of each value of a column's rows.
 
-    Integer arrays print with ``str``.  Strings are formatted once per
-    distinct value; the memo holds strings only, because ``1``, ``1.0``
-    and ``True`` are equal dict keys.
+    Integer arrays print with ``str``.  A :class:`Categorical` formats each
+    category once and indexes the texts by code; any other value is
+    formatted by ``cell``.
     """
-    if isinstance(values, np.ndarray):
-        if values.dtype.kind in "iu":
-            return list(map(str, values.tolist()))
-        values = values.tolist()
-    out = []
-    for x in values:
-        if type(x) is str:
-            text = memo.get(x)
-            if text is None:
-                text = memo[x] = cell(x)
-        else:
-            text = cell(x)
-        out.append(text)
-    return out
+    if isinstance(column, Categorical):
+        texts = np.empty(len(column.categories), dtype=object)
+        texts[:] = [cell(x) for x in column.categories]
+        return lambda start, stop: texts[column.codes[start:stop]].tolist()
+    if isinstance(column, np.ndarray) and column.dtype.kind in "iu":
+        return lambda start, stop: list(map(str, column[start:stop].tolist()))
+    if isinstance(column, np.ndarray):
+        return lambda start, stop: list(map(cell, column[start:stop].tolist()))
+    return lambda start, stop: list(map(cell, column[start:stop]))
 
 
 def sweep_table(scenario: Scenario, param: str, values: Sequence[float]) -> Table:

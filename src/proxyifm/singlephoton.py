@@ -18,7 +18,7 @@ from typing import Optional
 import numpy as np
 
 from .circuit import CompiledCircuit
-from .coherent import _sample_chunks
+from .coherent import _sample_categorical
 from .errors import ZeroPulsesError
 
 
@@ -121,15 +121,7 @@ def sample_outcomes(dist: OutcomeDistribution, shots: int, seed: int
             if pv > 0.0:
                 cells.append((t, b))
                 probs.append(float(pv))
-    pvec = np.asarray(probs)
-    pvec = pvec / pvec.sum()
-    cdf = np.cumsum(pvec)
-    draws = np.concatenate(_sample_chunks(
-        shots, seed,
-        lambda rng, start, count: np.searchsorted(cdf, rng.random(count),
-                                                  side="right")))
-    draws[draws == len(cells)] = len(cells) - 1  # guard the u ~ 1.0 edge
-    return cells, draws
+    return cells, _sample_categorical(np.asarray(probs), shots, seed)
 
 
 def coherent_train_expansion(alpha: complex, n: int, j_max: int) -> np.ndarray:

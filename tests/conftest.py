@@ -96,6 +96,33 @@ def event_counts(log):
             for (t, b), k in zip(cells.T.tolist(), n.tolist())}
 
 
+# Shots per keyed Monte-Carlo chunk: part of every sampler's byte contract.
+MC_CHUNK = 1 << 17
+
+
+def reference_clicks(dist, shots, seed):
+    """Threshold clicks drawn as one (shots x cells) uniform matrix per chunk.
+
+    The plain sampler ``coherent.sample_clicks`` must reproduce: chunk
+    ``start`` draws from Philox keyed on ``(seed, start)``, and cell ``c``
+    of shot ``s`` clicks when its uniform is below ``p[c]``.  Returns the
+    ``(shot_idx, terminal, bin_idx)`` arrays.
+    """
+    terminals = tuple(dist.p_click)
+    pvec = np.concatenate([dist.p_click[t] for t in terminals])
+    cell_terminal = np.concatenate(
+        [np.full(len(dist.p_click[t]), k) for k, t in enumerate(terminals)])
+    cell_bin = np.concatenate([np.arange(len(dist.p_click[t])) for t in terminals])
+    parts = []
+    for start in range(0, shots, MC_CHUNK):
+        rng = np.random.Generator(np.random.Philox(
+            np.random.SeedSequence(seed, spawn_key=(start,))))
+        count = min(MC_CHUNK, shots - start)
+        hit_shot, hit_cell = np.nonzero(rng.random((count, len(pvec))) < pvec)
+        parts.append((hit_shot + start, cell_terminal[hit_cell], cell_bin[hit_cell]))
+    return tuple(np.concatenate(column) for column in zip(*parts))
+
+
 def poisson_cdf(k: int, mu: float) -> float:
     return sum(math.exp(-mu) * mu**j / math.factorial(j) for j in range(k + 1))
 

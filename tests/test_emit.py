@@ -15,7 +15,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from proxyifm import runner
-from proxyifm.runner import RunReport, Table, emit, run
+from proxyifm.runner import Categorical, RunReport, Table, emit, run
 from proxyifm.scenarios import load_scenario
 
 
@@ -73,6 +73,7 @@ _KINDS = {
     "float": (_floats, np.float64),
     "str": (_strings, object),
     "mixed": (_mixed, None),
+    "categorical": (_mixed, None),
 }
 
 
@@ -84,6 +85,8 @@ def _column(draw, n_rows):
     seed = draw(st.integers(0, 2**32 - 1))
     picks = np.random.default_rng(seed).integers(0, len(pool), n_rows)
     py_values = [pool[i] for i in picks]
+    if kind == "categorical":
+        return py_values, Categorical(picks, pool)
     as_array = dtype is not None and draw(st.booleans())
     column = np.array(py_values, dtype=dtype) if as_array else py_values
     return py_values, column
@@ -152,6 +155,25 @@ def test_table_rows_view_yields_python_scalars():
     table = Table(("shot", "p"), columns=(np.arange(3), np.array([0.5, 1.0, 2.0])))
     assert [type(x) for x in table.rows[0]] == [int, float]
     assert [type(x) for x in next(iter(table.rows))] == [int, float]
+
+
+def test_table_rows_view_yields_categories():
+    terminal = Categorical(np.array([1, 0, 1]), ["D1", "D2"])
+    table = Table(("terminal", "shot"), columns=(terminal, np.arange(3)))
+    assert list(table.rows) == [("D2", 0), ("D1", 1), ("D2", 2)]
+    assert table.rows[1] == ("D1", 1)
+    assert table.rows[1:] == [("D1", 1), ("D2", 2)]
+    assert dict(table.rows) == {"D1": 1, "D2": 2}
+
+
+@pytest.mark.parametrize("name", ["fig2_blocked", "fig2_tensor_sum_blocked",
+                                  "hom_pair"])
+def test_event_name_columns_are_categorical(name):
+    """Each distinct name of an event log is stored, and formatted, once."""
+    report = run(load_scenario(name), mode="mc", shots=2000, seed=3, cutoff=2)
+    names = report.tables["events"].columns[1]
+    assert isinstance(names, Categorical)
+    assert len(set(names.categories)) == len(names.categories)
 
 
 def test_table_rejects_ragged_input():
