@@ -182,9 +182,8 @@ def sample_clicks(dist: ClickDistribution, shots: int, seed: int) -> EventLog:
 
     Uses a counter-based Philox stream keyed on (seed, chunk); output is
     bit-identical for a given seed no matter how the work is batched.
-    Each chunk is drawn in row blocks of at most ``_DRAW_BYTES`` of
-    uniforms (one row when a row alone is larger); successive blocks
-    continue the chunk's stream, so the events equal those of one
+    Each chunk is drawn in row blocks of ``_DRAW_BYTES`` of uniforms that
+    continue the chunk's stream, so the events are those of one
     ``rng.random((count, cells))`` draw per chunk.
     """
     terminals = tuple(dist.p_click)

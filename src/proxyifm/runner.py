@@ -89,11 +89,7 @@ class Table:
 
 
 class Categorical:
-    """A column of repeated values: ``categories[codes[i]]`` is row ``i``.
-
-    Indexing a row gives its category; a slice is a categorical of the
-    same categories.
-    """
+    """A column of repeated values: ``categories[codes[i]]`` is row ``i``."""
 
     __slots__ = ("codes", "categories")
 
@@ -104,9 +100,7 @@ class Categorical:
     def __len__(self) -> int:
         return len(self.codes)
 
-    def __getitem__(self, i):
-        if isinstance(i, slice):
-            return Categorical(self.codes[i], self.categories)
+    def __getitem__(self, i: int):
         return self.categories[self.codes[i]]
 
     def tolist(self) -> list:
