@@ -409,10 +409,9 @@ def _render(column, cell):
         texts = np.empty(len(column.categories), dtype=object)
         texts[:] = [cell(x) for x in column.categories]
         return lambda start, stop: texts[column.codes[start:stop]].tolist()
-    if isinstance(column, np.ndarray) and column.dtype.kind in "iu":
-        return lambda start, stop: list(map(str, column[start:stop].tolist()))
     if isinstance(column, np.ndarray):
-        return lambda start, stop: list(map(cell, column[start:stop].tolist()))
+        fmt = str if column.dtype.kind in "iu" else cell
+        return lambda start, stop: list(map(fmt, column[start:stop].tolist()))
     return lambda start, stop: list(map(cell, column[start:stop]))
 
 
