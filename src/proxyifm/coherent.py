@@ -8,12 +8,14 @@ clicks independently with probability ``1 - exp(-|amplitude|^2)``.
 
 Monte Carlo runs on counter-based Philox streams keyed on (seed, chunk of
 ``_MC_CHUNK`` shots), so a shot's draws depend only on the seed and the
-shot index.  ``sample_clicks`` draws one uniform per (shot, cell) but
-walks each chunk in row blocks of ``_DRAW_BYTES`` of uniforms, so its
-memory is bounded by the block and the event log, not by shots x cells;
-the blocks continue the chunk's stream, so the events are those of one
-whole-chunk draw.  ``_sample_categorical`` is the one keyed draw of an
-index from a probability vector, for the one-photon and Fock samplers.
+shot index.  ``sample_clicks`` skips from click to click along each cell
+with geometric gaps, one uniform per gap: a chunk's stream is read in
+rounds of one uniform per cell, drawn in row blocks of ``_DRAW_BYTES`` of
+uniforms.  It draws about (largest per-cell click count + one block) x
+cells uniforms per chunk, and its memory is bounded by the block and the
+event log, not by shots x cells.  ``_sample_categorical`` is the one keyed
+draw of an index from a probability vector, for the one-photon and Fock
+samplers.
 
 The conditional no-interaction figure quantifies how counterfactual a
 click is: given a click on a trigger cell, the probability that the
@@ -37,7 +39,7 @@ from .errors import NoLossTerminalError, ZeroPulsesError
 _MC_CHUNK = 1 << 17
 
 # Bytes of uniforms ``sample_clicks`` holds at a time: a block is
-# max(1, _DRAW_BYTES // (8 * cells)) shots of one chunk.
+# max(1, _DRAW_BYTES // (8 * cells)) rounds of one uniform per cell.
 _DRAW_BYTES = 1 << 20
 
 
@@ -180,37 +182,68 @@ def click_distribution(field: FieldConfiguration) -> ClickDistribution:
 def sample_clicks(dist: ClickDistribution, shots: int, seed: int) -> EventLog:
     """Sample independent per-cell clicks for ``shots`` repetitions.
 
-    Uses a counter-based Philox stream keyed on (seed, chunk); output is
-    bit-identical for a given seed no matter how the work is batched.
-    Each chunk is drawn in row blocks of ``_DRAW_BYTES`` of uniforms that
-    continue the chunk's stream, so the events are those of one
-    ``rng.random((count, cells))`` draw per chunk.
+    Each cell's clicks are found by geometric skipping: the gap from one
+    click to the next is ``floor(log1p(-u) / log1p(-p)) + 1`` for a uniform
+    ``u``, so that P(gap > k) = (1 - p)^k.  Chunk ``start`` of ``_MC_CHUNK``
+    shots draws from a counter-based Philox stream keyed on
+    ``(seed, start)``, read as rounds of one uniform per cell: the r-th
+    round holds every cell's r-th gap.  Rounds are drawn in row blocks of
+    ``_DRAW_BYTES`` of uniforms until every cell has passed the chunk's
+    last shot, so a chunk costs about (its largest per-cell click count +
+    one block) x cells uniforms.  A cell's k-th gap sits at a fixed place
+    in the chunk's stream, so the events are a pure function of
+    (distribution, shots, seed), and a short run is the prefix of a longer
+    one with the same seed.  Events are ordered by (shot, cell).
     """
     terminals = tuple(dist.p_click)
     pvec = np.concatenate([dist.p_click[t] for t in terminals]) if terminals \
         else np.zeros(0)
+    if not np.all((pvec >= 0) & (pvec <= 1)):
+        raise ValueError("click probabilities must lie in [0, 1]")
     bins_per = [len(dist.p_click[t]) for t in terminals]
-    cell_terminal = np.repeat(np.arange(len(terminals)), bins_per)
-    cell_bin = np.concatenate([np.arange(n) for n in bins_per]) if terminals \
-        else np.zeros(0, dtype=int)
-
-    rows = max(1, _DRAW_BYTES // (8 * max(1, len(pvec))))
+    cell_terminal = np.repeat(np.arange(len(terminals), dtype=np.int32),
+                              bins_per)
+    cell_bin = np.concatenate([np.arange(n, dtype=np.int32)
+                               for n in bins_per]) if terminals \
+        else np.zeros(0, dtype=np.int32)
+    cells = len(pvec)
+    with np.errstate(divide="ignore"):
+        log_q = np.log1p(-pvec)          # -inf for p = 1, -0.0 for p = 0
+    rows = max(1, _DRAW_BYTES // (8 * max(1, cells)))
 
     def draw(rng, start, count):
-        blocks = []
-        for lo in range(start, start + count, rows):
-            hit_shot, hit_cell = np.nonzero(
-                rng.random((min(rows, start + count - lo), len(pvec))) < pvec)
-            blocks.append((hit_shot + lo, cell_terminal[hit_cell],
-                           cell_bin[hit_cell]))
-        return blocks
+        # Every gap is at least 1, so count + 1 rounds pass every cell.
+        block = np.empty((min(rows, count + 1), cells))
+        pos = np.full(cells, -1.0)       # each cell's last click so far
+        keys = [np.zeros(0, dtype=np.int64)]
+        while (pos < count).any():
+            rng.random(out=block)
+            np.negative(block, out=block)
+            np.log1p(block, out=block)
+            # A p = 0 cell gets the gap x / -0.0 = inf, or 0 / -0.0 = NaN
+            # when u = 0; its position then never compares below count, so
+            # it never clicks and never holds the loop.
+            np.divide(block, log_q, out=block)
+            np.floor(block, out=block)
+            block += 1
+            block[0] += pos
+            np.cumsum(block, axis=0, out=block)
+            pos = block[-1].copy()
+            hits = np.flatnonzero(block < count)
+            keys.append(block.ravel()[hits].astype(np.int64) * cells
+                        + hits % cells)
+        keys = np.concatenate(keys)
+        keys.sort()
+        shot = keys // cells
+        shot += start
+        np.remainder(keys, cells, out=keys)
+        return shot, keys.astype(np.int32)
 
-    shot_idx, terminal, bin_idx = (
-        np.concatenate(parts) for parts in
-        zip(*(block for chunk in _sample_chunks(shots, seed, draw)
-              for block in chunk)))
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        shot_idx, cell = (np.concatenate(parts) for parts in
+                          zip(*_sample_chunks(shots, seed, draw)))
     return EventLog(shots=shots, seed=seed, shot_idx=shot_idx,
-                    terminal=terminal, bin_idx=bin_idx,
+                    terminal=cell_terminal[cell], bin_idx=cell_bin[cell],
                     terminal_order=terminals)
 
 

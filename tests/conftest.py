@@ -100,27 +100,49 @@ def event_counts(log):
 MC_CHUNK = 1 << 17
 
 
+def reference_gap(u, p):
+    """Shots from one click of a cell to its next: ``floor(log1p(-u) /
+    log1p(-p)) + 1`` for the uniform ``u``, capped past any chunk.
+
+    A p = 0 cell never clicks again and a p = 1 cell clicks on the next
+    shot, whatever ``u`` is.
+    """
+    if p == 0.0:
+        return MC_CHUNK + 1
+    if p == 1.0:
+        return 1
+    return math.floor(min(math.log1p(-u) / math.log1p(-p), MC_CHUNK)) + 1
+
+
 def reference_clicks(dist, shots, seed):
-    """Threshold clicks drawn as one (shots x cells) uniform matrix per chunk.
+    """Threshold clicks by geometric skipping, one gap at a time.
 
     The plain sampler ``coherent.sample_clicks`` must reproduce: chunk
-    ``start`` draws from Philox keyed on ``(seed, start)``, and cell ``c``
-    of shot ``s`` clicks when its uniform is below ``p[c]``.  Returns the
-    ``(shot_idx, terminal, bin_idx)`` arrays.
+    ``start`` draws from Philox keyed on ``(seed, start)``, one
+    ``rng.random(cells)`` per round, and round r holds every cell's r-th
+    gap (:func:`reference_gap`).  A cell clicks at the running sum of its
+    gaps, counted from shot -1; rounds go on until every cell is past the
+    chunk.  Returns the ``(shot_idx, terminal, bin_idx)`` arrays in (shot,
+    cell) order.
     """
-    terminals = tuple(dist.p_click)
-    pvec = np.concatenate([dist.p_click[t] for t in terminals])
-    cell_terminal = np.concatenate(
-        [np.full(len(dist.p_click[t]), k) for k, t in enumerate(terminals)])
-    cell_bin = np.concatenate([np.arange(len(dist.p_click[t])) for t in terminals])
-    parts = []
+    cells = [(k, b, float(p)) for k, t in enumerate(dist.p_click)
+             for b, p in enumerate(dist.p_click[t])]
+    events = []
     for start in range(0, shots, MC_CHUNK):
         rng = np.random.Generator(np.random.Philox(
             np.random.SeedSequence(seed, spawn_key=(start,))))
         count = min(MC_CHUNK, shots - start)
-        hit_shot, hit_cell = np.nonzero(rng.random((count, len(pvec))) < pvec)
-        parts.append((hit_shot + start, cell_terminal[hit_cell], cell_bin[hit_cell]))
-    return tuple(np.concatenate(column) for column in zip(*parts))
+        pos = [-1] * len(cells)
+        while any(x < count for x in pos):
+            u = rng.random(len(cells)).tolist()
+            for c, (terminal, b, p) in enumerate(cells):
+                if pos[c] < count:
+                    pos[c] += reference_gap(u[c], p)
+                    if pos[c] < count:
+                        events.append((start + pos[c], c, terminal, b))
+    events.sort()
+    return tuple(np.array([e[k] for e in events], dtype=np.int64)
+                 for k in (0, 2, 3))
 
 
 def poisson_cdf(k: int, mu: float) -> float:
