@@ -186,25 +186,26 @@ STAT_SHOTS = 20_000
 
 
 @pytest.fixture(scope="module")
-def hit_matrices():
-    """Per seed, the (shots x cells) click matrix of 200 seeded runs."""
+def co_clicks():
+    """Per seed of 200, the (cells x cells) counts of shots in which both
+    cells clicked; the diagonal holds each cell's click count."""
     dist = ClickDistribution(p_click={"D": STAT_P})
     out = []
     for seed in range(7000, 7200):
         log = sample_clicks(dist, STAT_SHOTS, seed)
-        hits = np.zeros((STAT_SHOTS, len(STAT_P)), dtype=bool)
-        hits[log.shot_idx, log.bin_idx] = True
+        hits = np.zeros((STAT_SHOTS, len(STAT_P)))
+        hits[log.shot_idx, log.bin_idx] = 1
         assert len(log) == hits.sum()              # no cell clicks twice a shot
-        out.append(hits)
-    return out
+        out.append(hits.T @ hits)
+    return np.array(out)
 
 
-def test_click_counts_mean_z2_over_seeds(hit_matrices):
+def test_click_counts_mean_z2_over_seeds(co_clicks):
     """Per-cell counts have mean z^2 of 1, and the counts of two cells are
     uncorrelated across seeds."""
     n = STAT_SHOTS
-    z = np.array([(h.sum(axis=0) - n * STAT_P) / np.sqrt(n * STAT_P * (1 - STAT_P))
-                  for h in hit_matrices])
+    counts = np.diagonal(co_clicks, axis1=1, axis2=2)
+    z = (counts - n * STAT_P) / np.sqrt(n * STAT_P * (1 - STAT_P))
     z2 = np.square(z)
     assert abs(z2.mean() - 1) < 4 * math.sqrt(2 / z2.size), z2.mean()
     per_cell = z2.mean(axis=0)
@@ -213,23 +214,20 @@ def test_click_counts_mean_z2_over_seeds(hit_matrices):
     assert abs(cross.mean() - 1) < 4 * math.sqrt(2 / cross.size), cross.mean()
 
 
-def test_cells_click_independently_within_a_shot(hit_matrices):
+def test_cells_click_independently_within_a_shot(co_clicks):
     """Pearson's 2 x 2 statistic n (n N_ij - N_i N_j)^2 / (N_i (n - N_i)
     N_j (n - N_j)) has mean n / (n - 1) under independence, given the
     margins; cells with p in [0.05, 0.95] keep every expected count of the
     table at 50 or more."""
     n = STAT_SHOTS
-    keep = (STAT_P >= 0.05) & (STAT_P <= 0.95)
-    upper = np.triu_indices(keep.sum(), 1)
-    chi2 = []
-    for hits in hit_matrices:
-        h = hits[:, keep].astype(np.int64)
-        marg = h.sum(axis=0)
-        both = h.T @ h
-        num = n * (n * both - np.outer(marg, marg)) ** 2
-        den = np.outer(marg * (n - marg), marg * (n - marg))
-        chi2.append((num / den)[upper])
-    chi2 = np.concatenate(chi2)
+    keep = np.flatnonzero((STAT_P >= 0.05) & (STAT_P <= 0.95))
+    both = co_clicks[:, keep][:, :, keep]
+    marg = np.diagonal(both, axis1=1, axis2=2)[:, :, None]
+    spread = marg * (n - marg)
+    chi2 = (n * (n * both - marg * marg.transpose(0, 2, 1)) ** 2
+            / (spread * spread.transpose(0, 2, 1)))
+    upper_i, upper_j = np.triu_indices(len(keep), 1)
+    chi2 = chi2[:, upper_i, upper_j]
     assert abs(chi2.mean() - n / (n - 1)) < 4 * math.sqrt(2 / chi2.size), chi2.mean()
 
 
