@@ -41,7 +41,6 @@ from .fock import (
     FockStateVector,
     apply_two_mode_unitary,
     prepare_coherent_train,
-    simulate_fock,
 )
 from .multiport import (
     Decomposition,

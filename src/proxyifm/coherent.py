@@ -130,13 +130,6 @@ class ClickDistribution:
     """Per-cell click probability under the threshold-detector model."""
 
     p_click: dict[str, np.ndarray]
-    model: str = "threshold"
-
-    def cells(self) -> list[tuple[str, int]]:
-        out = []
-        for t in self.p_click:
-            out.extend((t, b) for b in range(len(self.p_click[t])))
-        return out
 
 
 @dataclass(frozen=True, eq=False)

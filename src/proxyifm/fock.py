@@ -4,21 +4,23 @@ Ground truth for the fast engines.  The oracle takes the circuit's
 ``compile_circuit`` layout, so its ``n_bins`` and spatial slots are those
 of the other engines.  Every (slot, bin) pair becomes a bosonic mode, laid
 out bin-major (``bin * n_slots + slot``), and the state is expanded over
-all occupation vectors with total photon number up to a cutoff.  Each
-element is applied exactly: two-mode unitaries bin by bin, phases per
-photon and delays as mode permutations.  Obstacles are deferred
-measurements (Nielsen & Chuang, section 4.4): measuring a mode's photon
-number and then emptying it equals swapping it with a fresh vacuum mode
-that is read at the end.  Each gated (inserted obstacle, bin) owns such a
-loss mode, so an obstacle is a permutation too and nothing branches; as
-every slot ends in one terminal, each basis vector is one joint outcome.
-Passive elements conserve photon number, so the cutoff commutes with the
-evolution and the truncation deficit is the input state's.
+all occupation vectors with total photon number up to a cutoff.  One
+state vector is carried through the elements, each applied exactly:
+two-mode unitaries bin by bin, phases per photon and delays as mode
+permutations.  Obstacles are deferred measurements (Nielsen & Chuang,
+section 4.4): measuring a mode's photon number and then emptying it
+equals swapping it with a fresh vacuum mode that is read at the end.
+Each gated (inserted obstacle, bin) owns such a loss mode, so an obstacle
+is a permutation too and nothing branches; as every slot ends in one
+terminal, each basis vector is one joint outcome.  Passive elements
+conserve photon number, so the cutoff commutes with the evolution and the
+truncation deficit is the input state's.
 
 Vectors are ranked in the combinatorial number system (Knuth, TAOCP 4A,
 section 7.2.1.3): an index is a sum of one table term per mode.  A basis
 whose occupation table and two amplitude vectors would exceed
 ``MAX_BASIS_BYTES`` is refused, naming its size, before it is allocated.
+Monte-Carlo shots are drawn as row indices of the joint outcome table.
 Deliberately desk-scale: no permanents, no large-mode sampling.
 """
 
@@ -297,12 +299,12 @@ def apply_two_mode_unitary(state: FockStateVector, mode_pair: tuple[int, int],
     return FockStateVector(basis, new, state.deficit)
 
 
-def apply_mode_phase(state: FockStateVector, mode: int, angle: float
+def apply_mode_phase(state: FockStateVector, modes: Sequence[int], angle: float
                      ) -> FockStateVector:
-    """Per-photon phase exp(i*angle*n) on one mode."""
+    """Phase exp(i*angle*n), n counting the photons in all of ``modes``."""
+    n = state.basis.occupations[:, list(modes)].sum(axis=1)
     phases = np.exp(1j * angle * np.arange(state.basis.cutoff + 1.0))
-    return FockStateVector(state.basis, state.amplitudes
-                           * phases[state.basis.occupations[:, mode]], state.deficit)
+    return FockStateVector(state.basis, state.amplitudes * phases[n], state.deficit)
 
 
 def apply_mode_permutation(state: FockStateVector, perm: Sequence[int]
@@ -431,7 +433,7 @@ class FockOracle:
         if phases is not None:
             for m, ph in zip(modes, phases):
                 if ph:
-                    state = apply_mode_phase(state, m, float(ph))
+                    state = apply_mode_phase(state, [m], float(ph))
         return state
 
     def tensor_sum_state(self, n_pulses: int,
@@ -461,25 +463,24 @@ class FockOracle:
         if state.basis is not self.basis:
             raise ValueError("state was prepared on a different basis")
         slot = self.compiled.wire_slot
-        amps = state.amplitudes
         for e in self.compiled._order:
             if isinstance(e, BeamSplitter):
                 i, j = slot[e.inputs[0]], slot[e.inputs[1]]
                 u = e.resolved_matrix()
                 for b in range(self.n_bins):
-                    amps = apply_two_mode_unitary(
-                        FockStateVector(self.basis, amps),
-                        (self.mode(i, b), self.mode(j, b)), u).amplitudes
+                    state = apply_two_mode_unitary(
+                        state, (self.mode(i, b), self.mode(j, b)), u)
             elif isinstance(e, PhaseShift):
-                amps = self._slot_phase(amps, slot[e.input], e.angle)
+                state = apply_mode_phase(
+                    state, self.mode(slot[e.input], np.arange(self.n_bins)), e.angle)
             elif isinstance(e, Delay):
-                amps = self._slot_delay(amps, slot[e.input], e)
+                state = self._slot_delay(state, slot[e.input], e)
             elif isinstance(e, Obstacle) and e.inserted:
                 perm = np.arange(self.n_modes)
                 for m, loss in self._swaps[e.id]:
                     perm[m], perm[loss] = loss, m
-                amps = apply_mode_permutation(
-                    FockStateVector(self.basis, amps), perm).amplitudes
+                state = apply_mode_permutation(state, perm)
+        amps = state.amplitudes
         live = np.flatnonzero(np.abs(amps) ** 2 > 0.0)
         return JointDistribution(
             cells=self.cells,
@@ -487,49 +488,32 @@ class FockOracle:
             probabilities=np.abs(amps[live]) ** 2,
             deficit=state.deficit)
 
-    def _slot_phase(self, amps: np.ndarray, s: int, angle: float) -> np.ndarray:
-        modes = [self.mode(s, b) for b in range(self.n_bins)]
-        n = self.basis.occupations[:, modes].sum(axis=1)
-        return amps * np.exp(1j * angle * np.arange(self.basis.cutoff + 1.0))[n]
-
-    def _slot_delay(self, amps: np.ndarray, s: int, e: Delay) -> np.ndarray:
+    def _slot_delay(self, state: FockStateVector, s: int, e: Delay
+                    ) -> FockStateVector:
+        modes = self.mode(s, np.arange(self.n_bins))
         if e.bins == 0:
-            return amps if not e.phase else self._slot_phase(amps, s, e.phase)
-        wrapped = [self.mode(s, b)
-                   for b in range(max(self.n_bins - e.bins, 0), self.n_bins)]
+            return apply_mode_phase(state, modes, e.phase) if e.phase else state
+        # Only a state built through the Python API can fill a wrapped bin.
+        wrapped = modes[max(self.n_bins - e.bins, 0):]
         occ_w = self.basis.occupations[:, wrapped].sum(axis=1)
-        if np.any((occ_w > 0) & (np.abs(amps) > 1e-12)):
+        if np.any((occ_w > 0) & (np.abs(state.amplitudes) > 1e-12)):
             raise BinOverflowError(
                 f"delay {e.id!r}: occupied bins would be shifted past "
                 f"n_bins={self.n_bins}")
         if e.phase:
-            amps = self._slot_phase(amps, s, e.phase)
+            state = apply_mode_phase(state, modes, e.phase)
         perm = np.arange(self.n_modes)
-        for b in range(self.n_bins):
-            perm[self.mode(s, b)] = self.mode(s, (b + e.bins) % self.n_bins)
-        return apply_mode_permutation(
-            FockStateVector(self.basis, amps), perm).amplitudes
+        perm[modes] = np.roll(modes, -e.bins)
+        return apply_mode_permutation(state, perm)
 
 
-def simulate_fock(spec: CircuitSpec, input_state: FockStateVector,
-                  oracle: Optional[FockOracle] = None) -> JointDistribution:
-    """Exact joint outcome distribution of ``input_state`` through ``spec``.
+def sample_joint(dist: JointDistribution, shots: int, seed: int) -> np.ndarray:
+    """Draw ``shots`` outcomes from the joint table, as row indices.
 
-    Convenience wrapper over :class:`FockOracle`; pass the oracle back in
-    to reuse its basis across runs.
-    """
-    if oracle is None:
-        oracle = FockOracle(spec, input_state.basis.cutoff)
-    return oracle.run(input_state)
-
-
-def sample_joint(dist: JointDistribution, shots: int, seed: int) -> list[tuple[int, ...]]:
-    """Draw ``shots`` outcome vectors from the joint table.
-
-    Outcomes lie on the cdf in lexicographic order; the draws are keyed on
-    (seed, chunk) like every Monte-Carlo sampler, so a shorter run is a
-    prefix of a longer one.
+    Element k is the index in ``dist.outcomes`` of shot k's outcome.  Rows
+    lie on the cdf in lexicographic order; the draws are keyed on (seed,
+    chunk) like every Monte-Carlo sampler, so a shorter run is a prefix of
+    a longer one.
     """
     order = np.lexsort(dist.outcomes.T[::-1])
-    draws = _sample_categorical(dist.probabilities[order], shots, seed)
-    return list(map(tuple, dist.outcomes[order[draws]].tolist()))
+    return order[_sample_categorical(dist.probabilities[order], shots, seed)]

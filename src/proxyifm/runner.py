@@ -321,13 +321,11 @@ def _run_fock(scenario: Scenario, mode: str, shots: int, seed: int,
                 headers=("terminal", "bin", "mean_n"),
                 rows=[(t, b, dist.mean(t, b)) for (t, b) in dist.cells])
     else:
-        draws = sample_joint(dist, shots, seed)
-        row = {outcome: k for k, outcome in enumerate(dist.table)}
-        codes = np.fromiter(map(row.__getitem__, draws), dtype=np.intp, count=shots)
         tables["events"] = Table(
             headers=("shot", "outcome_vector"),
             columns=(np.arange(shots),
-                     Categorical(codes, outcome_texts(dist.cells, dist.outcomes))))
+                     Categorical(sample_joint(dist, shots, seed),
+                                 outcome_texts(dist.cells, dist.outcomes))))
     return tables
 
 

@@ -17,8 +17,9 @@ Schema ``proxy-ifm/1``.  Top-level keys:
 * ``defaults``  - ``{"shots", "seed", "mode"}``: integers ``shots >= 1``
   and ``seed >= 0``, ``mode`` ``"exact"`` or ``"mc"``.
 
-Every float must be finite (``ParseError`` otherwise), and each photon
-must name a source and one of its bins.  The golden scenarios shipped with
+Every float must be finite and every integer an integer at least its
+field's bound (``ParseError`` otherwise); ids and wires are strings, and
+each photon must name a source and one of its bins.  The golden scenarios shipped with
 the package double as schema examples.
 """
 
@@ -154,7 +155,7 @@ def load_scenario(path_or_name: Union[str, Path]) -> Scenario:
 
 
 def _scenario_from_dict(raw: dict) -> Scenario:
-    schema = raw.get("schema")
+    schema = _object(raw, "the scenario").get("schema")
     if schema != SCHEMA:
         raise UnknownSchemaVersionError(
             f"schema {schema!r} is not supported (expected {SCHEMA!r})")
@@ -171,7 +172,8 @@ def _scenario_from_dict(raw: dict) -> Scenario:
         elements.append(e)
 
     for det in raw.get("detectors", ()):
-        d = Detector(id=det["id"], wire=det["wire"], label=det.get("label", ""))
+        d = Detector(id=_name(det["id"], "detector id"), label=det.get("label", ""),
+                     wire=_name(det["wire"], "detector wire"))
         if d.id in ids:
             raise ParseError(f"duplicate element id {d.id!r}")
         ids.add(d.id)
@@ -182,44 +184,46 @@ def _scenario_from_dict(raw: dict) -> Scenario:
         for sid, b in source.photons:
             if sid not in source_bins:
                 raise ParseError(f"pulses: photon on unknown source {sid!r}")
-            if not 0 <= b < source_bins[sid]:
+            if b >= source_bins[sid]:
                 raise ParseError(f"pulses: photon bin {b} of source {sid!r} is "
                                  f"outside 0..{source_bins[sid] - 1}")
 
     obstacle_ids = {e.id for e in elements if isinstance(e, Obstacle)}
     inserted = {}
-    for oid, flag in raw.get("obstacles", {}).items():
+    for oid, flag in _object(raw.get("obstacles", {}), "obstacles").items():
         if oid not in obstacle_ids:
             raise UnresolvedElementIdError(
                 f"obstacles block references unknown element {oid!r}")
         inserted[oid] = bool(flag)
 
     sweep_params: dict[str, tuple[str, str]] = {}
-    for name, ref in raw.get("sweep", {}).items():
+    for name, ref in _object(raw.get("sweep", {}), "sweep").items():
         if ref["element"] not in ids:
             raise UnresolvedElementIdError(
                 f"sweep parameter {name!r} references unknown element "
                 f"{ref['element']!r}")
         sweep_params[name] = (ref["element"], ref["field"])
 
-    trigger = raw.get("analysis", {}).get("trigger")
-    if trigger is not None and trigger not in ids:
+    trigger = _object(raw.get("analysis", {}), "analysis").get("trigger")
+    detector_ids = {e.id for e in elements if isinstance(e, Detector)}
+    if trigger is not None and trigger not in detector_ids:
         raise UnresolvedElementIdError(
             f"analysis trigger references unknown detector {trigger!r}")
 
-    defaults_raw = raw.get("defaults", {})
+    defaults_raw = _object(raw.get("defaults", {}), "defaults")
     mode = defaults_raw.get("mode", "exact")
     if mode not in ("exact", "mc"):
         raise ParseError(f"defaults: mode {mode!r} must be 'exact' or 'mc'")
     defaults = RunDefaults(
-        shots=_default_int(defaults_raw, "shots", 100_000, low=1),
-        seed=_default_int(defaults_raw, "seed", 1, low=0),
+        shots=_int(defaults_raw.get("shots", 100_000), "defaults: shots", low=1),
+        seed=_int(defaults_raw.get("seed", 1), "defaults: seed", low=0),
         mode=mode,
     )
 
+    n_bins = circuit.get("n_bins")
     spec = CircuitSpec(
         elements=tuple(elements),
-        n_bins=circuit.get("n_bins"),
+        n_bins=None if n_bins is None else _int(n_bins, "circuit: n_bins", low=1),
     ).with_obstacles(inserted)
 
     return Scenario(
@@ -234,20 +238,32 @@ def _scenario_from_dict(raw: dict) -> Scenario:
     )
 
 
-def _default_int(raw: dict, key: str, default: int, low: int) -> int:
-    """An integer run default of at least ``low`` (``ParseError`` if not)."""
-    value = raw.get(key, default)
+def _int(value, what: str, low: int) -> int:
+    """``value`` as an integer >= ``low``, else ``ParseError``.  Every integer
+    of a scenario passes here; an integral float such as 1e3 is accepted."""
     if isinstance(value, float) and value.is_integer():
         value = int(value)
     if type(value) is not int or value < low:
-        raise ParseError(f"defaults: {key} {value!r} must be an integer >= {low}")
+        raise ParseError(f"{what} {value!r} must be an integer >= {low}")
+    return value
+
+
+def _object(value, what: str) -> dict:
+    if not isinstance(value, dict):
+        raise ParseError(f"{what} {value!r} must be a JSON object")
+    return value
+
+
+def _name(value, what: str) -> str:
+    if not isinstance(value, str):
+        raise ParseError(f"{what} {value!r} must be a string")
     return value
 
 
 def _parse_source(raw: dict) -> SourceSpec:
     kind = raw["kind"]
     if kind == "coherent":
-        n = int(raw["n"])
+        n = _int(raw["n"], "pulses: n", low=1)
         phases = raw.get("phases")
         if phases is None:
             phases = [0.0] * n
@@ -261,18 +277,23 @@ def _parse_source(raw: dict) -> SourceSpec:
         return CoherentSourceSpec(n_pulses=n, alpha_squared=alpha_squared,
                                   phases=phases)
     if kind == "tensor_sum":
-        return TensorSumSourceSpec(n_pulses=int(raw["n"]))
+        return TensorSumSourceSpec(n_pulses=_int(raw["n"], "pulses: n", low=1))
     if kind == "single_photons":
         return FockSourceSpec(photons=tuple(
-            (str(s), int(b)) for s, b in raw["photons"]))
+            (str(s), _int(b, "pulses: photon bin", low=0))
+            for s, b in raw["photons"]))
     raise ParseError(f"unknown source kind {kind!r}")
 
 
 def _parse_element(entry: dict, source: SourceSpec) -> Element:
     kind = entry["kind"]
-    eid = entry["id"]
+    eid = _name(entry["id"], f"{kind} id")
+
+    def wire(value) -> str:
+        return _name(value, f"{kind} {eid!r}: wire")
+
     if kind == "source":
-        return Source(id=eid, out=entry["out"],
+        return Source(id=eid, out=wire(entry["out"]),
                       n_bins=_source_bins(eid, source, entry))
     if kind == "beamsplitter":
         matrix = entry.get("matrix")
@@ -280,22 +301,25 @@ def _parse_element(entry: dict, source: SourceSpec) -> Element:
             what = f"beamsplitter {eid!r}: matrix entry"
             matrix = np.array([[complex(_finite(re, what), _finite(im, what))
                                 for re, im in row] for row in matrix])
-        return BeamSplitter(id=eid, inputs=tuple(entry["in"]),
-                            outputs=tuple(entry["out"]), matrix=matrix)
+        if any(type(entry[k]) is not list or len(entry[k]) != 2 for k in ("in", "out")):
+            raise ParseError(f"beamsplitter {eid!r} needs two in and two out wires")
+        return BeamSplitter(id=eid, inputs=tuple(map(wire, entry["in"])),
+                            outputs=tuple(map(wire, entry["out"])), matrix=matrix)
     if kind == "delay":
-        return Delay(id=eid, input=entry["in"], output=entry["out"],
-                     bins=int(entry["bins"]),
+        return Delay(id=eid, input=wire(entry["in"]), output=wire(entry["out"]),
+                     bins=_int(entry["bins"], f"delay {eid!r}: bins", low=0),
                      phase=_finite(entry.get("phase", 0.0), f"delay {eid!r}: phase"))
     if kind == "phase":
-        return PhaseShift(id=eid, input=entry["in"], output=entry["out"],
+        return PhaseShift(id=eid, input=wire(entry["in"]), output=wire(entry["out"]),
                           angle=_angle(entry["angle"], f"phase {eid!r}: angle"))
     if kind == "obstacle":
         bins = entry.get("bins")
-        return Obstacle(id=eid, input=entry["in"], output=entry["out"],
+        return Obstacle(id=eid, input=wire(entry["in"]), output=wire(entry["out"]),
                         inserted=bool(entry.get("inserted", False)),
-                        bins=None if bins is None else frozenset(int(b) for b in bins))
+                        bins=None if bins is None else frozenset(
+                            _int(b, f"obstacle {eid!r}: bin", low=0) for b in bins))
     if kind == "absorber":
-        return Absorber(id=eid, wire=entry["wire"])
+        return Absorber(id=eid, wire=wire(entry["wire"]))
     raise ParseError(f"unknown element kind {kind!r}")
 
 
@@ -328,7 +352,7 @@ def _angle(value, what: str) -> float:
 
 def _source_bins(source_id: str, source: SourceSpec, entry: dict) -> int:
     if "n_bins" in entry:
-        return int(entry["n_bins"])
+        return _int(entry["n_bins"], f"source {source_id!r}: n_bins", low=1)
     if isinstance(source, (CoherentSourceSpec, TensorSumSourceSpec)):
         return source.n_pulses
     bins = [b for s, b in source.photons if s == source_id]

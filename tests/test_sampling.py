@@ -19,6 +19,8 @@ import pytest
 from proxyifm import coherent
 from proxyifm.coherent import ClickDistribution, sample_clicks
 from proxyifm.fock import FockOracle, sample_joint
+from proxyifm.runner import run
+from proxyifm.scenarios import load_scenario
 from proxyifm.singlephoton import OutcomeDistribution, sample_outcomes
 
 from conftest import MC_CHUNK, hom_spec, reference_clicks, reference_gap
@@ -103,8 +105,8 @@ def test_sample_joint_prefix_property():
     dist = oracle.run(oracle.single_photon_state([("src_a", 0), ("src_b", 0)]))
     small = sample_joint(dist, 1000, 7)
     big = sample_joint(dist, 300_000, 7)
-    assert small == big[:1000]
-    assert set(big) == {(2, 0), (0, 2)}
+    assert np.array_equal(small, big[:1000])
+    assert set(map(tuple, dist.outcomes[big].tolist())) == {(2, 0), (0, 2)}
 
 
 def test_sample_clicks_memory_is_bounded_by_the_block():
@@ -120,6 +122,19 @@ def test_sample_clicks_memory_is_bounded_by_the_block():
         tracemalloc.stop()
     assert 5_000 < len(log) < 11_000
     assert peak < 4 * 2**20, f"{peak / 2**20:.1f} MB"
+
+
+def test_fock_mc_run_holds_no_object_per_shot():
+    """200,000 hom_pair shots: one tuple per shot would hold about 30 MiB."""
+    scenario = load_scenario("hom_pair")
+    tracemalloc.start()
+    try:
+        report = run(scenario, mode="mc", cutoff=2, shots=200_000, seed=7)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(report.tables["events"].rows) == 200_000
+    assert peak < 8 * 2**20, f"{peak / 2**20:.1f} MiB"
 
 
 def test_sample_clicks_across_several_chunks_at_random_probabilities():

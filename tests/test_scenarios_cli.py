@@ -512,3 +512,53 @@ def test_cli_oracle_tensor_sum_below_one_photon(tmp_path):
     assert r.returncode == 3, r.stderr
     assert r.stderr.startswith("engine error: ") and "Traceback" not in r.stderr
     assert not out.exists()
+
+
+def _cli_rejects(tmp_path, doc, named, *args):
+    scenario = tmp_path / "s.json"
+    scenario.write_text(json.dumps(doc))
+    out = tmp_path / "r.csv"
+    r = _cli("simulate", "--scenario", str(scenario), *args, "--out", str(out))
+    assert r.returncode == 2, r.stderr
+    assert r.stderr.startswith("error: ") and "Traceback" not in r.stderr
+    assert named in r.stderr
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("name, edit, named", [
+    ("fig2_blocked", lambda d: d["circuit"].update(n_bins=12.5), "n_bins"),
+    ("fig2_blocked", lambda d: d["circuit"].update(n_bins="12"), "n_bins"),
+    ("fig2_blocked", lambda d: d["circuit"].update(n_bins=0), "n_bins"),
+    ("fig2_blocked", lambda d: d["circuit"].update(n_bins=-3), "n_bins"),
+    ("fig2_blocked", lambda d: _element(d, "delay_l").update(bins=1.5), "delay_l"),
+    ("fig2_tensor_sum_blocked", lambda d: d["pulses"].update(n=2.5), "pulses"),
+    ("fig2_blocked", lambda d: _element(d, "obstacle_l").update(bins=[1.7]),
+     "obstacle_l"),
+    ("hom_pair", lambda d: d["pulses"].update(photons=[["src_a", 0.5],
+                                                      ["src_b", 0]]), "0.5"),
+], ids=["n_bins-fraction", "n_bins-string", "n_bins-zero", "n_bins-negative",
+        "delay-bins-fraction", "pulses-n-fraction", "gate-bin-fraction",
+        "photon-bin-fraction"])
+def test_cli_rejects_non_integer_scenario_counts(tmp_path, name, edit, named):
+    doc = _golden_doc(name)
+    edit(doc)
+    _cli_rejects(tmp_path, doc, named, "--cutoff", "2")
+
+
+@pytest.mark.parametrize("edit, named", [
+    (lambda d: _element(d, "obstacle_l").update({"in": 7}), "obstacle_l"),
+    (lambda d: _element(d, "delay_l").update(id=7), "delay id 7"),
+    (lambda d: _element(d, "bs1").update({"in": ["a", "vac1", "vac2"]}), "bs1"),
+    (lambda d: [1, 2], "[1, 2]"),
+    (lambda d: d["analysis"].update(trigger="bs1"), "bs1"),
+    (lambda d: d.update(obstacles=["obstacle_l"]), "obstacles"),
+    (lambda d: d.update(sweep=[]), "sweep"),
+    (lambda d: d.update(analysis="D2"), "analysis"),
+    (lambda d: d.update(defaults=[1000]), "defaults"),
+], ids=["wire-not-a-string", "id-not-a-string", "splitter-three-inputs",
+        "top-level-list", "trigger-not-a-detector", "obstacles-list",
+        "sweep-list", "analysis-string", "defaults-list"])
+def test_cli_rejects_malformed_scenario_structure(tmp_path, edit, named):
+    doc = _golden_doc("fig2_blocked")
+    doc = edit(doc) or doc
+    _cli_rejects(tmp_path, doc, named)
