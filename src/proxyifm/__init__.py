@@ -53,7 +53,6 @@ from .multiport import (
 from .scenarios import Scenario, list_builtin_scenarios, load_scenario
 from .singlephoton import (
     OutcomeDistribution,
-    PhotonWavefunction,
     coherent_train_expansion,
     detection_probability_formula,
     propagate_photon,

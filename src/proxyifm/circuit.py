@@ -40,7 +40,8 @@ from .errors import (
 
 UNITARITY_TOL = 1e-10
 
-# Largest dense ``CompiledCircuit.unrolled_map`` that will be built.
+# Largest dense ``CompiledCircuit.unrolled_map`` that will be built, and
+# the bound on the per-wire walk's (slots + terminals) x n_bins signals.
 MAX_MAP_BYTES = 1 << 30
 
 _VACUUM_PREFIX = "vac"
@@ -420,9 +421,11 @@ def compile_circuit(spec: CircuitSpec) -> CompiledCircuit:
     ``n_bins`` is the spec's, or one past the last populated bin.  Raises
     ``BinOverflowError`` naming the offending source or delay if a
     populated bin would land past an explicit ``n_bins``, or the obstacle
-    whose gate lists a bin outside ``[0, n_bins)``.  Builds no
-    matrix and propagates nothing.  Deterministic: the same spec yields
-    bit-identical propagation.
+    whose gate lists a bin outside ``[0, n_bins)``, and
+    ``StateTooLargeError`` naming the bytes if the walk's signals,
+    (slots + terminals) x ``n_bins`` complex values, would exceed
+    ``MAX_MAP_BYTES``.  Builds no matrix and propagates nothing.
+    Deterministic: the same spec yields bit-identical propagation.
     """
     order = validate(spec)
     sources = [e for e in order if isinstance(e, Source)]
@@ -488,6 +491,12 @@ def compile_circuit(spec: CircuitSpec) -> CompiledCircuit:
                     f"0..{n_bins - 1}")
 
     terminal_order = tuple(detectors + losses)
+    size = (n_slots + len(terminal_order)) * n_bins * np.dtype(complex).itemsize
+    if size > MAX_MAP_BYTES:
+        raise StateTooLargeError(
+            f"walking {n_slots} slots and {len(terminal_order)} terminals over "
+            f"{n_bins} bins needs {size} bytes, over the bound of "
+            f"{MAX_MAP_BYTES} bytes")
     return CompiledCircuit(
         n_bins=n_bins,
         terminal_order=terminal_order,

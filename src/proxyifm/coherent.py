@@ -15,7 +15,8 @@ uniforms.  It draws about (largest per-cell click count + one block) x
 cells uniforms per chunk, and its memory is bounded by the block and the
 event log, not by shots x cells.  ``_sample_categorical`` is the one keyed
 draw of an index from a probability vector, for the one-photon and Fock
-samplers.
+samplers, and ``_flatten_cells`` the one layout of per-terminal arrays as
+(terminal, bin) cells, for the samplers and the runner's tables.
 
 The conditional no-interaction figure quantifies how counterfactual a
 click is: given a click on a trigger cell, the probability that the
@@ -71,6 +72,23 @@ def _sample_categorical(probs: np.ndarray, shots: int, seed: int) -> np.ndarray:
                                                   side="right")))
     draws[draws == len(cdf)] = len(cdf) - 1  # guard the u ~ 1.0 edge
     return draws
+
+
+def _flatten_cells(per_terminal: dict[str, np.ndarray]
+                   ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Per-terminal arrays as one vector of (terminal, bin) cells.
+
+    Returns ``(values, terminal, bin)``: cell ``k`` holds ``values[k]``,
+    bin ``bin[k]`` of the ``terminal[k]``-th key of ``per_terminal``.  Both
+    index columns are int32.
+    """
+    arrays = list(per_terminal.values())
+    lengths = [len(a) for a in arrays]
+    # The leading empty arrays give the dtypes when there is no terminal.
+    return (np.concatenate([np.zeros(0), *arrays]),
+            np.repeat(np.arange(len(arrays), dtype=np.int32), lengths),
+            np.concatenate([np.zeros(0, dtype=np.int32),
+                            *(np.arange(n, dtype=np.int32) for n in lengths)]))
 
 
 @dataclass(frozen=True)
@@ -188,17 +206,9 @@ def sample_clicks(dist: ClickDistribution, shots: int, seed: int) -> EventLog:
     (distribution, shots, seed), and a short run is the prefix of a longer
     one with the same seed.  Events are ordered by (shot, cell).
     """
-    terminals = tuple(dist.p_click)
-    pvec = np.concatenate([dist.p_click[t] for t in terminals]) if terminals \
-        else np.zeros(0)
+    pvec, cell_terminal, cell_bin = _flatten_cells(dist.p_click)
     if not np.all((pvec >= 0) & (pvec <= 1)):
         raise ValueError("click probabilities must lie in [0, 1]")
-    bins_per = [len(dist.p_click[t]) for t in terminals]
-    cell_terminal = np.repeat(np.arange(len(terminals), dtype=np.int32),
-                              bins_per)
-    cell_bin = np.concatenate([np.arange(n, dtype=np.int32)
-                               for n in bins_per]) if terminals \
-        else np.zeros(0, dtype=np.int32)
     cells = len(pvec)
     with np.errstate(divide="ignore"):
         log_q = np.log1p(-pvec)          # -inf for p = 1, -0.0 for p = 0
@@ -237,7 +247,7 @@ def sample_clicks(dist: ClickDistribution, shots: int, seed: int) -> EventLog:
                           zip(*_sample_chunks(shots, seed, draw)))
     return EventLog(shots=shots, seed=seed, shot_idx=shot_idx,
                     terminal=cell_terminal[cell], bin_idx=cell_bin[cell],
-                    terminal_order=terminals)
+                    terminal_order=tuple(dist.p_click))
 
 
 def conditional_no_interaction(field: FieldConfiguration,

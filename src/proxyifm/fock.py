@@ -26,12 +26,10 @@ Deliberately desk-scale: no permanents, no large-mode sampling.
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass
 from functools import lru_cache
-from types import MappingProxyType
-from typing import Iterable, Mapping, Optional, Sequence
+from typing import Iterable, Optional, Sequence
 
 import numpy as np
 
@@ -333,12 +331,6 @@ class JointDistribution:
     outcomes: np.ndarray             # (rows, cells) uint8 counts
     probabilities: np.ndarray        # (rows,) float
     deficit: float
-
-    @functools.cached_property
-    def table(self) -> Mapping[tuple[int, ...], float]:
-        """Read-only outcome tuple -> probability view, built on first use."""
-        return MappingProxyType(dict(zip(map(tuple, self.outcomes.tolist()),
-                                         self.probabilities.tolist())))
 
     def total(self) -> float:
         return float(self.probabilities.sum())

@@ -29,6 +29,8 @@ import numpy as np
 from .circuit import Delay, compile_circuit
 from .coherent import (
     CoherentTrain,
+    EventLog,
+    _flatten_cells,
     click_distribution,
     interaction_free_probability,
     propagate_coherent,
@@ -136,14 +138,6 @@ def _as_list(column) -> list:
         else column
 
 
-def _cell_columns(names: Sequence[str], lengths: Sequence[int]):
-    """Terminal-name and bin columns for per-terminal blocks of ``lengths``."""
-    lengths = np.asarray(lengths, dtype=int)
-    starts = np.cumsum(lengths) - lengths
-    terminal = Categorical(np.repeat(np.arange(len(names)), lengths), names)
-    return terminal, np.arange(int(lengths.sum())) - np.repeat(starts, lengths)
-
-
 @dataclass(frozen=True)
 class RunReport:
     """The engine output tables of one run, in emit order."""
@@ -214,15 +208,20 @@ def _coherent_train(scenario: Scenario) -> CoherentTrain:
                          phases=src.phases)
 
 
-def _field_table(field_cfg, order: Sequence[str]) -> Table:
-    amps = [field_cfg.amplitudes[term] for term in order]
-    flat = np.concatenate(amps) if amps else np.zeros(0, dtype=complex)
+def _event_table(log: EventLog) -> Table:
+    return Table(headers=("shot", "terminal", "bin"),
+                 columns=(log.shot_idx, Categorical(log.terminal, log.terminal_order),
+                          log.bin_idx))
+
+
+def _field_table(field_cfg) -> Table:
+    flat, terminal, bins = _flatten_cells(field_cfg.amplitudes)
     # Scalar arithmetic on purpose: the vectorised np.abs of a complex array
     # can differ from the scalar one in the last digit.
     mean = [float(abs(a) ** 2) for a in flat]
     return Table(headers=("terminal", "bin", "re", "im", "mean_n", "p_click"),
-                 columns=(*_cell_columns(order, [len(a) for a in amps]),
-                          flat.real, flat.imag, mean,
+                 columns=(Categorical(terminal, list(field_cfg.amplitudes)),
+                          bins, flat.real, flat.imag, mean,
                           [float(-np.expm1(-m)) for m in mean]))
 
 
@@ -232,7 +231,7 @@ def _run_coherent(scenario: Scenario, mode: str, shots: int, seed: int) -> dict:
     field_cfg = propagate_coherent(compiled, train)
     tables: dict[str, Table] = {}
     if mode == "exact":
-        tables["field"] = _field_table(field_cfg, compiled.terminal_order)
+        tables["field"] = _field_table(field_cfg)
         if scenario.trigger_terminal and compiled.loss_terminals:
             interior = compiled.interior_bins()
             trig_bin = interior[len(interior) // 2]
@@ -245,37 +244,24 @@ def _run_coherent(scenario: Scenario, mode: str, shots: int, seed: int) -> dict:
                     ("p_no_interaction", p_empty),
                 ])
     else:
-        log = sample_clicks(click_distribution(field_cfg), shots, seed)
-        tables["events"] = Table(
-            headers=("shot", "terminal", "bin"),
-            columns=(log.shot_idx, Categorical(log.terminal, log.terminal_order),
-                     log.bin_idx))
+        tables["events"] = _event_table(
+            sample_clicks(click_distribution(field_cfg), shots, seed))
     return tables
 
 
 def _run_singlephoton(scenario: Scenario, mode: str, shots: int, seed: int) -> dict:
     compiled = compile_circuit(scenario.spec)
-    psi = tensor_sum_state(scenario.source.n_pulses)
-    dist = propagate_photon(compiled, psi)
+    dist = propagate_photon(compiled, tensor_sum_state(scenario.source.n_pulses))
     tables: dict[str, Table] = {}
     if mode == "exact":
-        order = compiled.terminal_order
-        p_bins = [np.asarray(dist.p_bins[t], dtype=float) for t in order]
+        p, terminal, bins = _flatten_cells(dist.p_bins)
         tables["field"] = Table(
             headers=("terminal", "bin", "p"),
-            columns=(*_cell_columns(order, [len(p) for p in p_bins]),
-                     np.concatenate(p_bins) if p_bins else np.zeros(0)))
-        tables["p_outcome"] = Table(
-            headers=("terminal", "probability"),
-            columns=(list(order), [float(dist.p[t]) for t in order]))
+            columns=(Categorical(terminal, list(dist.p_bins)), bins, p))
+        tables["p_outcome"] = Table(headers=("terminal", "probability"),
+                                    columns=(list(dist.p), list(dist.p.values())))
     else:
-        cells, draws = sample_outcomes(dist, shots, seed)
-        names, terminal = np.unique([t for t, _ in cells], return_inverse=True)
-        bins = np.array([b for _, b in cells], dtype=int)
-        tables["events"] = Table(
-            headers=("shot", "terminal", "bin"),
-            columns=(np.arange(shots), Categorical(terminal[draws], names.tolist()),
-                     bins[draws]))
+        tables["events"] = _event_table(sample_outcomes(dist, shots, seed))
     return tables
 
 

@@ -10,15 +10,17 @@ Schema ``proxy-ifm/1``.  Top-level keys:
   object per element (``source``, ``beamsplitter``, ``obstacle``,
   ``delay``, ``phase``, ``absorber``) wired by named wires; wire names
   starting with ``vac`` are fresh vacuum inputs.
-* ``obstacles`` - element id -> inserted flag.
+* ``obstacles`` - element id -> inserted flag (``true`` or ``false``, as
+  an element's own ``inserted``).
 * ``detectors`` - ``[{"id", "wire", "label"}]``.
 * ``sweep``     - sweepable parameter name -> ``{"element", "field"}``.
 * ``analysis``  - optional ``{"trigger": detector_id}``.
 * ``defaults``  - ``{"shots", "seed", "mode"}``: integers ``shots >= 1``
   and ``seed >= 0``, ``mode`` ``"exact"`` or ``"mc"``.
 
-Every float must be finite and every integer an integer at least its
-field's bound (``ParseError`` otherwise); ids and wires are strings, and
+Every float must be finite and not a JSON boolean, every flag a JSON
+boolean, and every integer an integer at least its field's bound
+(``ParseError`` otherwise); ids and wires are strings, and
 each photon must name a source and one of its bins.  The golden scenarios shipped with
 the package double as schema examples.
 """
@@ -194,7 +196,7 @@ def _scenario_from_dict(raw: dict) -> Scenario:
         if oid not in obstacle_ids:
             raise UnresolvedElementIdError(
                 f"obstacles block references unknown element {oid!r}")
-        inserted[oid] = bool(flag)
+        inserted[oid] = _flag(flag, f"obstacles: {oid!r}")
 
     sweep_params: dict[str, tuple[str, str]] = {}
     for name, ref in _object(raw.get("sweep", {}), "sweep").items():
@@ -251,6 +253,12 @@ def _int(value, what: str, low: int) -> int:
 def _object(value, what: str) -> dict:
     if not isinstance(value, dict):
         raise ParseError(f"{what} {value!r} must be a JSON object")
+    return value
+
+
+def _flag(value, what: str) -> bool:
+    if not isinstance(value, bool):
+        raise ParseError(f"{what} {value!r} must be true or false")
     return value
 
 
@@ -315,7 +323,8 @@ def _parse_element(entry: dict, source: SourceSpec) -> Element:
     if kind == "obstacle":
         bins = entry.get("bins")
         return Obstacle(id=eid, input=wire(entry["in"]), output=wire(entry["out"]),
-                        inserted=bool(entry.get("inserted", False)),
+                        inserted=_flag(entry.get("inserted", False),
+                                       f"obstacle {eid!r}: inserted"),
                         bins=None if bins is None else frozenset(
                             _int(b, f"obstacle {eid!r}: bin", low=0) for b in bins))
     if kind == "absorber":
@@ -324,7 +333,10 @@ def _parse_element(entry: dict, source: SourceSpec) -> Element:
 
 
 def _finite(value, what: str) -> float:
-    """``value`` as a finite float; every float a scenario holds passes here."""
+    """``value`` as a finite float, never a JSON boolean; every float a
+    scenario holds passes here."""
+    if isinstance(value, bool):
+        raise ParseError(f"{what} {value!r} must be a finite number")
     x = float(value)
     if not math.isfinite(x):
         raise ParseError(f"{what} {x!r} must be finite")

@@ -1,12 +1,12 @@
 """First-quantization engine for one photon spread over time bins.
 
-One photon delocalised over N bins is a complex amplitude per (mode, bin)
-slot; a passive circuit acts on it with the same per-wire walk,
-``CompiledCircuit.propagate``, that carries coherent amplitudes.
-Amplitude routed into an inserted obstacle moves to an absorbed ledger,
-so detector probabilities plus absorbed probabilities sum to one and
-exactly one outcome occurs per run: a detection somewhere, or absorption
-at the obstacle.
+One photon delocalised over N bins is a complex amplitude vector over the
+source's bins, as a coherent train's ``amplitudes()`` is; a passive
+circuit acts on it with the same per-wire walk,
+``CompiledCircuit.propagate``, that carries coherent amplitudes.  Every
+terminal, detector or loss, gets the squared amplitudes of its bins as
+probabilities, so they sum to one and exactly one outcome occurs per run:
+a detection somewhere, or absorption at an obstacle.
 """
 
 from __future__ import annotations
@@ -18,26 +18,8 @@ from typing import Optional
 import numpy as np
 
 from .circuit import CompiledCircuit
-from .coherent import _sample_categorical
+from .coherent import EventLog, _flatten_cells, _sample_categorical
 from .errors import ZeroPulsesError
-
-
-@dataclass(frozen=True, eq=False)
-class PhotonWavefunction:
-    """Single-photon amplitudes per (mode, bin), plus an absorbed ledger.
-
-    Before propagation the only mode is the source; afterwards the modes
-    are the detector terminals and ``absorbed`` holds the loss-terminal
-    amplitudes.  Total norm (live + absorbed) is 1.
-    """
-
-    amplitudes: dict[str, np.ndarray]
-    absorbed: dict[str, np.ndarray]
-
-    def norm_squared(self) -> float:
-        live = sum(float(np.sum(np.abs(a) ** 2)) for a in self.amplitudes.values())
-        gone = sum(float(np.sum(np.abs(a) ** 2)) for a in self.absorbed.values())
-        return live + gone
 
 
 @dataclass(frozen=True, eq=False)
@@ -45,60 +27,37 @@ class OutcomeDistribution:
     """Probability of each mutually exclusive one-photon outcome.
 
     ``p`` maps terminal id (detectors and loss terminals) to total
-    probability; ``p_bins`` keeps the per-bin split.  ``exclusive`` is
-    always true here: one photon, one outcome.
+    probability; ``p_bins`` keeps the per-bin split.
     """
 
     p: dict[str, float]
     p_bins: dict[str, np.ndarray]
-    exclusive: bool = True
 
     def total(self) -> float:
         return float(sum(self.p.values()))
 
 
-def tensor_sum_state(n: int) -> PhotonWavefunction:
+def tensor_sum_state(n: int) -> np.ndarray:
     """One photon shared equally over n consecutive bins, amplitude 1/sqrt(n)."""
     if n < 1:
         raise ZeroPulsesError("tensor-sum state needs at least one bin")
-    return PhotonWavefunction(
-        amplitudes={"source": np.full(n, 1.0 / math.sqrt(n), dtype=complex)},
-        absorbed={},
-    )
+    return np.full(n, 1.0 / math.sqrt(n), dtype=complex)
 
 
-def single_bin_state(bin_index: int, n: Optional[int] = None) -> PhotonWavefunction:
-    """One photon localised on a single bin."""
-    size = bin_index + 1 if n is None else n
-    amps = np.zeros(size, dtype=complex)
-    amps[bin_index] = 1.0
-    return PhotonWavefunction(amplitudes={"source": amps}, absorbed={})
-
-
-def propagate_wavefunction(circuit: CompiledCircuit, psi: PhotonWavefunction,
-                           source_id: Optional[str] = None) -> PhotonWavefunction:
-    """Walk a source-side wavefunction through the circuit's isometry."""
-    (mode, amps), = psi.amplitudes.items()
-    if psi.absorbed:
-        raise ValueError("input wavefunction already carries absorbed amplitude")
-    live, gone = {}, {}
-    for t, a in circuit.propagate(amps, source_id).items():
-        (gone if t in circuit.loss_terminals else live)[t] = a
-    return PhotonWavefunction(amplitudes=live, absorbed=gone)
-
-
-def propagate_photon(circuit: CompiledCircuit, psi: PhotonWavefunction,
+def propagate_photon(circuit: CompiledCircuit, amplitudes: np.ndarray,
                      source_id: Optional[str] = None) -> OutcomeDistribution:
-    """Full outcome distribution for a normalised one-photon input."""
-    n2 = psi.norm_squared()
+    """Full outcome distribution for a normalised one-photon input.
+
+    ``amplitudes`` feeds the first bins of the sole source (or
+    ``source_id``); loss terminals are outcomes like detectors.
+    """
+    n2 = float(np.sum(np.abs(amplitudes) ** 2))
     if abs(n2 - 1.0) > 1e-9:
         raise ValueError(f"input wavefunction norm^2 = {n2}, expected 1")
-    out = propagate_wavefunction(circuit, psi, source_id)
-    p_bins = {}
-    p_bins.update({t: np.abs(a) ** 2 for t, a in out.amplitudes.items()})
-    p_bins.update({t: np.abs(a) ** 2 for t, a in out.absorbed.items()})
-    p = {t: float(np.sum(v)) for t, v in p_bins.items()}
-    return OutcomeDistribution(p=p, p_bins=p_bins)
+    p_bins = {t: np.abs(a) ** 2
+              for t, a in circuit.propagate(amplitudes, source_id).items()}
+    return OutcomeDistribution(p={t: float(np.sum(v)) for t, v in p_bins.items()},
+                               p_bins=p_bins)
 
 
 def detection_probability_formula(phase_mismatch: float) -> float:
@@ -106,22 +65,22 @@ def detection_probability_formula(phase_mismatch: float) -> float:
     return 0.5 * (1.0 + math.cos(phase_mismatch))
 
 
-def sample_outcomes(dist: OutcomeDistribution, shots: int, seed: int
-                    ) -> tuple[list[tuple[str, int]], np.ndarray]:
+def sample_outcomes(dist: OutcomeDistribution, shots: int, seed: int) -> EventLog:
     """Draw exactly one (terminal, bin) outcome per shot.
 
-    Returns the cell list and, per shot, the index of the drawn cell.
-    Counter-based Philox streams keyed on (seed, chunk) keep the result
-    independent of batching.
+    The cells are taken in terminal-name order, zero-probability cells
+    dropped, and one keyed uniform per shot is placed on their cdf, so
+    every shot index appears once in the log.  Counter-based Philox
+    streams keyed on (seed, chunk) keep the result independent of
+    batching.
     """
-    cells: list[tuple[str, int]] = []
-    probs: list[float] = []
-    for t, v in sorted(dist.p_bins.items()):
-        for b, pv in enumerate(v):
-            if pv > 0.0:
-                cells.append((t, b))
-                probs.append(float(pv))
-    return cells, _sample_categorical(np.asarray(probs), shots, seed)
+    order = tuple(sorted(dist.p_bins))
+    p, terminal, bins = _flatten_cells({t: dist.p_bins[t] for t in order})
+    live = p > 0.0
+    draws = _sample_categorical(p[live], shots, seed)
+    return EventLog(shots=shots, seed=seed, shot_idx=np.arange(shots),
+                    terminal=terminal[live][draws], bin_idx=bins[live][draws],
+                    terminal_order=order)
 
 
 def coherent_train_expansion(alpha: complex, n: int, j_max: int) -> np.ndarray:

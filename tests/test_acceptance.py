@@ -121,12 +121,13 @@ def test_c04_one_photon_proxy_measurement():
 
     # every Monte-Carlo shot realises exactly one outcome
     shots = 50_000
-    cells, draws = sample_outcomes(dist, shots=shots, seed=MC_SEED)
-    assert draws.shape == (shots,)
-    assert np.all((draws >= 0) & (draws < len(cells)))
+    log = sample_outcomes(dist, shots=shots, seed=MC_SEED)
+    assert np.array_equal(log.shot_idx, np.arange(shots))
+    assert np.all((log.bin_idx >= 0) & (log.bin_idx < cc.n_bins))
+    names = np.array(log.terminal_order)[log.terminal]
     per_terminal = {"D1": 0.25, "D2": 0.25, "obstacle_l": 0.5}
     for term, p in per_terminal.items():
-        got = sum(1 for i in draws if cells[i][0] == term) / shots
+        got = np.count_nonzero(names == term) / shots
         assert abs(got - p) <= 3 * math.sqrt(p * (1 - p) / shots)
     _report("C04 one-photon proxy measurement",
             "open P(D2) = 1/(2N); blocked (1/2, 1/4, 1/4); exclusive shots")

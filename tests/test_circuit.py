@@ -1,5 +1,6 @@
 import math
 import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -329,6 +330,21 @@ def test_unrolled_map_guard_raises_before_allocating():
     try:
         with pytest.raises(StateTooLargeError, match=str(size)):
             cc.unrolled_map
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
+
+
+def test_compile_refuses_a_walk_over_the_size_bound():
+    # fig2 blocked walks 2 slots and 3 terminals: 80 bytes per bin.
+    largest = MAX_MAP_BYTES // 80
+    cc = compile_circuit(replace(fig2_spec(inserted=True), n_bins=largest))
+    assert (cc.n_slots + len(cc.terminal_order)) * cc.n_bins * 16 <= MAX_MAP_BYTES
+    tracemalloc.start()
+    try:
+        with pytest.raises(StateTooLargeError, match=str(80 * (largest + 1))):
+            compile_circuit(replace(fig2_spec(inserted=True), n_bins=largest + 1))
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()

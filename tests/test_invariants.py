@@ -75,12 +75,14 @@ def test_mc_outcome_frequencies_within_3_sigma(name):
     cc = compile_circuit(scenario.spec)
     dist = propagate_photon(cc, tensor_sum_state(scenario.source.n_pulses))
     shots = 1_000_000
-    cells, draws = sample_outcomes(dist, shots=shots, seed=MC_SEED)
-    freq = np.bincount(draws, minlength=len(cells)) / shots
-    for i, (term, b) in enumerate(cells):
-        p = dist.p_bins[term][b]
-        sigma = math.sqrt(max(p * (1 - p), 0.0) / shots)
-        assert abs(freq[i] - p) <= 3 * sigma + 1e-12, (name, term, b)
+    log = sample_outcomes(dist, shots=shots, seed=MC_SEED)
+    assert np.array_equal(log.shot_idx, np.arange(shots))
+    counts = event_counts(log)
+    for term in log.terminal_order:
+        for b, p in enumerate(dist.p_bins[term]):
+            got = counts.get((term, b), 0) / shots
+            sigma = math.sqrt(max(p * (1 - p), 0.0) / shots)
+            assert abs(got - p) <= 3 * sigma + 1e-12, (name, term, b)
 
 
 def test_mc_hom_pair_within_3_sigma():
@@ -89,7 +91,7 @@ def test_mc_hom_pair_within_3_sigma():
     dist = oracle.run(oracle.single_photon_state(scenario.source.photons))
     shots = 1_000_000
     drawn = dist.outcomes[sample_joint(dist, shots=shots, seed=MC_SEED)]
-    for outcome, p in dist.table.items():
+    for outcome, p in zip(dist.outcomes, dist.probabilities):
         got = np.count_nonzero((drawn == outcome).all(axis=1)) / shots
         assert abs(got - p) <= 3 * math.sqrt(p * (1 - p) / shots) + 1e-12
 

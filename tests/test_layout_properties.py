@@ -29,7 +29,7 @@ from proxyifm.circuit import (
     compile_circuit,
 )
 from proxyifm.fock import FockOracle
-from proxyifm.singlephoton import propagate_photon, single_bin_state
+from proxyifm.singlephoton import propagate_photon
 
 MAX_FOCK_MODES = 16
 
@@ -110,7 +110,7 @@ def test_fock_oracle_matches_one_photon_engine(spec):
     for source in spec.sources():
         for b in range(source.n_bins):
             dist = oracle.run(oracle.single_photon_state([(source.id, b)]))
-            engine = propagate_photon(compiled, single_bin_state(b), source.id)
+            engine = propagate_photon(compiled, np.eye(b + 1)[b], source.id)
             assert dist.total() == pytest.approx(1.0, abs=1e-12)
             for terminal, cell_bin in dist.cells:
                 assert dist.mean(terminal, cell_bin) == pytest.approx(
@@ -143,7 +143,7 @@ def test_fock_oracle_two_photons_match_permanents(spec, data):
     dist = oracle.run(oracle.single_photon_state(photons))
     row = [compiled.terminal_index[t][0] + b for t, b in dist.cells]
     got: dict[tuple[int, ...], float] = {}
-    for outcome, p in dist.table.items():
+    for outcome, p in zip(dist.outcomes.tolist(), dist.probabilities.tolist()):
         rows = tuple(sorted(r for r, n in zip(row, outcome) for _ in range(n)))
         got[rows] = got.get(rows, 0.0) + p
     want = {}

@@ -94,10 +94,15 @@ def test_sample_outcomes_prefix_property():
         p={"D1": 0.5, "D2": 0.3, "loss": 0.2},
         p_bins={"D1": np.array([0.1, 0.4]), "D2": np.array([0.3, 0.0]),
                 "loss": np.array([0.2])})
-    cells_small, small = sample_outcomes(dist, 1000, 7)
-    cells_big, big = sample_outcomes(dist, 300_000, 7)
-    assert cells_small == cells_big == [("D1", 0), ("D1", 1), ("D2", 0), ("loss", 0)]
-    assert np.array_equal(small, big[:1000])
+    small = sample_outcomes(dist, 1000, 7)
+    big = sample_outcomes(dist, 300_000, 7)
+    assert small.terminal_order == big.terminal_order == ("D1", "D2", "loss")
+    # every cell but the zero-probability ("D2", 1) is drawn
+    assert set(zip(big.terminal.tolist(), big.bin_idx.tolist())) == \
+        {(0, 0), (0, 1), (1, 0), (2, 0)}
+    cut = big.shot_idx < 1000
+    _assert_equal_events(small, (big.shot_idx[cut], big.terminal[cut],
+                                 big.bin_idx[cut]))
 
 
 def test_sample_joint_prefix_property():

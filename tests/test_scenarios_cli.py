@@ -288,6 +288,7 @@ def test_cli_list_scenarios():
     ("alpha_squared", float("nan")),
     ("alpha_squared", float("inf")),
     ("phases", float("nan")),
+    ("alpha_squared", True),
 ])
 def test_cli_rejects_bad_coherent_numbers(tmp_path, key, value):
     doc = _golden_doc("fig2_blocked")
@@ -445,8 +446,9 @@ def _set_splitter_matrix(doc, entry):
      "arm_l_matched"),
     (lambda d: _set_splitter_matrix(d, [float("nan"), 0.0]), "bs1"),
     (lambda d: _set_splitter_matrix(d, [0.0, float("inf")]), "bs1"),
+    (lambda d: _element(d, "arm_l_matched").update(angle=True), "arm_l_matched"),
 ], ids=["delay-phase-nan", "angle-nan", "angle-pi-over-nan", "angle-pi-over-0",
-        "matrix-nan", "matrix-inf"])
+        "matrix-nan", "matrix-inf", "angle-true"])
 def test_cli_rejects_non_finite_element_numbers(tmp_path, edit, named):
     doc = _golden_doc("fig2_blocked")
     edit(doc)
@@ -555,10 +557,40 @@ def test_cli_rejects_non_integer_scenario_counts(tmp_path, name, edit, named):
     (lambda d: d.update(sweep=[]), "sweep"),
     (lambda d: d.update(analysis="D2"), "analysis"),
     (lambda d: d.update(defaults=[1000]), "defaults"),
+    # bool("false") is true, so reading these with bool() inserts the obstacle.
+    (lambda d: d["obstacles"].update(obstacle_l="false"), "obstacle_l"),
+    (lambda d: d["obstacles"].update(obstacle_l=1), "obstacle_l"),
+    (lambda d: _element(d, "obstacle_l").update(inserted="no"), "obstacle_l"),
 ], ids=["wire-not-a-string", "id-not-a-string", "splitter-three-inputs",
         "top-level-list", "trigger-not-a-detector", "obstacles-list",
-        "sweep-list", "analysis-string", "defaults-list"])
+        "sweep-list", "analysis-string", "defaults-list",
+        "obstacles-flag-string", "obstacles-flag-integer",
+        "inserted-string"])
 def test_cli_rejects_malformed_scenario_structure(tmp_path, edit, named):
     doc = _golden_doc("fig2_blocked")
     doc = edit(doc) or doc
     _cli_rejects(tmp_path, doc, named)
+
+
+# (slots + terminals) x n_bins x 16 B for fig2: 2 slots and 3 terminals.
+@pytest.mark.parametrize("name, edit, n_bins", [
+    ("fig2_blocked", lambda d: d["circuit"].update(n_bins=1e12), 10**12),
+    ("fig2_tensor_sum_blocked", lambda d: d["circuit"].update(n_bins=1e12),
+     10**12),
+    ("fig2_tensor_sum_blocked", lambda d: d["pulses"].update(n=1e12),
+     10**12 + 1),
+], ids=["coherent-n_bins", "tensor_sum-n_bins", "tensor_sum-pulses-n"])
+@pytest.mark.parametrize("mode", ["exact", "mc"])
+def test_cli_refuses_a_walk_over_the_size_bound(tmp_path, name, edit, n_bins,
+                                                mode):
+    doc = _golden_doc(name)
+    edit(doc)
+    scenario = tmp_path / "s.json"
+    scenario.write_text(json.dumps(doc))
+    out = tmp_path / "r.csv"
+    r = _cli("simulate", "--scenario", str(scenario), "--mode", mode,
+             "--shots", "100", "--out", str(out))
+    assert r.returncode == 3, r.stderr
+    assert r.stderr.startswith("engine error: ") and "Traceback" not in r.stderr
+    assert f"needs {5 * n_bins * 16} bytes" in r.stderr
+    assert not out.exists()
