@@ -28,8 +28,6 @@ from .coherent import (
     EventLog,
     FieldConfiguration,
     click_distribution,
-    coherent_overlap,
-    conditional_no_interaction,
     fringe_sweep,
     interaction_free_probability,
     propagate_coherent,
@@ -53,8 +51,6 @@ from .multiport import (
 from .scenarios import Scenario, list_builtin_scenarios, load_scenario
 from .singlephoton import (
     OutcomeDistribution,
-    coherent_train_expansion,
-    detection_probability_formula,
     propagate_photon,
     tensor_sum_state,
 )

@@ -15,16 +15,13 @@ them ``n_bins``, the terminal order and the overflow checks.  The Fock
 oracle and ``circuit_spatial_unitary`` read that same layout.
 ``CompiledCircuit.propagate`` walks one length-``n_bins`` amplitude
 vector per wire through the elements in topological order, so a pass
-costs O(elements x n_bins).  The dense map from (source, bin) to
-(terminal, bin) coordinates is derived on demand, and size-guarded, by
-walking identity columns.  Because every element is unitary and obstacles
-reroute amplitude to loss terminals instead of destroying it, that
-unrolled map is an isometry.
+costs O(elements x n_bins); no dense matrix of the circuit is built.
+Because every element is unitary and obstacles reroute amplitude to loss
+terminals instead of destroying it, the walk preserves the norm.
 """
 
 from __future__ import annotations
 
-import functools
 from dataclasses import dataclass, field, replace
 from typing import Optional, Union
 
@@ -40,8 +37,8 @@ from .errors import (
 
 UNITARITY_TOL = 1e-10
 
-# Largest dense ``CompiledCircuit.unrolled_map`` that will be built, and
-# the bound on the per-wire walk's (slots + terminals) x n_bins signals.
+# Bound on the bytes of the per-wire walk's (slots + terminals) x n_bins
+# complex signals.
 MAX_MAP_BYTES = 1 << 30
 
 _VACUUM_PREFIX = "vac"
@@ -175,49 +172,22 @@ class CircuitSpec:
 
 @dataclass(frozen=True, eq=False)
 class CompiledCircuit:
-    """A validated circuit with its input, slot and terminal layout.
+    """A validated circuit with its slot and terminal layout.
 
-    ``propagate`` walks a source-side amplitude vector to per-terminal
-    amplitudes.  ``unrolled_map`` is the same walk applied to identity
-    columns: one row per (terminal, bin) and one column per (source, bin);
-    its columns are orthonormal.  Row blocks are laid out in
-    ``terminal_order`` (detectors first, then loss terminals), bin-major
-    within each block.  ``wire_slot`` maps every wire to one of
-    ``n_slots`` spatial slots: the ports of ``circuit_spatial_unitary``
-    and the mode blocks of the Fock oracle.  Immutable after build and
-    safe to share.
+    ``propagate`` walks one source's amplitude vector to per-terminal
+    amplitudes, in ``terminal_order`` (detectors first, then loss
+    terminals).  ``wire_slot`` maps every wire to one of ``n_slots``
+    spatial slots: the ports of ``circuit_spatial_unitary`` and the mode
+    blocks of the Fock oracle.  Immutable after build and safe to share.
     """
 
     n_bins: int
     terminal_order: tuple[str, ...]
-    terminal_index: dict[str, tuple[int, int]]
     loss_terminals: frozenset[str]
-    source_order: tuple[str, ...]
-    input_index: dict[str, tuple[int, int]]
     max_path_delay: int
     path_delays: frozenset[int]
     wire_slot: dict[str, int]
     n_slots: int
-
-    @property
-    def input_dim(self) -> int:
-        return sum(hi - lo for lo, hi in self.input_index.values())
-
-    @functools.cached_property
-    def unrolled_map(self) -> np.ndarray:
-        """Dense (terminal, bin) x (source, bin) matrix of the circuit.
-
-        Raises ``StateTooLargeError`` before allocating if it would exceed
-        ``MAX_MAP_BYTES``; propagation never needs it.
-        """
-        rows = len(self.terminal_order) * self.n_bins
-        size = rows * self.input_dim * np.dtype(complex).itemsize
-        if size > MAX_MAP_BYTES:
-            raise StateTooLargeError(
-                f"unrolled map of {rows}x{self.input_dim} needs {size} bytes, "
-                f"over the bound of {MAX_MAP_BYTES} bytes")
-        terminals = self._walk(np.eye(self.input_dim, dtype=complex))
-        return np.vstack(list(terminals.values()))
 
     def propagate(self, amplitudes: np.ndarray,
                   source_id: Optional[str] = None) -> dict[str, np.ndarray]:
@@ -229,14 +199,11 @@ class CompiledCircuit:
         Linear and norm preserving.
         """
         source = self._source(source_id)
-        lo, hi = self.input_index[source.id]
-        if len(amplitudes) > hi - lo:
+        if len(amplitudes) > source.n_bins:
             raise BinOverflowError(
-                f"{len(amplitudes)} input amplitudes exceed the {hi - lo} "
+                f"{len(amplitudes)} input amplitudes exceed the {source.n_bins} "
                 f"input bins of source {source.id!r}")
-        x = np.zeros(self.input_dim, dtype=complex)
-        x[lo:lo + len(amplitudes)] = amplitudes
-        return self._walk(x)
+        return self._walk(amplitudes, source)
 
     def detector_ids(self) -> tuple[str, ...]:
         return tuple(t for t in self.terminal_order if t not in self.loss_terminals)
@@ -251,41 +218,39 @@ class CompiledCircuit:
         return range(self.max_path_delay, src.n_bins)
 
     def _source(self, source_id: Optional[str]) -> Source:
-        ids = dict(zip(self.source_order, self._sources))
         if source_id is None:
             if len(self._sources) != 1:
                 raise ValueError("source_id required for multi-source circuits")
             return self._sources[0]
-        return ids[source_id]
+        return {s.id: s for s in self._sources}[source_id]
 
-    def _walk(self, x: np.ndarray) -> dict[str, np.ndarray]:
+    def _walk(self, amplitudes: np.ndarray,
+              source: Source) -> dict[str, np.ndarray]:
         """Push per-wire signals through the elements in topological order.
 
-        ``x`` has shape ``(input_dim, *trail)``: rows ``input_index[s]``
-        feed the first bins of source ``s``.  Every wire carries an
-        ``(n_bins, *trail)`` signal; vacuum wires enter as zeros.  A
-        splitter mixes two signals, a delay shifts one along the bin axis
-        and multiplies by its phase, a phase shifter multiplies, and an
-        inserted obstacle splits a signal by a bin mask between its loss
-        terminal and its output.  Returns the terminal signals in
-        ``terminal_order``.
+        ``amplitudes`` fills the first bins of ``source``'s wire; every
+        other source and vacuum wire enters as zeros, and every wire
+        carries a length-``n_bins`` signal.  A splitter mixes two signals,
+        a delay shifts one along the bins and multiplies by its phase, a
+        phase shifter multiplies, and an inserted obstacle splits a signal
+        by a bin mask between its loss terminal and its output.  Returns
+        the terminal signals in ``terminal_order``.
         """
         n_bins = self.n_bins
-        trail = x.shape[1:]
         signal: dict[str, np.ndarray] = {}
         terminals: dict[str, np.ndarray] = {}
 
         def take(wire):
             # Each wire is consumed once, so its signal can be released.
             if _is_vacuum(wire):
-                return np.zeros((n_bins,) + trail, dtype=complex)
+                return np.zeros(n_bins, dtype=complex)
             return signal.pop(wire)
 
         for e in self._order:
             if isinstance(e, Source):
-                lo, hi = self.input_index[e.id]
-                t = np.zeros((n_bins,) + trail, dtype=complex)
-                t[:hi - lo] = x[lo:hi]
+                t = np.zeros(n_bins, dtype=complex)
+                if e is source:
+                    t[:len(amplitudes)] = amplitudes
                 signal[e.out] = t
             elif isinstance(e, BeamSplitter):
                 t0, t1 = (take(w) for w in e.inputs)
@@ -313,9 +278,7 @@ class CompiledCircuit:
                     signal[e.output] = np.zeros_like(t)
                 else:
                     gate = np.zeros(n_bins)
-                    for b in e.bins:
-                        gate[b] = 1.0
-                    gate = gate.reshape((n_bins,) + (1,) * len(trail))
+                    gate[list(e.bins)] = 1.0
                     terminals[e.id] = t * gate
                     signal[e.output] = t * (1.0 - gate)
             elif isinstance(e, (Detector, Absorber)):
@@ -432,13 +395,6 @@ def compile_circuit(spec: CircuitSpec) -> CompiledCircuit:
     if not sources:
         raise DanglingPortError("circuit has no source")
 
-    # Input coordinates: (source, bin) blocks in declaration order.
-    input_index: dict[str, tuple[int, int]] = {}
-    col = 0
-    for s in sources:
-        input_index[s.id] = (col, col + s.n_bins)
-        col += s.n_bins
-
     # Per wire: spatial slot, last populated bin (-1 for vacuum only) and
     # path delays.
     n_bins = spec.n_bins
@@ -500,11 +456,7 @@ def compile_circuit(spec: CircuitSpec) -> CompiledCircuit:
     return CompiledCircuit(
         n_bins=n_bins,
         terminal_order=terminal_order,
-        terminal_index={t: (k * n_bins, (k + 1) * n_bins)
-                        for k, t in enumerate(terminal_order)},
         loss_terminals=frozenset(losses),
-        source_order=tuple(s.id for s in sources),
-        input_index=input_index,
         max_path_delay=max(path_delays, default=0),
         path_delays=frozenset(path_delays),
         wire_slot=slot,

@@ -128,19 +128,13 @@ class FieldConfiguration:
 
     ``amplitudes[t]`` is a length-n_bins complex array for terminal ``t``
     (detectors and loss terminals alike).  The summed mean photon number
-    over every cell equals ``source_energy``.
+    over every cell equals the train's.
     """
 
     amplitudes: dict[str, np.ndarray]
-    source_energy: float
-    loss_terminals: frozenset[str]
-    n_bins: int
 
     def mean_photons(self, terminal: str) -> np.ndarray:
         return np.abs(self.amplitudes[terminal]) ** 2
-
-    def total_output_energy(self) -> float:
-        return float(sum(np.sum(np.abs(a) ** 2) for a in self.amplitudes.values()))
 
 
 @dataclass(frozen=True, eq=False)
@@ -172,12 +166,7 @@ def propagate_coherent(circuit: CompiledCircuit, train: CoherentTrain,
     The train feeds the circuit's sole source (or ``source_id``); the
     other sources stay vacuum.  Linear, energy conserving.
     """
-    return FieldConfiguration(
-        amplitudes=circuit.propagate(train.amplitudes(), source_id),
-        source_energy=train.mean_photons,
-        loss_terminals=circuit.loss_terminals,
-        n_bins=circuit.n_bins,
-    )
+    return FieldConfiguration(circuit.propagate(train.amplitudes(), source_id))
 
 
 def click_distribution(field: FieldConfiguration) -> ClickDistribution:
@@ -248,32 +237,6 @@ def sample_clicks(dist: ClickDistribution, shots: int, seed: int) -> EventLog:
     return EventLog(shots=shots, seed=seed, shot_idx=shot_idx,
                     terminal=cell_terminal[cell], bin_idx=cell_bin[cell],
                     terminal_order=tuple(dist.p_click))
-
-
-def conditional_no_interaction(field: FieldConfiguration,
-                               trigger: tuple[str, int],
-                               window: Sequence[tuple[str, int]]) -> float:
-    """P(no click on the window's loss cells | click on the trigger cell).
-
-    Output cells carry independent Poisson statistics, so the conditional
-    equals ``exp(-sum of window cell means)`` in closed form.  The trigger
-    must be a detector cell.  Window cells naming a retracted obstacle
-    (absent from the field) carry no loss amplitude and contribute zero,
-    so with the obstacle out the figure is exactly 1.
-    """
-    t_term, _ = trigger
-    if t_term in field.loss_terminals:
-        raise ValueError(f"trigger {t_term!r} is a loss terminal, not a detector")
-    if not window:
-        raise NoLossTerminalError("empty no-interaction window")
-    mu = 0.0
-    for term, b in window:
-        if term not in field.amplitudes:
-            continue
-        if term not in field.loss_terminals:
-            raise ValueError(f"window cell ({term!r}, {b}) is not a loss cell")
-        mu += float(np.abs(field.amplitudes[term][b]) ** 2)
-    return math.exp(-mu)
 
 
 def partner_pulses(circuit: CompiledCircuit, trigger_bin: int) -> tuple[int, ...]:
@@ -367,14 +330,3 @@ def fringe_sweep(spec: CircuitSpec, phase_values: Sequence[float],
                     float(field.mean_photons(d1)[mid] / per_pulse),
                     float(field.mean_photons(d2)[mid] / per_pulse)))
     return out
-
-
-def coherent_overlap(a: complex, b: complex) -> complex:
-    """Inner product <a|b> of two coherent states.
-
-    ``exp(-(|a|^2 + |b|^2)/2 + conj(a)*b)``; opposite-sign amplitudes give
-    magnitude ``exp(-2|a|^2)``.
-    """
-    a = complex(a)
-    b = complex(b)
-    return np.exp(-(abs(a) ** 2 + abs(b) ** 2) / 2.0 + np.conj(a) * b)

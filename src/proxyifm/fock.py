@@ -141,16 +141,6 @@ class FockStateVector:
     def norm_squared(self) -> float:
         return float(np.sum(np.abs(self.amplitudes) ** 2))
 
-    def mean_occupation(self, mode: int) -> float:
-        w = np.abs(self.amplitudes) ** 2
-        return float(np.dot(w, self.basis.occupations[:, mode].astype(float)))
-
-
-def vacuum_state(basis: FockBasis) -> FockStateVector:
-    amps = np.zeros(basis.dim, dtype=complex)
-    amps[0] = 1.0
-    return FockStateVector(basis, amps)
-
 
 def prepare_coherent_train(basis: FockBasis, alpha: complex,
                            pulse_modes: Sequence[int]) -> FockStateVector:
@@ -194,39 +184,6 @@ def prepare_single_photons(basis: FockBasis, modes: Sequence[int]) -> FockStateV
     amps = np.zeros(basis.dim, dtype=complex)
     amps[int(basis.index_of(occ)[0])] = 1.0
     return FockStateVector(basis, amps)
-
-
-def collective_power_state(basis: FockBasis, modes: Sequence[int],
-                           power: int) -> FockStateVector:
-    """j-th power of the bin-symmetric collective creation operator on vacuum.
-
-    The operator places one photon evenly over ``modes`` (normalised so a
-    single application of it on vacuum is a unit vector); its j-th power
-    on vacuum has squared norm j!.  Returned unnormalised.
-    """
-    n = len(modes)
-    amps = np.zeros(basis.dim, dtype=complex)
-    if power > basis.cutoff:
-        raise CutoffTooSmallError("power exceeds the basis cutoff")
-    # Every split of `power` photons over `modes`: the top sector of their basis.
-    splits = FockBasis.build(n, power).occupations[-math.comb(power + n - 1, power):]
-    occ = np.zeros((len(splits), basis.n_modes), dtype=np.uint8)
-    occ[:, list(modes)] = splits
-    for i, v in zip(basis.index_of(occ), splits.tolist()):
-        w = math.factorial(power) / math.sqrt(
-            math.prod(math.factorial(k) for k in v))
-        amps[i] = w * n ** (-power / 2.0)
-    return FockStateVector(basis, amps)
-
-
-def state_overlap(a: FockStateVector, b: FockStateVector) -> complex:
-    return complex(np.vdot(a.amplitudes, b.amplitudes))
-
-
-def fidelity(a: FockStateVector, b: FockStateVector) -> float:
-    """|<a|b>|^2 with both sides normalised."""
-    ov = state_overlap(a, b)
-    return abs(ov) ** 2 / (a.norm_squared() * b.norm_squared())
 
 
 @lru_cache(maxsize=1024)
@@ -341,33 +298,11 @@ class JointDistribution:
     def _counts(self, cell: tuple[str, int]) -> np.ndarray:
         return self.outcomes[:, self.cell_index(*cell)]
 
-    def _any_photon(self, terminal: str) -> np.ndarray:
-        idx = [i for i, (t, _) in enumerate(self.cells) if t == terminal]
-        return self.outcomes[:, idx].any(axis=1)
-
-    def marginal_pmf(self, terminal: str, bin_idx: int, n_max: int) -> np.ndarray:
-        return np.bincount(self._counts((terminal, bin_idx)),
-                           weights=self.probabilities,
-                           minlength=n_max + 1)[:n_max + 1]
-
     def mean(self, terminal: str, bin_idx: int) -> float:
         return float(self.probabilities @ self._counts((terminal, bin_idx)))
 
     def p_click(self, terminal: str, bin_idx: int) -> float:
         return float(self.probabilities[self._counts((terminal, bin_idx)) >= 1].sum())
-
-    def p_coincidence(self, cell_a: tuple[str, int], cell_b: tuple[str, int]) -> float:
-        both = (self._counts(cell_a) >= 1) & (self._counts(cell_b) >= 1)
-        return float(self.probabilities[both].sum())
-
-    def terminal_probability(self, terminal: str) -> float:
-        """P(at least one photon somewhere on the terminal)."""
-        return float(self.probabilities[self._any_photon(terminal)].sum())
-
-    def p_terminal_coincidence(self, term_a: str, term_b: str) -> float:
-        """P(both terminals see at least one photon, in any bins)."""
-        both = self._any_photon(term_a) & self._any_photon(term_b)
-        return float(self.probabilities[both].sum())
 
 
 class FockOracle:

@@ -192,13 +192,3 @@ def verify_cascade_equivalence(spec: CircuitSpec, target: np.ndarray,
     if input_order is not None:
         u = u[:, np.asarray(input_order)]
     return phase_fix_distance(u, target)
-
-
-def haar_random_unitary(n: int, seed: int) -> np.ndarray:
-    """Seeded Haar-distributed unitary (QR of a complex Gaussian matrix,
-    with the R-diagonal phases stripped)."""
-    rng = np.random.default_rng(seed)
-    z = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
-    q, r = np.linalg.qr(z)
-    d = np.diag(r)
-    return q * (d / np.abs(d))

@@ -18,10 +18,13 @@ Schema ``proxy-ifm/1``.  Top-level keys:
 * ``defaults``  - ``{"shots", "seed", "mode"}``: integers ``shots >= 1``
   and ``seed >= 0``, ``mode`` ``"exact"`` or ``"mc"``.
 
-Every float must be finite and not a JSON boolean, every flag a JSON
-boolean, and every integer an integer at least its field's bound
-(``ParseError`` otherwise); ids and wires are strings, and
-each photon must name a source and one of its bins.  The golden scenarios shipped with
+Every float must be a finite JSON number, not a boolean or a string (an
+angle may also be ``'pi/x'``), every flag a JSON boolean, and every
+integer an integer at least its field's bound (``ParseError``
+otherwise); ids and wires are strings, and each photon must name a
+source and one of its bins.  A coherent ``pulses.n`` whose amplitudes
+would exceed ``MAX_MAP_BYTES`` is refused (``StateTooLargeError``) before
+anything is allocated.  The golden scenarios shipped with
 the package double as schema examples.
 """
 
@@ -36,6 +39,7 @@ from typing import Optional, Union
 import numpy as np
 
 from .circuit import (
+    MAX_MAP_BYTES,
     Absorber,
     BeamSplitter,
     CircuitSpec,
@@ -48,6 +52,7 @@ from .circuit import (
 )
 from .errors import (
     ParseError,
+    StateTooLargeError,
     UnknownSchemaVersionError,
     UnresolvedElementIdError,
 )
@@ -272,6 +277,11 @@ def _parse_source(raw: dict) -> SourceSpec:
     kind = raw["kind"]
     if kind == "coherent":
         n = _int(raw["n"], "pulses: n", low=1)
+        size = n * np.dtype(complex).itemsize
+        if size > MAX_MAP_BYTES:
+            raise StateTooLargeError(
+                f"pulses: {n} pulses need {size} bytes, over the bound of "
+                f"{MAX_MAP_BYTES} bytes")
         phases = raw.get("phases")
         if phases is None:
             phases = [0.0] * n
@@ -333,9 +343,9 @@ def _parse_element(entry: dict, source: SourceSpec) -> Element:
 
 
 def _finite(value, what: str) -> float:
-    """``value`` as a finite float, never a JSON boolean; every float a
-    scenario holds passes here."""
-    if isinstance(value, bool):
+    """``value`` as a finite float, never a JSON boolean or string; every
+    float a scenario holds passes here."""
+    if isinstance(value, (bool, str)):
         raise ParseError(f"{what} {value!r} must be a finite number")
     x = float(value)
     if not math.isfinite(x):
@@ -354,7 +364,11 @@ def _angle(value, what: str) -> float:
         if body == "pi":
             return sign * math.pi
         if body.startswith("pi/"):
-            divisor = _finite(body[3:], f"{what} divisor")
+            try:
+                divisor = float(body[3:])
+            except ValueError:
+                raise ParseError(f"{what} {value!r} has a non-numeric divisor") from None
+            divisor = _finite(divisor, f"{what} divisor")
             if divisor == 0:
                 raise ParseError(f"{what} {value!r} divides by zero")
             return sign * math.pi / divisor

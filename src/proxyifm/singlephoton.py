@@ -60,11 +60,6 @@ def propagate_photon(circuit: CompiledCircuit, amplitudes: np.ndarray,
                                p_bins=p_bins)
 
 
-def detection_probability_formula(phase_mismatch: float) -> float:
-    """Bright-port fringe ``(1 + cos(phase)) / 2`` of the matched interferometer."""
-    return 0.5 * (1.0 + math.cos(phase_mismatch))
-
-
 def sample_outcomes(dist: OutcomeDistribution, shots: int, seed: int) -> EventLog:
     """Draw exactly one (terminal, bin) outcome per shot.
 
@@ -81,29 +76,3 @@ def sample_outcomes(dist: OutcomeDistribution, shots: int, seed: int) -> EventLo
     return EventLog(shots=shots, seed=seed, shot_idx=np.arange(shots),
                     terminal=terminal[live][draws], bin_idx=bins[live][draws],
                     terminal_order=order)
-
-
-def coherent_train_expansion(alpha: complex, n: int, j_max: int) -> np.ndarray:
-    """Coefficients of a product coherent train over powers of the
-    bin-symmetric collective excitation.
-
-    With ``A'`` the operator placing one photon evenly over the n bins
-    (normalised so ``A'|vac>`` has unit norm), the train ``|alpha>^{x n}``
-    equals ``sum_j c_j A'^j |vac>`` with
-
-        ``c_j = exp(-n|alpha|^2 / 2) * (sqrt(n) alpha)^j / j!``.
-
-    Equivalently: the train is a coherent state of amplitude
-    ``sqrt(n) alpha`` in the collective mode.  Note ``A'^j|vac>`` has
-    norm ``sqrt(j!)``, which is where the ``1/j!`` (not ``1/sqrt(j!)``)
-    comes from; dropping the vacuum prefactor or softening the factorial
-    does not reproduce the train.
-    """
-    if j_max < 0:
-        raise ValueError("j_max must be >= 0")
-    alpha = complex(alpha)
-    mu = n * abs(alpha) ** 2
-    out = np.zeros(j_max + 1, dtype=complex)
-    for j in range(j_max + 1):
-        out[j] = math.exp(-mu / 2.0) * (math.sqrt(n) * alpha) ** j / math.factorial(j)
-    return out

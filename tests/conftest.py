@@ -12,6 +12,8 @@ from proxyifm.circuit import (
     PhaseShift,
     Source,
 )
+from proxyifm.errors import CutoffTooSmallError
+from proxyifm.fock import FockBasis, FockStateVector
 
 ALPHA_SQ = 0.1
 ALPHA = math.sqrt(ALPHA_SQ)
@@ -75,10 +77,28 @@ def hom_spec(disjoint=False):
     ), n_bins=bins)
 
 
-def terminal_block(compiled, terminal_id):
-    """The (n_bins, input_dim) rows of the unrolled map feeding one terminal."""
-    lo, hi = compiled.terminal_index[terminal_id]
-    return compiled.unrolled_map[lo:hi, :]
+def dense_map(compiled):
+    """The (terminal, bin) x (source, bin) matrix of a compiled circuit.
+
+    Column by column, the walk of a unit vector on one input bin.  Row
+    blocks follow ``terminal_order`` and column blocks the sources in
+    declaration order, each block bin by bin; see :func:`map_row` and
+    :func:`map_column`.  Its columns are orthonormal.
+    """
+    return np.stack([
+        np.concatenate(list(compiled.propagate(np.eye(s.n_bins)[b], s.id).values()))
+        for s in compiled._sources for b in range(s.n_bins)], axis=1)
+
+
+def map_row(compiled, terminal_id, bin_idx):
+    """Row of :func:`dense_map` holding one (terminal, bin) cell."""
+    return compiled.terminal_order.index(terminal_id) * compiled.n_bins + bin_idx
+
+
+def map_column(compiled, source_id, bin_idx):
+    """Column of :func:`dense_map` fed by one (source, bin) input."""
+    ids = [s.id for s in compiled._sources]
+    return sum(s.n_bins for s in compiled._sources[:ids.index(source_id)]) + bin_idx
 
 
 def event_records(log):
@@ -166,6 +186,139 @@ def truncated_poisson_pmf(n: int, mu_cell: float, mu_total: float, cutoff: int) 
     rest = max(mu_total - mu_cell, 0.0)
     return (poisson_pmf(n, mu_cell) * poisson_cdf(cutoff - n, rest)
             / poisson_cdf(cutoff, mu_total))
+
+
+def total_output_energy(field):
+    """Summed mean photon number over every (terminal, bin) cell of a field."""
+    return float(sum(np.sum(np.abs(a) ** 2) for a in field.amplitudes.values()))
+
+
+def coherent_overlap(a: complex, b: complex) -> complex:
+    """Inner product <a|b> of two coherent states.
+
+    ``exp(-(|a|^2 + |b|^2)/2 + conj(a)*b)``; opposite-sign amplitudes give
+    magnitude ``exp(-2|a|^2)``.
+    """
+    a = complex(a)
+    b = complex(b)
+    return np.exp(-(abs(a) ** 2 + abs(b) ** 2) / 2.0 + np.conj(a) * b)
+
+
+def detection_probability_formula(phase_mismatch: float) -> float:
+    """Bright-port fringe ``(1 + cos(phase)) / 2`` of the matched interferometer."""
+    return 0.5 * (1.0 + math.cos(phase_mismatch))
+
+
+def coherent_train_expansion(alpha: complex, n: int, j_max: int) -> np.ndarray:
+    """Coefficients of a product coherent train over powers of the
+    bin-symmetric collective excitation.
+
+    With ``A'`` the operator placing one photon evenly over the n bins
+    (normalised so ``A'|vac>`` has unit norm), the train ``|alpha>^{x n}``
+    equals ``sum_j c_j A'^j |vac>`` with
+
+        ``c_j = exp(-n|alpha|^2 / 2) * (sqrt(n) alpha)^j / j!``.
+
+    Equivalently: the train is a coherent state of amplitude
+    ``sqrt(n) alpha`` in the collective mode.  Note ``A'^j|vac>`` has
+    norm ``sqrt(j!)``, which is where the ``1/j!`` (not ``1/sqrt(j!)``)
+    comes from; dropping the vacuum prefactor or softening the factorial
+    does not reproduce the train.
+    """
+    if j_max < 0:
+        raise ValueError("j_max must be >= 0")
+    alpha = complex(alpha)
+    mu = n * abs(alpha) ** 2
+    out = np.zeros(j_max + 1, dtype=complex)
+    for j in range(j_max + 1):
+        out[j] = math.exp(-mu / 2.0) * (math.sqrt(n) * alpha) ** j / math.factorial(j)
+    return out
+
+
+def haar_random_unitary(n: int, seed: int) -> np.ndarray:
+    """Seeded Haar-distributed unitary (QR of a complex Gaussian matrix,
+    with the R-diagonal phases stripped)."""
+    rng = np.random.default_rng(seed)
+    z = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
+    q, r = np.linalg.qr(z)
+    d = np.diag(r)
+    return q * (d / np.abs(d))
+
+
+# -- Fock-space oracles ----------------------------------------------------
+
+def vacuum_state(basis):
+    amps = np.zeros(basis.dim, dtype=complex)
+    amps[0] = 1.0
+    return FockStateVector(basis, amps)
+
+
+def collective_power_state(basis, modes, power):
+    """j-th power of the bin-symmetric collective creation operator on vacuum.
+
+    The operator places one photon evenly over ``modes`` (normalised so a
+    single application of it on vacuum is a unit vector); its j-th power
+    on vacuum has squared norm j!.  Returned unnormalised.
+    """
+    n = len(modes)
+    amps = np.zeros(basis.dim, dtype=complex)
+    if power > basis.cutoff:
+        raise CutoffTooSmallError("power exceeds the basis cutoff")
+    # Every split of `power` photons over `modes`: the top sector of their basis.
+    splits = FockBasis.build(n, power).occupations[-math.comb(power + n - 1, power):]
+    occ = np.zeros((len(splits), basis.n_modes), dtype=np.uint8)
+    occ[:, list(modes)] = splits
+    for i, v in zip(basis.index_of(occ), splits.tolist()):
+        w = math.factorial(power) / math.sqrt(
+            math.prod(math.factorial(k) for k in v))
+        amps[i] = w * n ** (-power / 2.0)
+    return FockStateVector(basis, amps)
+
+
+def state_overlap(a, b) -> complex:
+    return complex(np.vdot(a.amplitudes, b.amplitudes))
+
+
+def fidelity(a, b) -> float:
+    """|<a|b>|^2 with both sides normalised."""
+    ov = state_overlap(a, b)
+    return abs(ov) ** 2 / (a.norm_squared() * b.norm_squared())
+
+
+def mean_occupation(state, mode: int) -> float:
+    w = np.abs(state.amplitudes) ** 2
+    return float(np.dot(w, state.basis.occupations[:, mode].astype(float)))
+
+
+def _counts(dist, cell):
+    return dist.outcomes[:, dist.cell_index(*cell)]
+
+
+def _any_photon(dist, terminal):
+    idx = [i for i, (t, _) in enumerate(dist.cells) if t == terminal]
+    return dist.outcomes[:, idx].any(axis=1)
+
+
+def marginal_pmf(dist, terminal, bin_idx, n_max):
+    return np.bincount(_counts(dist, (terminal, bin_idx)),
+                       weights=dist.probabilities,
+                       minlength=n_max + 1)[:n_max + 1]
+
+
+def p_coincidence(dist, cell_a, cell_b) -> float:
+    both = (_counts(dist, cell_a) >= 1) & (_counts(dist, cell_b) >= 1)
+    return float(dist.probabilities[both].sum())
+
+
+def terminal_probability(dist, terminal) -> float:
+    """P(at least one photon somewhere on the terminal)."""
+    return float(dist.probabilities[_any_photon(dist, terminal)].sum())
+
+
+def p_terminal_coincidence(dist, term_a, term_b) -> float:
+    """P(both terminals see at least one photon, in any bins)."""
+    both = _any_photon(dist, term_a) & _any_photon(dist, term_b)
+    return float(dist.probabilities[both].sum())
 
 
 @pytest.fixture

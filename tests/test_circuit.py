@@ -29,7 +29,16 @@ from proxyifm.errors import (
 )
 from proxyifm.scenarios import GOLDEN_SCENARIOS, load_scenario
 
-from conftest import ALPHA, fig2_spec, fig3_spec, gated_fig2_spec, terminal_block
+from conftest import (
+    ALPHA,
+    dense_map,
+    fig2_spec,
+    fig3_spec,
+    gated_fig2_spec,
+    map_column,
+    map_row,
+    total_output_energy,
+)
 
 
 def test_default_beamsplitter_is_unitary():
@@ -68,15 +77,15 @@ def test_identity_circuit_compiles_to_identity():
         Detector("D", "a"),
     ), n_bins=4)
     cc = compile_circuit(spec)
-    assert np.array_equal(cc.unrolled_map, np.eye(4, dtype=complex))
+    assert np.array_equal(dense_map(cc), np.eye(4, dtype=complex))
 
 
 def test_fig2_open_is_isometry():
     cc = compile_circuit(fig2_spec())
-    u = cc.unrolled_map
+    u = dense_map(cc)
     gram = u.conj().T @ u
     assert np.abs(np.diag(gram) - 1).max() < 1e-10
-    assert np.linalg.norm(gram - np.eye(cc.input_dim)) < 1e-9
+    assert np.linalg.norm(gram - np.eye(u.shape[1])) < 1e-9
 
 
 def test_fig2_blocked_matches_hand_multiplied_chain():
@@ -89,10 +98,9 @@ def test_fig2_blocked_matches_hand_multiplied_chain():
     expected_loss = l_amp
 
     cc = compile_circuit(fig2_spec(n_pulses=3, inserted=True))
-    col = cc.unrolled_map[:, 1]          # input pulse on bin 1
-    d1 = col[cc.terminal_index["D1"][0]:cc.terminal_index["D1"][1]]
-    d2 = col[cc.terminal_index["D2"][0]:cc.terminal_index["D2"][1]]
-    oo = col[cc.terminal_index["obstacle_l"][0]:cc.terminal_index["obstacle_l"][1]]
+    col = dense_map(cc)[:, 1]            # input pulse on bin 1
+    d1, d2, oo = (col[map_row(cc, t, 0):map_row(cc, t, cc.n_bins)]
+                  for t in ("D1", "D2", "obstacle_l"))
     assert d1[1] == pytest.approx(expected_d1, abs=1e-14)
     assert d2[1] == pytest.approx(expected_d2, abs=1e-14)
     assert oo[1] == pytest.approx(expected_loss, abs=1e-14)
@@ -104,7 +112,7 @@ def test_fig2_blocked_matches_hand_multiplied_chain():
 
 def test_blocked_loss_rows_carry_full_arm_amplitude():
     cc = compile_circuit(fig2_spec(n_pulses=3, inserted=True))
-    loss = terminal_block(cc, "obstacle_l")
+    loss = dense_map(cc)[map_row(cc, "obstacle_l", 0):map_row(cc, "obstacle_l", cc.n_bins)]
     # each pulse deposits |i/sqrt2|^2 = 1/2 of its energy at the obstacle
     col_energy = np.sum(np.abs(loss) ** 2, axis=0)
     assert np.allclose(col_energy, 0.5, atol=1e-12)
@@ -121,7 +129,7 @@ def test_obstacle_retracted_identical_to_deleted():
             e = Delay(e.id, "l0", e.output, e.bins, e.phase)
         elements.append(e)
     without = compile_circuit(CircuitSpec(elements=tuple(elements)))
-    assert np.array_equal(with_flag.unrolled_map, without.unrolled_map)
+    assert np.array_equal(dense_map(with_flag), dense_map(without))
 
 
 def test_delay_composition_is_exact():
@@ -135,8 +143,8 @@ def test_delay_composition_is_exact():
         elements += [Detector("DA", wire), Detector("DB", "p0")]
         return compile_circuit(CircuitSpec(elements=tuple(elements), n_bins=8))
 
-    assert np.array_equal(chain([2, 3]).unrolled_map, chain([5]).unrolled_map)
-    assert np.array_equal(chain([0, 5]).unrolled_map, chain([5]).unrolled_map)
+    assert np.array_equal(dense_map(chain([2, 3])), dense_map(chain([5])))
+    assert np.array_equal(dense_map(chain([0, 5])), dense_map(chain([5])))
 
 
 def test_delay_is_exact_integer_shift():
@@ -145,7 +153,7 @@ def test_delay_is_exact_integer_shift():
         Delay("d", "a", "b", bins=3),
         Detector("D", "b"),
     ), n_bins=6)
-    u = compile_circuit(spec).unrolled_map
+    u = dense_map(compile_circuit(spec))
     expected = np.zeros((6, 2), dtype=complex)
     expected[3, 0] = 1.0
     expected[4, 1] = 1.0
@@ -155,7 +163,7 @@ def test_delay_is_exact_integer_shift():
 def test_compile_is_deterministic():
     a = compile_circuit(fig2_spec(inserted=True))
     b = compile_circuit(fig2_spec(inserted=True))
-    assert np.array_equal(a.unrolled_map, b.unrolled_map)
+    assert np.array_equal(dense_map(a), dense_map(b))
     assert a.terminal_order == b.terminal_order
 
 
@@ -305,35 +313,23 @@ WALK_CASES["two_sources"] = two_source_spec
 
 @pytest.mark.parametrize("case", sorted(WALK_CASES))
 def test_walk_matches_dense_map(case, rng):
-    # The dense map stays the reference for the per-wire walk.  Inputs of
-    # magnitude <= 1; the walk sums paths in another order than a
-    # matrix-vector product, so agreement is to rounding, not bitwise.
-    cc = compile_circuit(WALK_CASES[case]())
-    for source_id in cc.source_order:
-        lo, hi = cc.input_index[source_id]
-        amps = rng.uniform(0, 1, hi - lo) * np.exp(2j * np.pi * rng.uniform(0, 1, hi - lo))
-        x = np.zeros(cc.input_dim, dtype=complex)
-        x[lo:hi] = amps
-        walked = cc.propagate(amps, source_id)
+    # The walk is linear: walking a vector equals the dense map, built from
+    # the walks of unit vectors, times it.  Inputs of magnitude <= 1; the
+    # sums run in another order than a matrix-vector product, so agreement
+    # is to rounding, not bitwise.
+    spec = WALK_CASES[case]()
+    cc = compile_circuit(spec)
+    u = dense_map(cc)
+    for source in spec.sources():
+        n = source.n_bins
+        amps = rng.uniform(0, 1, n) * np.exp(2j * np.pi * rng.uniform(0, 1, n))
+        x = np.zeros(u.shape[1], dtype=complex)
+        lo = map_column(cc, source.id, 0)
+        x[lo:lo + n] = amps
+        walked = cc.propagate(amps, source.id)
         assert tuple(walked) == cc.terminal_order
         got = np.concatenate([walked[t] for t in cc.terminal_order])
-        assert np.abs(got - cc.unrolled_map @ x).max() <= 1e-15
-
-
-def test_unrolled_map_guard_raises_before_allocating():
-    cc = compile_circuit(fig2_spec(n_pulses=20000, inserted=True))
-    assert cc.input_dim == 20000
-    assert "unrolled_map" not in vars(cc)      # reading input_dim built nothing
-    size = 3 * 20001 * 20000 * 16
-    assert size > MAX_MAP_BYTES
-    tracemalloc.start()
-    try:
-        with pytest.raises(StateTooLargeError, match=str(size)):
-            cc.unrolled_map
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak < 1 << 20
+        assert np.abs(got - u @ x).max() <= 1e-15
 
 
 def test_compile_refuses_a_walk_over_the_size_bound():
@@ -361,7 +357,7 @@ def test_long_train_propagates_in_linear_memory():
     finally:
         tracemalloc.stop()
     assert peak < 16 << 20
-    assert field.total_output_energy() == pytest.approx(300.0, rel=1e-12)
+    assert total_output_energy(field) == pytest.approx(300.0, rel=1e-12)
 
 
 def _vacuum_delay_chain_spec(n_bins):

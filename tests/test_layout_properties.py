@@ -13,7 +13,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, assume, given, settings
+from hypothesis import HealthCheck, assume, example, given, settings
 from hypothesis import strategies as st
 
 from proxyifm.circuit import (
@@ -28,8 +28,18 @@ from proxyifm.circuit import (
     circuit_spatial_unitary,
     compile_circuit,
 )
+from proxyifm.coherent import CoherentTrain
 from proxyifm.fock import FockOracle
 from proxyifm.singlephoton import propagate_photon
+
+from conftest import (
+    dense_map,
+    fig2_spec,
+    fig3_spec,
+    map_column,
+    map_row,
+    truncated_poisson_pmf,
+)
 
 MAX_FOCK_MODES = 16
 
@@ -133,15 +143,15 @@ def test_spatial_unitary_is_unitary(spec):
 def test_fock_oracle_two_photons_match_permanents(spec, data):
     # Two photons in input cells i, j leave in output cells k <= l with
     # probability |per V[{k,l},{i,j}]|^2 over the multiplicity factorials
-    # (Scheel, quant-ph/0406127), V being the unrolled map.
+    # (Scheel, quant-ph/0406127), V being the dense map.
     compiled = compile_circuit(spec)
-    v = compiled.unrolled_map
+    v = dense_map(compiled)
     inputs = [(s.id, b) for s in spec.sources() for b in range(s.n_bins)]
     photons = [data.draw(st.sampled_from(inputs)) for _ in range(2)]
-    i, j = (compiled.input_index[s][0] + b for s, b in photons)
+    i, j = (map_column(compiled, s, b) for s, b in photons)
     oracle = FockOracle(spec, 2)
     dist = oracle.run(oracle.single_photon_state(photons))
-    row = [compiled.terminal_index[t][0] + b for t, b in dist.cells]
+    row = [map_row(compiled, t, b) for t, b in dist.cells]
     got: dict[tuple[int, ...], float] = {}
     for outcome, p in zip(dist.outcomes.tolist(), dist.probabilities.tolist()):
         rows = tuple(sorted(r for r, n in zip(row, outcome) for _ in range(n)))
@@ -154,3 +164,31 @@ def test_fock_oracle_two_photons_match_permanents(spec, data):
     assert set(got) <= set(want)
     for key, p in want.items():
         assert got.get(key, 0.0) == pytest.approx(p, abs=1e-12)
+
+
+@_settings
+@given(spec=_circuits(), phases=st.lists(_angles, min_size=3, max_size=3))
+# Random circuits seldom split a source, delay one arm and recombine it, so
+# two topologies where a train's pulses interfere are given explicitly.
+@example(spec=fig2_spec(3), phases=[0.0, 2.0, 4.0])
+@example(spec=fig3_spec(2, blocked="l"), phases=[1.0, 0.5, 0.0])
+def test_fock_oracle_coherent_means_match_propagation(spec, phases):
+    # A coherent train leaves as independent Poisson cells of mean |amp|^2;
+    # the cutoff conditions their total K ~ Poisson(mu) on K <= c, and given
+    # K a cell holds a binomial share |amp|^2 / mu of it.  So the oracle's
+    # mean is |amp|^2 E[K | K <= c] / E[K].
+    cutoff = 3
+    compiled = compile_circuit(spec)
+    oracle = FockOracle(spec, cutoff)
+    for source in spec.sources():
+        train = CoherentTrain(alpha=0.2 * np.exp(0.3j),
+                              phases=tuple(phases[:source.n_bins]))
+        dist = oracle.run(oracle.coherent_train_state(
+            train.alpha, train.n_pulses, train.phases, source.id))
+        amps = compiled.propagate(train.amplitudes(), source.id)
+        mu = train.mean_photons
+        scale = sum(k * truncated_poisson_pmf(k, mu, mu, cutoff)
+                    for k in range(cutoff + 1)) / mu
+        for terminal, cell_bin in dist.cells:
+            assert dist.mean(terminal, cell_bin) == pytest.approx(
+                abs(amps[terminal][cell_bin]) ** 2 * scale, abs=1e-12)

@@ -18,7 +18,6 @@ from proxyifm.errors import (
 from proxyifm.multiport import (
     Decomposition,
     TwoModeOp,
-    haar_random_unitary,
     phase_fix_distance,
     reck_decompose,
     recompose,
@@ -26,7 +25,7 @@ from proxyifm.multiport import (
     verify_cascade_equivalence,
 )
 
-from conftest import fig3_spec
+from conftest import fig3_spec, haar_random_unitary
 
 
 def recombination_spec():

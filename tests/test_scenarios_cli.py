@@ -3,10 +3,13 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+from proxyifm.cli import main
 from proxyifm.errors import (
     CutoffTooSmallError,
     EngineSourceMismatchError,
@@ -21,7 +24,7 @@ from proxyifm.scenarios import (
     load_scenario,
 )
 
-from conftest import ALPHA_SQ
+from conftest import ALPHA_SQ, haar_random_unitary
 
 
 def test_all_golden_scenarios_ship_and_load():
@@ -186,9 +189,16 @@ def test_sweep_table_rows():
         assert abs(p2 - 0.5 * (1 - math.cos(phi))) < 1e-9
 
 
+SRC = str(Path(__file__).resolve().parents[1] / "src")
+
+
 def _cli(*args, env=None):
+    # The checkout's src goes first on the child's path, so an uninstalled
+    # checkout runs the code under test.
     cmd = [sys.executable, "-m", "proxyifm", *args]
     merged = dict(os.environ)
+    merged["PYTHONPATH"] = os.pathsep.join(
+        p for p in (SRC, merged.get("PYTHONPATH")) if p)
     if env:
         merged.update(env)
     return subprocess.run(cmd, capture_output=True, text=True, env=merged)
@@ -262,7 +272,6 @@ def test_cli_oracle(tmp_path):
 
 
 def test_cli_decompose_round_trip(tmp_path):
-    from proxyifm.multiport import haar_random_unitary
     u = haar_random_unitary(4, seed=17)
     upath = tmp_path / "u.csv"
     upath.write_text("\n".join(
@@ -289,10 +298,12 @@ def test_cli_list_scenarios():
     ("alpha_squared", float("inf")),
     ("phases", float("nan")),
     ("alpha_squared", True),
+    ("alpha_squared", "0.1"),
+    ("phases", "0000000000"),
 ])
 def test_cli_rejects_bad_coherent_numbers(tmp_path, key, value):
     doc = _golden_doc("fig2_blocked")
-    if key == "phases":
+    if key == "phases" and not isinstance(value, str):
         doc["pulses"]["phases"][3] = value
     else:
         doc["pulses"][key] = value
@@ -447,8 +458,13 @@ def _set_splitter_matrix(doc, entry):
     (lambda d: _set_splitter_matrix(d, [float("nan"), 0.0]), "bs1"),
     (lambda d: _set_splitter_matrix(d, [0.0, float("inf")]), "bs1"),
     (lambda d: _element(d, "arm_l_matched").update(angle=True), "arm_l_matched"),
+    (lambda d: _element(d, "delay_l").update(phase="0"), "delay_l"),
+    (lambda d: _set_splitter_matrix(d, [0.0, str(1 / math.sqrt(2))]), "bs1"),
+    (lambda d: _element(d, "arm_l_matched").update(angle="pi/two"),
+     "arm_l_matched"),
 ], ids=["delay-phase-nan", "angle-nan", "angle-pi-over-nan", "angle-pi-over-0",
-        "matrix-nan", "matrix-inf", "angle-true"])
+        "matrix-nan", "matrix-inf", "angle-true", "delay-phase-string",
+        "matrix-string", "angle-pi-over-text"])
 def test_cli_rejects_non_finite_element_numbers(tmp_path, edit, named):
     doc = _golden_doc("fig2_blocked")
     edit(doc)
@@ -593,4 +609,27 @@ def test_cli_refuses_a_walk_over_the_size_bound(tmp_path, name, edit, n_bins,
     assert r.returncode == 3, r.stderr
     assert r.stderr.startswith("engine error: ") and "Traceback" not in r.stderr
     assert f"needs {5 * n_bins * 16} bytes" in r.stderr
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("n", [10**9, 10**12])
+def test_cli_refuses_a_pulse_count_over_the_size_bound(tmp_path, capsys, n):
+    # 16 B per pulse amplitude; refused before any per-pulse list exists.
+    doc = _golden_doc("fig2_blocked")
+    doc["pulses"]["n"] = n
+    del doc["pulses"]["phases"]
+    scenario = tmp_path / "s.json"
+    scenario.write_text(json.dumps(doc))
+    out = tmp_path / "r.csv"
+    tracemalloc.start()
+    try:
+        code = main(["simulate", "--scenario", str(scenario), "--mode", "exact",
+                     "--out", str(out)])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    err = capsys.readouterr().err
+    assert code == 3, err
+    assert err.startswith("engine error: ") and f"need {16 * n} bytes" in err
+    assert peak < 4 << 20
     assert not out.exists()

@@ -5,15 +5,9 @@ import pytest
 
 from proxyifm.circuit import compile_circuit
 from proxyifm.errors import ZeroPulsesError
-from proxyifm.singlephoton import (
-    coherent_train_expansion,
-    detection_probability_formula,
-    propagate_photon,
-    sample_outcomes,
-    tensor_sum_state,
-)
+from proxyifm.singlephoton import propagate_photon, sample_outcomes, tensor_sum_state
 
-from conftest import fig2_spec
+from conftest import coherent_train_expansion, detection_probability_formula, fig2_spec
 
 
 def test_tensor_sum_state_single_bin():
