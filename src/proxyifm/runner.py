@@ -1,14 +1,10 @@
 """Experiment orchestration: dispatch a scenario to an engine and emit
 the results as byte-stable CSV or JSONL.
 
-Tables are columnar: a :class:`Table` keeps one numpy array, list or
-:class:`Categorical` per header, and Monte-Carlo event tables take their
-columns straight from the sampler arrays, so no Python object is built per
-event.  A column of repeated names (terminals, Fock outcome vectors) is a
-:class:`Categorical`: integer codes into a category list.  ``emit``
-formats each category once and renders each column in blocks of
-``_BLOCK`` rows, writing every block to the open file, so writing costs
-O(block) memory however long the log is.
+Each engine's results become :class:`~proxyifm.tables.Table` objects;
+Monte-Carlo event tables take their columns straight from the sampler
+arrays, with terminals and Fock outcome vectors as categorical columns.
+``emit`` writes them with the block writers of :mod:`proxyifm.tables`.
 
 Every float is printed with 17 significant digits so regression diffs
 are exact, and nothing volatile (timestamps included) reaches the output
@@ -18,8 +14,7 @@ seed).
 
 from __future__ import annotations
 
-import json
-from collections.abc import Collection, Sequence as _SequenceABC
+from collections.abc import Collection
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Optional, Sequence, Union
@@ -45,97 +40,13 @@ from .scenarios import (
     TensorSumSourceSpec,
 )
 from .singlephoton import propagate_photon, sample_outcomes, tensor_sum_state
+from .tables import _BLOCK, Categorical, Table, write_csv, write_jsonl
 
 _ENGINE_SOURCES = {
     "coherent": (CoherentSourceSpec,),
     "singlephoton": (TensorSumSourceSpec,),
     "fock": (CoherentSourceSpec, TensorSumSourceSpec, FockSourceSpec),
 }
-
-# Rows rendered and written at a time by ``emit``.
-_BLOCK = 1024
-
-
-class Table:
-    """A result table stored column by column.
-
-    ``columns`` holds one sequence per header, a numpy array, a list or a
-    :class:`Categorical`, all of one length.  ``Table(headers, rows)``
-    transposes row tuples into list columns; ``Table(headers, columns=...)``
-    takes columns as they are.  ``rows`` is a read-only view that builds a
-    row tuple (of Python scalars) only when one is read, so
-    ``len(table.rows)`` builds none.
-    """
-
-    __slots__ = ("headers", "columns")
-
-    def __init__(self, headers: Sequence[str], rows: Sequence[tuple] = (), *,
-                 columns: Optional[Sequence[Sequence]] = None):
-        self.headers = tuple(headers)
-        if columns is None:
-            rows = list(rows)
-            if any(len(row) != len(self.headers) for row in rows):
-                raise ValueError(f"every row needs {len(self.headers)} values")
-            columns = [list(c) for c in zip(*rows)] if rows else \
-                [[] for _ in self.headers]
-        self.columns = tuple(columns)
-        if len(self.columns) != len(self.headers):
-            raise ValueError(f"{len(self.columns)} columns for "
-                             f"{len(self.headers)} headers")
-        if len({len(c) for c in self.columns}) > 1:
-            raise ValueError("columns differ in length")
-
-    @property
-    def rows(self) -> "_RowView":
-        return _RowView(self.columns)
-
-
-class Categorical:
-    """A column of repeated values: ``categories[codes[i]]`` is row ``i``."""
-
-    __slots__ = ("codes", "categories")
-
-    def __init__(self, codes: np.ndarray, categories: Sequence):
-        self.codes = np.asarray(codes)
-        self.categories = list(categories)
-
-    def __len__(self) -> int:
-        return len(self.codes)
-
-    def __getitem__(self, i: int):
-        return self.categories[self.codes[i]]
-
-    def tolist(self) -> list:
-        return [self.categories[k] for k in self.codes.tolist()]
-
-
-class _RowView(_SequenceABC):
-    """Row tuples of a columnar table, built on access."""
-
-    __slots__ = ("_columns",)
-
-    def __init__(self, columns: tuple):
-        self._columns = columns
-
-    def __len__(self) -> int:
-        return len(self._columns[0]) if self._columns else 0
-
-    def __getitem__(self, i):
-        if isinstance(i, slice):
-            return [self[k] for k in range(*i.indices(len(self)))]
-        return tuple(_py(c[i]) for c in self._columns)
-
-    def __iter__(self):
-        return zip(*(_as_list(c) for c in self._columns))
-
-
-def _py(x):
-    return x.item() if isinstance(x, np.generic) else x
-
-
-def _as_list(column) -> list:
-    return column.tolist() if isinstance(column, (np.ndarray, Categorical)) \
-        else column
 
 
 @dataclass(frozen=True)
@@ -146,24 +57,6 @@ class RunReport:
     engine: str
     mode: str
     tables: dict[str, Table]
-
-
-def _fmt(x) -> str:
-    if isinstance(x, float):
-        return format(x, ".17g")
-    return str(x)
-
-
-_json_encode = json.JSONEncoder(separators=(",", ":")).encode
-
-
-def _json_value(x) -> str:
-    """One value as ``json.dumps`` writes it inside a row object."""
-    if isinstance(x, float):
-        x = float(format(x, ".17g"))
-        if x - x == 0.0:        # finite: json writes float.__repr__
-            return repr(x)
-    return _json_encode(x)
 
 
 def run(scenario: Scenario, engine: Optional[str] = None,
@@ -307,11 +200,19 @@ def _run_fock(scenario: Scenario, mode: str, shots: int, seed: int,
                 headers=("terminal", "bin", "mean_n"),
                 rows=[(t, b, dist.mean(t, b)) for (t, b) in dist.cells])
     else:
+        # Only the outcome rows that were drawn get a text: ``drawn`` lists
+        # them in row order, and each shot's code is its row's rank there
+        # (``np.unique(..., return_inverse=True)`` without the sort's copies).
+        rows = sample_joint(dist, shots, seed)
+        seen = np.zeros(len(dist.outcomes), dtype=bool)
+        seen[rows] = True
+        drawn = np.flatnonzero(seen)
+        codes = (np.cumsum(seen) - 1)[rows]
         tables["events"] = Table(
             headers=("shot", "outcome_vector"),
             columns=(np.arange(shots),
-                     Categorical(sample_joint(dist, shots, seed),
-                                 outcome_texts(dist.cells, dist.outcomes))))
+                     Categorical(codes,
+                                 outcome_texts(dist.cells, dist.outcomes[drawn]))))
     return tables
 
 
@@ -321,82 +222,25 @@ def emit(report: RunReport, fmt: str, path: Union[str, Path]) -> None:
     CSV: the first table lands at ``path``, any further table at
     ``<path>.<table>.csv``.  JSONL: one object per row, keyed by the
     table headers (a ``table`` key is added only when several tables are
-    present).  Rows are rendered and written ``_BLOCK`` at a time.
+    present).  Files are written in binary mode as UTF-8 with ``\n`` line
+    ends on every platform.
     """
     path = Path(path)
     try:
         if fmt == "csv":
             for k, (name, table) in enumerate(report.tables.items()):
                 target = path if k == 0 else path.with_suffix(f".{name}.csv")
-                with open(target, "w", encoding="utf-8") as fh:
-                    fh.write(",".join(table.headers) + "\n")
-                    # 0, ",", 1, ",", ..., "\n": columns joined by commas
-                    template = [p for i in range(len(table.headers))
-                                for p in (",", i)][1:] + ["\n"]
-                    _write_rows(fh, table, template, _fmt)
+                with open(target, "wb") as fh:
+                    write_csv(fh, table)
         elif fmt == "jsonl":
             many = len(report.tables) > 1
-            with open(path, "w", encoding="utf-8") as fh:
+            with open(path, "wb") as fh:
                 for name, table in report.tables.items():
-                    _write_rows(fh, table, _jsonl_template(name, table, many),
-                                _json_value)
+                    write_jsonl(fh, name, table, many)
         else:
             raise ValueError(f"unknown format {fmt!r}")
     except OSError as exc:
         raise IoError(f"cannot write {path}: {exc}") from exc
-
-
-def _jsonl_template(name: str, table: Table, many: bool) -> list:
-    """Row template of one JSONL table, with the key order of a row dict.
-
-    A ``table`` key comes first when several tables share the file; a
-    repeated key keeps its first place and its last value, as in a dict.
-    """
-    source: dict = {"table": json.dumps(name)} if many else {}
-    for i, h in enumerate(table.headers):
-        source[h] = i
-    template: list = []
-    for key, value in source.items():
-        template += [("," if template else "{") + json.dumps(key) + ":", value]
-    return template + ["}\n"]
-
-
-def _write_rows(fh, table: Table, template: list, cell) -> None:
-    """Write every row of ``table`` as ``template`` filled in, block by block.
-
-    ``template`` alternates literal text and column indices and ends with
-    text; ``cell`` formats one value of a list or non-numeric column.
-    """
-    width = len(template)
-    render = {piece: _render(table.columns[piece], cell)
-              for piece in template if not isinstance(piece, str)}
-    n = len(table.rows)
-    for start in range(0, n, _BLOCK):
-        stop = min(start + _BLOCK, n)
-        parts: list = [None] * ((stop - start) * width)
-        for k, piece in enumerate(template):
-            if isinstance(piece, str):
-                parts[k::width] = [piece] * (stop - start)
-            else:
-                parts[k::width] = render[piece](start, stop)
-        fh.write("".join(parts))
-
-
-def _render(column, cell):
-    """``block(start, stop)``: the text of each value of a column's rows.
-
-    Integer arrays print with ``str``.  A :class:`Categorical` formats each
-    category once and indexes the texts by code; any other value is
-    formatted by ``cell``.
-    """
-    if isinstance(column, Categorical):
-        texts = np.empty(len(column.categories), dtype=object)
-        texts[:] = [cell(x) for x in column.categories]
-        return lambda start, stop: texts[column.codes[start:stop]].tolist()
-    if isinstance(column, np.ndarray):
-        fmt = str if column.dtype.kind in "iu" else cell
-        return lambda start, stop: list(map(fmt, column[start:stop].tolist()))
-    return lambda start, stop: list(map(cell, column[start:stop]))
 
 
 def sweep_table(scenario: Scenario, param: str, values: Sequence[float]) -> Table:

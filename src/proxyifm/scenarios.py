@@ -21,8 +21,9 @@ Schema ``proxy-ifm/1``.  Top-level keys:
 Every float must be a finite JSON number, not a boolean or a string (an
 angle may also be ``'pi/x'``), every flag a JSON boolean, and every
 integer an integer at least its field's bound (``ParseError``
-otherwise); ids and wires are strings, and each photon must name a
-source and one of its bins.  A coherent ``pulses.n`` whose amplitudes
+otherwise); ids and wires are strings without ``,``, ``"``, ``;``,
+``=``, control characters or lone surrogates, and each photon must name
+a source and one of its bins.  A coherent ``pulses.n`` whose amplitudes
 would exceed ``MAX_MAP_BYTES`` is refused (``StateTooLargeError``) before
 anything is allocated.  The golden scenarios shipped with
 the package double as schema examples.
@@ -32,6 +33,7 @@ from __future__ import annotations
 
 import json
 import math
+import re
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Optional, Union
@@ -267,9 +269,18 @@ def _flag(value, what: str) -> bool:
     return value
 
 
+# Ids name terminals and outcome-vector groups in the output tables, where a
+# separator or a control character would split or corrupt a row, and a lone
+# surrogate cannot be written as UTF-8 at all.
+_BAD_NAME_CHAR = re.compile(r'[,";=\x00-\x1f\x7f\ud800-\udfff]')
+
+
 def _name(value, what: str) -> str:
     if not isinstance(value, str):
         raise ParseError(f"{what} {value!r} must be a string")
+    bad = _BAD_NAME_CHAR.search(value)
+    if bad:
+        raise ParseError(f"{what} {value!r} must not contain {bad.group()!r}")
     return value
 
 

@@ -8,13 +8,15 @@ import json
 import tempfile
 import tracemalloc
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from proxyifm import runner
+from proxyifm import runner, tables
+from proxyifm.fock import FockOracle, sample_joint
 from proxyifm.runner import Categorical, RunReport, Table, emit, run
 from proxyifm.scenarios import load_scenario
 
@@ -138,6 +140,127 @@ def test_emit_matches_row_writer_on_a_run(tmp_path, fmt):
         emit(report, fmt, tmp_path / name / "new" / f"out.{fmt}")
         _ref_emit(reference, fmt, tmp_path / name / "ref" / f"out.{fmt}")
         assert _files(tmp_path / name / "new") == _files(tmp_path / name / "ref")
+
+
+# -- the byte path: tables of integer arrays and categoricals only -----------
+
+BYTE_BLOCK = tables._BYTE_BLOCK
+# Each side of every change in digit count, and both ends of int64.
+_DIGIT_EDGES = sorted({s * v for k in range(1, 19) for v in (10**k - 1, 10**k)
+                       for s in (1, -1)} | {0, 1, -1, 2**63 - 1, -2**63})
+_INT_DTYPES = {np.int64: (-2**63, 2**63 - 1), np.int32: (-2**31, 2**31 - 1),
+               np.uint8: (0, 255), np.uint64: (0, 2**64 - 1)}
+_category_texts = st.sampled_from(["ü", "☃", "日本", "\x00", "\n", "a\x00b", "=",
+                                   "", '"', "\U0001f600"])
+
+
+@st.composite
+def _byte_column(draw, n_rows):
+    seed = draw(st.integers(0, 2**32 - 1))
+    if draw(st.booleans()):
+        pool = draw(st.lists(_mixed | _category_texts, min_size=1, max_size=12))
+        picks = np.random.default_rng(seed).integers(0, len(pool), n_rows)
+        return [pool[i] for i in picks], Categorical(picks, pool)
+    dtype = draw(st.sampled_from(sorted(_INT_DTYPES, key=str)))
+    low, high = _INT_DTYPES[dtype]
+    edges = [v for v in _DIGIT_EDGES + [high] if low <= v <= high]
+    pool = draw(st.lists(st.integers(low, high) | st.sampled_from(edges),
+                         min_size=1, max_size=12))
+    picks = np.random.default_rng(seed).integers(0, len(pool), n_rows)
+    values = [pool[i] for i in picks]
+    return values, np.array(values, dtype=dtype)
+
+
+@st.composite
+def _byte_table(draw):
+    n_rows = draw(st.sampled_from([0, 1, BYTE_BLOCK - 1, BYTE_BLOCK, BYTE_BLOCK + 1])
+                  | st.integers(0, 30))
+    headers = draw(st.lists(st.sampled_from(["shot", "bin", "table"]) | _text,
+                            min_size=1, max_size=4))
+    drawn = [draw(_byte_column(n_rows)) for _ in headers]
+    rows = list(zip(*(values for values, _ in drawn)))
+    return headers, rows, Table(headers, columns=[c for _, c in drawn])
+
+
+@settings(max_examples=60, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow, HealthCheck.data_too_large])
+@given(names=_names, data=st.data(), fmt=st.sampled_from(["csv", "jsonl"]))
+def test_byte_path_matches_row_writer(names, data, fmt):
+    drawn = {name: data.draw(_byte_table()) for name in names}
+    report = RunReport("s", "coherent", "mc", {n: t for n, (_, _, t) in drawn.items()})
+    reference = {n: (h, rows) for n, (h, rows, _) in drawn.items()}
+    with tempfile.TemporaryDirectory() as tmp, \
+            mock.patch.object(tables, "_render", side_effect=AssertionError):
+        new, ref = Path(tmp, "new"), Path(tmp, "ref")
+        new.mkdir()
+        ref.mkdir()
+        emit(report, fmt, new / f"out.{fmt}")
+        _ref_emit(reference, fmt, ref / f"out.{fmt}")
+        assert _files(new) == _files(ref)
+
+
+@pytest.mark.parametrize("n_rows", [BYTE_BLOCK - 1, BYTE_BLOCK, BYTE_BLOCK + 1])
+@pytest.mark.parametrize("fmt", ["csv", "jsonl"])
+def test_byte_path_at_the_block_size(tmp_path, n_rows, fmt):
+    """Every digit-count edge and awkward category on both sides of a block."""
+    categories = ["ü", "\x00", "\n", "D1", 1.5, True, None]
+    edges = np.resize(np.array(_DIGIT_EDGES, dtype=np.int64), n_rows)
+    codes = np.arange(n_rows) % len(categories)
+    table = Table(("shot", "terminal"),
+                  columns=(edges, Categorical(codes, categories)))
+    rows = list(zip(edges.tolist(), [categories[k] for k in codes]))
+    emit(RunReport("s", "coherent", "mc", {"events": table}), fmt,
+         tmp_path / f"new.{fmt}")
+    _ref_emit({"events": (table.headers, rows)}, fmt, tmp_path / f"ref.{fmt}")
+    assert (tmp_path / f"new.{fmt}").read_bytes() == \
+        (tmp_path / f"ref.{fmt}").read_bytes()
+
+
+@pytest.mark.parametrize("categories, codes", [
+    ([""], [0, 0, 0]), (["", ""], [1, 0]), ([], []), (["x"], []),
+], ids=["one-empty-text", "two-empty-texts", "no-categories", "no-rows"])
+@pytest.mark.parametrize("fmt", ["csv", "jsonl"])
+def test_byte_path_on_empty_texts(tmp_path, categories, codes, fmt):
+    table = Table(("terminal", "bin"),
+                  columns=(Categorical(np.array(codes, dtype=np.intp), categories),
+                           np.arange(len(codes), dtype=np.uint64)))
+    rows = [(categories[k], i) for i, k in enumerate(codes)]
+    emit(RunReport("s", "coherent", "mc", {"events": table}), fmt,
+         tmp_path / f"new.{fmt}")
+    _ref_emit({"events": (table.headers, rows)}, fmt, tmp_path / f"ref.{fmt}")
+    assert (tmp_path / f"new.{fmt}").read_bytes() == \
+        (tmp_path / f"ref.{fmt}").read_bytes()
+
+
+def test_event_tables_take_the_byte_path(tmp_path):
+    for name in ("fig2_blocked", "fig2_tensor_sum_blocked", "hom_pair"):
+        report = run(load_scenario(name), mode="mc", shots=500, seed=3, cutoff=2)
+        with mock.patch.object(tables, "_render", side_effect=AssertionError):
+            for fmt in ("csv", "jsonl"):
+                emit(report, fmt, tmp_path / f"{name}.{fmt}")
+
+
+def test_fock_mc_run_of_one_shot_has_one_category():
+    report = run(load_scenario("hom_pair"), mode="mc", shots=1, seed=5, cutoff=2)
+    outcome = report.tables["events"].columns[1]
+    assert len(outcome.categories) == 1
+    assert outcome.codes.tolist() == [0]
+
+
+@pytest.mark.parametrize("shots", [3, 40, 2000])
+@pytest.mark.parametrize("name, cutoff", [("hom_pair", 2),
+                                          ("fig2_tensor_sum_blocked", 1)])
+def test_fock_mc_renders_only_the_drawn_outcomes(name, cutoff, shots):
+    scenario = load_scenario(name)
+    oracle = FockOracle(scenario.spec, cutoff)
+    dist = oracle.run(runner._prepare_fock_input(oracle, scenario))
+    rows = sample_joint(dist, shots, 5)
+    every_text = runner.outcome_texts(dist.cells, dist.outcomes)
+    report = run(scenario, engine="fock", mode="mc", shots=shots, seed=5,
+                 cutoff=cutoff)
+    outcome = report.tables["events"].columns[1]
+    assert outcome.tolist() == [every_text[r] for r in rows.tolist()]
+    assert outcome.categories == [every_text[r] for r in sorted(set(rows.tolist()))]
 
 
 # -- the Table itself ---------------------------------------------------------

@@ -633,3 +633,29 @@ def test_cli_refuses_a_pulse_count_over_the_size_bound(tmp_path, capsys, n):
     assert err.startswith("engine error: ") and f"need {16 * n} bytes" in err
     assert peak < 4 << 20
     assert not out.exists()
+
+
+@pytest.mark.parametrize("char", [",", '"', ";", "=", "\x00", "\n", "\x1f", "\x7f",
+                                  "\ud800", "\udfff"],
+                         ids=["comma", "quote", "semicolon", "equals", "nul",
+                              "newline", "unit-separator", "delete",
+                              "high-surrogate", "low-surrogate"])
+@pytest.mark.parametrize("kind", ["detector", "element"])
+def test_cli_rejects_ids_that_corrupt_tables(tmp_path, capsys, kind, char):
+    """An id is written into terminal and outcome cells, so a separator or a
+    control character in it would split or corrupt the output rows, and a
+    lone surrogate would stop the UTF-8 writer."""
+    doc = _golden_doc("fig2_blocked")
+    if kind == "detector":
+        doc["detectors"][0]["id"] = f"D{char}1"
+    else:
+        _element(doc, "bs2")["id"] = f"bs{char}2"
+    scenario = tmp_path / "s.json"
+    scenario.write_text(json.dumps(doc))
+    out = tmp_path / "r.csv"
+    code = main(["simulate", "--scenario", str(scenario), "--mode", "mc",
+                 "--shots", "100", "--out", str(out)])
+    err = capsys.readouterr().err
+    assert code == 2, err
+    assert err.startswith("error: ") and f"must not contain {char!r}" in err
+    assert not out.exists()
