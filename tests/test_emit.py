@@ -199,6 +199,14 @@ def test_byte_path_matches_row_writer(names, data, fmt):
         assert _files(new) == _files(ref)
 
 
+def _assert_emit_matches_row_writer(tmp_path, table, rows, fmt):
+    emit(RunReport("s", "coherent", "mc", {"events": table}), fmt,
+         tmp_path / f"new.{fmt}")
+    _ref_emit({"events": (table.headers, rows)}, fmt, tmp_path / f"ref.{fmt}")
+    assert (tmp_path / f"new.{fmt}").read_bytes() == \
+        (tmp_path / f"ref.{fmt}").read_bytes()
+
+
 @pytest.mark.parametrize("n_rows", [BYTE_BLOCK - 1, BYTE_BLOCK, BYTE_BLOCK + 1])
 @pytest.mark.parametrize("fmt", ["csv", "jsonl"])
 def test_byte_path_at_the_block_size(tmp_path, n_rows, fmt):
@@ -209,11 +217,7 @@ def test_byte_path_at_the_block_size(tmp_path, n_rows, fmt):
     table = Table(("shot", "terminal"),
                   columns=(edges, Categorical(codes, categories)))
     rows = list(zip(edges.tolist(), [categories[k] for k in codes]))
-    emit(RunReport("s", "coherent", "mc", {"events": table}), fmt,
-         tmp_path / f"new.{fmt}")
-    _ref_emit({"events": (table.headers, rows)}, fmt, tmp_path / f"ref.{fmt}")
-    assert (tmp_path / f"new.{fmt}").read_bytes() == \
-        (tmp_path / f"ref.{fmt}").read_bytes()
+    _assert_emit_matches_row_writer(tmp_path, table, rows, fmt)
 
 
 @pytest.mark.parametrize("categories, codes", [
@@ -225,11 +229,7 @@ def test_byte_path_on_empty_texts(tmp_path, categories, codes, fmt):
                   columns=(Categorical(np.array(codes, dtype=np.intp), categories),
                            np.arange(len(codes), dtype=np.uint64)))
     rows = [(categories[k], i) for i, k in enumerate(codes)]
-    emit(RunReport("s", "coherent", "mc", {"events": table}), fmt,
-         tmp_path / f"new.{fmt}")
-    _ref_emit({"events": (table.headers, rows)}, fmt, tmp_path / f"ref.{fmt}")
-    assert (tmp_path / f"new.{fmt}").read_bytes() == \
-        (tmp_path / f"ref.{fmt}").read_bytes()
+    _assert_emit_matches_row_writer(tmp_path, table, rows, fmt)
 
 
 def test_event_tables_take_the_byte_path(tmp_path):
