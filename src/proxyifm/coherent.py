@@ -8,15 +8,18 @@ clicks independently with probability ``1 - exp(-|amplitude|^2)``.
 
 Monte Carlo runs on counter-based Philox streams keyed on (seed, chunk of
 ``_MC_CHUNK`` shots), so a shot's draws depend only on the seed and the
-shot index.  ``sample_clicks`` skips from click to click along each cell
-with geometric gaps, one uniform per gap: a chunk's stream is read in
-rounds of one uniform per cell, drawn in row blocks of ``_DRAW_BYTES`` of
-uniforms.  It draws about (largest per-cell click count + one block) x
-cells uniforms per chunk, and its memory is bounded by the block and the
-event log, not by shots x cells.  ``_sample_categorical`` is the one keyed
-draw of an index from a probability vector, for the one-photon and Fock
-samplers, and ``_flatten_cells`` the one layout of per-terminal arrays as
-(terminal, bin) cells, for the samplers and the runner's tables.
+shot index.  Every sampler takes the offset ``start`` of its first shot,
+a multiple of ``_MC_CHUNK``, so a caller can draw a run one chunk at a
+time and get the events of the whole-run call.  ``sample_clicks`` skips
+from click to click along each cell with geometric gaps, one uniform per
+gap: a chunk's stream is read in rounds of one uniform per cell, drawn in
+row blocks of ``_DRAW_BYTES`` of uniforms.  It draws about (largest
+per-cell click count + one block) x cells uniforms per chunk, and its
+memory per chunk is the block plus that chunk's events, not shots x
+cells.  ``_sample_categorical`` is the one keyed draw of an index from a
+cdf, for the one-photon and Fock samplers, and ``_flatten_cells`` the one
+layout of per-terminal arrays as (terminal, bin) cells, for the samplers
+and the runner's tables.
 
 The conditional no-interaction figure quantifies how counterfactual a
 click is: given a click on a trigger cell, the probability that the
@@ -44,32 +47,46 @@ _MC_CHUNK = 1 << 17
 _DRAW_BYTES = 1 << 20
 
 
-def _sample_chunks(shots: int, seed: int, draw) -> list:
-    """``draw(rng, start, count)`` for each fixed chunk of ``shots``.
+def _sample_chunks(shots: int, seed: int, draw, start: int = 0) -> tuple:
+    """``draw(rng, chunk, count)`` for each fixed chunk of shots ``start``
+    to ``start + shots - 1``.
 
-    Chunk ``start`` draws from its own counter-based Philox stream keyed on
-    ``(seed, start)``, so every shot's random numbers depend only on the
-    seed and the shot index.  Returns the per-chunk results in order.
+    Chunk ``chunk`` (its first shot) draws from its own counter-based
+    Philox stream keyed on ``(seed, chunk)``, so every shot's random
+    numbers depend only on the seed and the shot index; ``start`` must
+    therefore be a chunk boundary.  ``draw`` returns a tuple of arrays;
+    the result joins them over the chunks in order (one chunk's are
+    returned as they are).
     """
     if shots < 1:
         raise ValueError("shots must be >= 1")
-    return [draw(np.random.Generator(np.random.Philox(
-                 np.random.SeedSequence(seed, spawn_key=(start,)))),
-                 start, min(_MC_CHUNK, shots - start))
-            for start in range(0, shots, _MC_CHUNK)]
+    if start < 0 or start % _MC_CHUNK:
+        raise ValueError(f"start {start} is not a multiple of {_MC_CHUNK} shots")
+    stop = start + shots
+    parts = [draw(np.random.Generator(np.random.Philox(
+                  np.random.SeedSequence(seed, spawn_key=(chunk,)))),
+                  chunk, min(_MC_CHUNK, stop - chunk))
+             for chunk in range(start, stop, _MC_CHUNK)]
+    return parts[0] if len(parts) == 1 else tuple(map(np.concatenate, zip(*parts)))
 
 
-def _sample_categorical(probs: np.ndarray, shots: int, seed: int) -> np.ndarray:
-    """Per shot, the index ``k`` drawn with probability ``probs[k] / sum``.
+def _categorical_cdf(probs: np.ndarray) -> np.ndarray:
+    """The cdf ``_sample_categorical`` places its uniforms on."""
+    return np.cumsum(probs / probs.sum())
+
+
+def _sample_categorical(cdf: np.ndarray, shots: int, seed: int,
+                        start: int = 0) -> np.ndarray:
+    """Per shot, the index ``k`` drawn with probability ``cdf[k] - cdf[k-1]``.
 
     One keyed uniform per shot is placed on the cdf
     (``searchsorted(side="right")``), chunk by chunk.
     """
-    cdf = np.cumsum(probs / probs.sum())
-    draws = np.concatenate(_sample_chunks(
+    (draws,) = _sample_chunks(
         shots, seed,
-        lambda rng, start, count: np.searchsorted(cdf, rng.random(count),
-                                                  side="right")))
+        lambda rng, chunk, count: (np.searchsorted(cdf, rng.random(count),
+                                                   side="right"),),
+        start)
     draws[draws == len(cdf)] = len(cdf) - 1  # guard the u ~ 1.0 edge
     return draws
 
@@ -139,14 +156,32 @@ class FieldConfiguration:
 
 @dataclass(frozen=True, eq=False)
 class ClickDistribution:
-    """Per-cell click probability under the threshold-detector model."""
+    """Per-cell click probability under the threshold-detector model.
+
+    Probabilities outside [0, 1] raise ``ValueError`` here, before any
+    shot is drawn.  ``_gaps`` keeps, per cell laid out by
+    ``_flatten_cells``, ``log1p(-p)`` and the terminal and bin, for
+    ``sample_clicks``.
+    """
 
     p_click: dict[str, np.ndarray]
+
+    def __post_init__(self):
+        p, terminal, bins = _flatten_cells(self.p_click)
+        if not np.all((p >= 0) & (p <= 1)):
+            raise ValueError("click probabilities must lie in [0, 1]")
+        with np.errstate(divide="ignore"):
+            log_q = np.log1p(-p)         # -inf for p = 1, -0.0 for p = 0
+        object.__setattr__(self, "_gaps", (log_q, terminal, bins))
 
 
 @dataclass(frozen=True, eq=False)
 class EventLog:
-    """Monte-Carlo click records; replaying the seed reproduces it exactly."""
+    """Monte-Carlo click records; replaying the seed reproduces it exactly.
+
+    ``shots`` counts the shots drawn; ``shot_idx`` holds run-wide shot
+    indices, so a log drawn from a later chunk on starts past zero.
+    """
 
     shots: int
     seed: int
@@ -179,31 +214,30 @@ def click_distribution(field: FieldConfiguration) -> ClickDistribution:
     return ClickDistribution(p_click=p)
 
 
-def sample_clicks(dist: ClickDistribution, shots: int, seed: int) -> EventLog:
+def sample_clicks(dist: ClickDistribution, shots: int, seed: int,
+                  start: int = 0) -> EventLog:
     """Sample independent per-cell clicks for ``shots`` repetitions.
 
     Each cell's clicks are found by geometric skipping: the gap from one
     click to the next is ``floor(log1p(-u) / log1p(-p)) + 1`` for a uniform
-    ``u``, so that P(gap > k) = (1 - p)^k.  Chunk ``start`` of ``_MC_CHUNK``
-    shots draws from a counter-based Philox stream keyed on
-    ``(seed, start)``, read as rounds of one uniform per cell: the r-th
+    ``u``, so that P(gap > k) = (1 - p)^k.  Chunk ``chunk`` of
+    ``_MC_CHUNK`` shots draws from a counter-based Philox stream keyed on
+    ``(seed, chunk)``, read as rounds of one uniform per cell: the r-th
     round holds every cell's r-th gap.  Rounds are drawn in row blocks of
     ``_DRAW_BYTES`` of uniforms until every cell has passed the chunk's
     last shot, so a chunk costs about (its largest per-cell click count +
     one block) x cells uniforms.  A cell's k-th gap sits at a fixed place
     in the chunk's stream, so the events are a pure function of
-    (distribution, shots, seed), and a short run is the prefix of a longer
-    one with the same seed.  Events are ordered by (shot, cell).
+    (distribution, shot indices, seed): a short run is the prefix of a
+    longer one with the same seed, and the shots from ``start`` (a
+    multiple of ``_MC_CHUNK``) on are those of a run from shot 0.  Events
+    are ordered by (shot, cell).
     """
-    pvec, cell_terminal, cell_bin = _flatten_cells(dist.p_click)
-    if not np.all((pvec >= 0) & (pvec <= 1)):
-        raise ValueError("click probabilities must lie in [0, 1]")
-    cells = len(pvec)
-    with np.errstate(divide="ignore"):
-        log_q = np.log1p(-pvec)          # -inf for p = 1, -0.0 for p = 0
+    log_q, cell_terminal, cell_bin = dist._gaps
+    cells = len(log_q)
     rows = max(1, _DRAW_BYTES // (8 * max(1, cells)))
 
-    def draw(rng, start, count):
+    def draw(rng, chunk, count):
         # Every gap is at least 1, so count + 1 rounds pass every cell.
         block = np.empty((min(rows, count + 1), cells))
         pos = np.full(cells, -1.0)       # each cell's last click so far
@@ -227,13 +261,12 @@ def sample_clicks(dist: ClickDistribution, shots: int, seed: int) -> EventLog:
         keys = np.concatenate(keys)
         keys.sort()
         shot = keys // cells
-        shot += start
+        shot += chunk
         np.remainder(keys, cells, out=keys)
         return shot, keys.astype(np.int32)
 
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-        shot_idx, cell = (np.concatenate(parts) for parts in
-                          zip(*_sample_chunks(shots, seed, draw)))
+        shot_idx, cell = _sample_chunks(shots, seed, draw, start)
     return EventLog(shots=shots, seed=seed, shot_idx=shot_idx,
                     terminal=cell_terminal[cell], bin_idx=cell_bin[cell],
                     terminal_order=tuple(dist.p_click))

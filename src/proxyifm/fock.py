@@ -28,7 +28,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from typing import Iterable, Optional, Sequence
 
 import numpy as np
@@ -43,7 +43,7 @@ from .circuit import (
     PhaseShift,
     compile_circuit,
 )
-from .coherent import _sample_categorical
+from .coherent import _categorical_cdf, _sample_categorical
 from .errors import (
     BinOverflowError,
     CutoffTooSmallError,
@@ -85,14 +85,27 @@ class FockBasis:
             raise StateTooLargeError(
                 f"basis of {dim} states over {n_modes} modes needs {size} "
                 f"bytes, over the bound of {MAX_BASIS_BYTES} bytes")
-        # sectors[t]: the vectors over the last `width` modes with total t,
-        # in lexicographic order, grown one leading mode at a time.
-        sectors = [np.full((1, 1), t, dtype=np.uint8) for t in range(cutoff + 1)]
-        for _width in range(2, n_modes + 1):
-            sectors = [np.concatenate([
-                np.hstack((np.full((len(sectors[t - h]), 1), h, dtype=np.uint8),
-                           sectors[t - h]))
-                for h in range(t + 1)]) for t in range(cutoff + 1)]
+        # The table is filled in place, one width at a time from the last
+        # mode.  Row start[t] is the first of total t, and the vectors over
+        # the last w modes with total t, in lexicographic order, are the
+        # first C(t + w - 1, w - 1) rows there (every other row of total t
+        # has a photon in an earlier mode).  Widening to w keeps the rows
+        # with no photon in the new mode, and copies in, after them, each
+        # narrower block of total t - h behind a new mode holding h: rows
+        # that no later copy reads.
+        occupations = np.zeros((dim, n_modes), dtype=np.uint8)
+        start = [math.comb(t - 1 + n_modes, n_modes) for t in range(cutoff + 1)]
+        occupations[start, -1] = np.arange(cutoff + 1)
+        for width in range(2, n_modes + 1):
+            mode = n_modes - width
+            for t in range(1, cutoff + 1):
+                row = start[t] + math.comb(t + width - 2, width - 2)
+                for h in range(1, t + 1):
+                    n = math.comb(t - h + width - 2, width - 2)
+                    occupations[row:row + n, mode] = h
+                    occupations[row:row + n, mode + 1:] = \
+                        occupations[start[t - h]:start[t - h] + n, mode + 1:]
+                    row += n
         # index = C(s_0 + M, M) - 1 - sum_{j >= 1} C(s_j + M - j - 1, M - j)
         # over M modes: the vectors of smaller total, plus the lexicographic
         # rank within the total (a telescoped hockey-stick sum).
@@ -101,8 +114,8 @@ class FockBasis:
             + [[-math.comb(s + n_modes - j - 1, n_modes - j)
                 for s in range(cutoff + 1)] for j in range(1, n_modes)],
             dtype=np.int64)
-        return cls(n_modes=n_modes, cutoff=cutoff,
-                   occupations=np.concatenate(sectors), terms=terms)
+        return cls(n_modes=n_modes, cutoff=cutoff, occupations=occupations,
+                   terms=terms)
 
     @property
     def dim(self) -> int:
@@ -304,6 +317,13 @@ class JointDistribution:
     def p_click(self, terminal: str, bin_idx: int) -> float:
         return float(self.probabilities[self._counts((terminal, bin_idx)) >= 1].sum())
 
+    @cached_property
+    def _draws(self) -> tuple:
+        """What ``sample_joint`` draws from, built once: the rows in
+        lexicographic order and the cdf of their probabilities."""
+        order = np.lexsort(self.outcomes.T[::-1])
+        return order, _categorical_cdf(self.probabilities[order])
+
 
 class FockOracle:
     """Walks a CircuitSpec exactly in a truncated Fock space.
@@ -434,13 +454,16 @@ class FockOracle:
         return apply_mode_permutation(state, perm)
 
 
-def sample_joint(dist: JointDistribution, shots: int, seed: int) -> np.ndarray:
+def sample_joint(dist: JointDistribution, shots: int, seed: int,
+                 start: int = 0) -> np.ndarray:
     """Draw ``shots`` outcomes from the joint table, as row indices.
 
-    Element k is the index in ``dist.outcomes`` of shot k's outcome.  Rows
-    lie on the cdf in lexicographic order; the draws are keyed on (seed,
-    chunk) like every Monte-Carlo sampler, so a shorter run is a prefix of
-    a longer one.
+    Element k is the index in ``dist.outcomes`` of shot ``start + k``'s
+    outcome.  Rows lie on the cdf in lexicographic order, sorted once per
+    distribution; the draws are keyed on (seed, chunk) like every
+    Monte-Carlo sampler, so a shorter run is a prefix of a longer one and
+    a run drawn chunk by chunk (``start`` a multiple of ``_MC_CHUNK``)
+    equals the whole-run call.
     """
-    order = np.lexsort(dist.outcomes.T[::-1])
-    return order[_sample_categorical(dist.probabilities[order], shots, seed)]
+    order, cdf = dist._draws
+    return order[_sample_categorical(cdf, shots, seed, start)]

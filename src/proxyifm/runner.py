@@ -1,10 +1,16 @@
 """Experiment orchestration: dispatch a scenario to an engine and emit
 the results as byte-stable CSV or JSONL.
 
-Each engine's results become :class:`~proxyifm.tables.Table` objects;
-Monte-Carlo event tables take their columns straight from the sampler
+Each engine's results become :class:`~proxyifm.tables.Table` objects.
+A Monte-Carlo event table is a stream: each pass over it calls the
+engine's sampler once per ``_MC_CHUNK`` of shots, keyed on (seed, chunk)
+as a whole-run call is, and takes the columns straight from the sampler
 arrays, with terminals and Fock outcome vectors as categorical columns.
-``emit`` writes them with the block writers of :mod:`proxyifm.tables`.
+``emit`` writes each chunk with the block writers of
+:mod:`proxyifm.tables` and drops it before the next one is sampled, so a
+run's memory after propagation is O(chunk), not O(shots).  The checks
+that can refuse a run (shots, click probabilities) are made by ``run``,
+before any file is opened.
 
 Every float is printed with 17 significant digits so regression diffs
 are exact, and nothing volatile (timestamps included) reaches the output
@@ -23,6 +29,7 @@ import numpy as np
 
 from .circuit import Delay, compile_circuit
 from .coherent import (
+    _MC_CHUNK,
     CoherentTrain,
     EventLog,
     _flatten_cells,
@@ -101,10 +108,30 @@ def _coherent_train(scenario: Scenario) -> CoherentTrain:
                          phases=src.phases)
 
 
-def _event_table(log: EventLog) -> Table:
+class _Chunks:
+    """The column chunks of a Monte-Carlo event table, sampled afresh on
+    every pass: ``draw(count, start)`` returns the columns of ``count``
+    shots from shot ``start`` on, for each ``_MC_CHUNK`` in turn."""
+
+    def __init__(self, shots: int, draw):
+        if shots < 1:
+            raise ValueError("shots must be >= 1")
+        self.shots, self.draw = shots, draw
+
+    def __iter__(self):
+        for start in range(0, self.shots, _MC_CHUNK):
+            yield self.draw(min(_MC_CHUNK, self.shots - start), start)
+
+
+def _event_table(shots: int, sample) -> Table:
+    """The (shot, terminal, bin) events of ``sample(count, start)``'s logs."""
+    def columns(count: int, start: int) -> tuple:
+        log: EventLog = sample(count, start)
+        return (log.shot_idx, Categorical(log.terminal, log.terminal_order),
+                log.bin_idx)
+
     return Table(headers=("shot", "terminal", "bin"),
-                 columns=(log.shot_idx, Categorical(log.terminal, log.terminal_order),
-                          log.bin_idx))
+                 chunks=_Chunks(shots, columns))
 
 
 def _field_table(field_cfg) -> Table:
@@ -137,8 +164,9 @@ def _run_coherent(scenario: Scenario, mode: str, shots: int, seed: int) -> dict:
                     ("p_no_interaction", p_empty),
                 ])
     else:
+        dist = click_distribution(field_cfg)
         tables["events"] = _event_table(
-            sample_clicks(click_distribution(field_cfg), shots, seed))
+            shots, lambda count, start: sample_clicks(dist, count, seed, start))
     return tables
 
 
@@ -154,7 +182,8 @@ def _run_singlephoton(scenario: Scenario, mode: str, shots: int, seed: int) -> d
         tables["p_outcome"] = Table(headers=("terminal", "probability"),
                                     columns=(list(dist.p), list(dist.p.values())))
     else:
-        tables["events"] = _event_table(sample_outcomes(dist, shots, seed))
+        tables["events"] = _event_table(
+            shots, lambda count, start: sample_outcomes(dist, count, seed, start))
     return tables
 
 
@@ -200,20 +229,25 @@ def _run_fock(scenario: Scenario, mode: str, shots: int, seed: int,
                 headers=("terminal", "bin", "mean_n"),
                 rows=[(t, b, dist.mean(t, b)) for (t, b) in dist.cells])
     else:
-        # Only the outcome rows that were drawn get a text: ``drawn`` lists
-        # them in row order, and each shot's code is its row's rank there
-        # (``np.unique(..., return_inverse=True)`` without the sort's copies).
-        rows = sample_joint(dist, shots, seed)
-        seen = np.zeros(len(dist.outcomes), dtype=bool)
-        seen[rows] = True
-        drawn = np.flatnonzero(seen)
-        codes = (np.cumsum(seen) - 1)[rows]
         tables["events"] = Table(
             headers=("shot", "outcome_vector"),
-            columns=(np.arange(shots),
-                     Categorical(codes,
-                                 outcome_texts(dist.cells, dist.outcomes[drawn]))))
+            chunks=_Chunks(shots, lambda count, start:
+                           _fock_event_columns(dist, count, seed, start)))
     return tables
+
+
+def _fock_event_columns(dist, count: int, seed: int, start: int) -> tuple:
+    """One chunk of Fock events.  Only the outcome rows drawn in the chunk
+    get a text: ``drawn`` lists them in row order, and each shot's code is
+    its row's rank there (``np.unique(..., return_inverse=True)`` without
+    the sort's copies)."""
+    rows = sample_joint(dist, count, seed, start)
+    seen = np.zeros(len(dist.outcomes), dtype=bool)
+    seen[rows] = True
+    drawn = np.flatnonzero(seen)
+    codes = (np.cumsum(seen) - 1)[rows]
+    return (np.arange(start, start + count),
+            Categorical(codes, outcome_texts(dist.cells, dist.outcomes[drawn])))
 
 
 def emit(report: RunReport, fmt: str, path: Union[str, Path]) -> None:

@@ -13,12 +13,18 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Optional
 
 import numpy as np
 
 from .circuit import CompiledCircuit
-from .coherent import EventLog, _flatten_cells, _sample_categorical
+from .coherent import (
+    EventLog,
+    _categorical_cdf,
+    _flatten_cells,
+    _sample_categorical,
+)
 from .errors import ZeroPulsesError
 
 
@@ -35,6 +41,16 @@ class OutcomeDistribution:
 
     def total(self) -> float:
         return float(sum(self.p.values()))
+
+    @cached_property
+    def _draws(self) -> tuple:
+        """What ``sample_outcomes`` draws from, built once: the terminal
+        order and, per cell of non-zero probability, the cdf, the
+        terminal and the bin."""
+        order = tuple(sorted(self.p_bins))
+        p, terminal, bins = _flatten_cells({t: self.p_bins[t] for t in order})
+        live = p > 0.0
+        return order, _categorical_cdf(p[live]), terminal[live], bins[live]
 
 
 def tensor_sum_state(n: int) -> np.ndarray:
@@ -60,19 +76,20 @@ def propagate_photon(circuit: CompiledCircuit, amplitudes: np.ndarray,
                                p_bins=p_bins)
 
 
-def sample_outcomes(dist: OutcomeDistribution, shots: int, seed: int) -> EventLog:
+def sample_outcomes(dist: OutcomeDistribution, shots: int, seed: int,
+                    start: int = 0) -> EventLog:
     """Draw exactly one (terminal, bin) outcome per shot.
 
     The cells are taken in terminal-name order, zero-probability cells
     dropped, and one keyed uniform per shot is placed on their cdf, so
     every shot index appears once in the log.  Counter-based Philox
     streams keyed on (seed, chunk) keep the result independent of
-    batching.
+    batching: the shots from ``start`` (a multiple of ``_MC_CHUNK``) on
+    are those of a run from shot 0.
     """
-    order = tuple(sorted(dist.p_bins))
-    p, terminal, bins = _flatten_cells({t: dist.p_bins[t] for t in order})
-    live = p > 0.0
-    draws = _sample_categorical(p[live], shots, seed)
-    return EventLog(shots=shots, seed=seed, shot_idx=np.arange(shots),
-                    terminal=terminal[live][draws], bin_idx=bins[live][draws],
+    order, cdf, terminal, bins = dist._draws
+    draws = _sample_categorical(cdf, shots, seed, start)
+    return EventLog(shots=shots, seed=seed,
+                    shot_idx=np.arange(start, start + shots),
+                    terminal=terminal[draws], bin_idx=bins[draws],
                     terminal_order=order)

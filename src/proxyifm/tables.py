@@ -1,17 +1,21 @@
 """Columnar result tables and their byte-stable CSV and JSONL writers.
 
-A :class:`Table` keeps one numpy array, list or :class:`Categorical` per
+A :class:`Table` keeps its rows as a re-iterable source of column chunks:
+each chunk holds one numpy array, list or :class:`Categorical` per
 header, so an engine can hand over its arrays as they are and no Python
-object is built per row.  A column of repeated names (terminals, Fock
-outcome vectors) is a :class:`Categorical`: integer codes into a category
-list, each category formatted once.
+object is built per row.  An eager table is one chunk; a Monte-Carlo
+event table is a stream whose chunks are sampled each time the table is
+read.  A column of repeated names (terminals, Fock outcome vectors) is a
+:class:`Categorical`: integer codes into a category list, each category
+formatted once.
 
-:func:`write_csv` and :func:`write_jsonl` write a table block by block to a
-file opened in binary mode, as UTF-8 with ``\n`` line ends, so writing
-costs O(block) memory however long the table is.  A table whose columns
-are all integer arrays or categoricals (every Monte-Carlo event table) is
-rendered as numpy byte matrices, ``_BYTE_BLOCK`` rows at a time; any other
-table (exact, oracle and sweep tables, which hold floats or lists) is
+:func:`write_csv` and :func:`write_jsonl` write a table chunk by chunk,
+and each chunk block by block, to a file opened in binary mode, as UTF-8
+with ``\n`` line ends; a chunk is dropped before the next one is made, so
+writing costs O(chunk) memory however long the table is.  A chunk whose
+columns are all integer arrays or categoricals (every Monte-Carlo event
+table) is rendered as numpy byte matrices, ``_BYTE_BLOCK`` rows at a time;
+any other (exact, oracle and sweep tables, which hold floats or lists) is
 formatted value by value and joined, ``_BLOCK`` rows at a time.  Both give
 the bytes of a row-by-row writer: every float printed with 17 significant
 digits, JSON values as ``json.dumps`` writes them.
@@ -22,7 +26,7 @@ from __future__ import annotations
 import json
 from collections.abc import Sequence as _SequenceABC
 from itertools import accumulate
-from typing import Optional, Sequence
+from typing import Iterable, Optional, Sequence
 
 import numpy as np
 
@@ -33,37 +37,61 @@ _BYTE_BLOCK = 4096
 
 
 class Table:
-    """A result table stored column by column.
+    """A result table stored column by column, in chunks of rows.
 
-    ``columns`` holds one sequence per header, a numpy array, a list or a
-    :class:`Categorical`, all of one length.  ``Table(headers, rows)``
-    transposes row tuples into list columns; ``Table(headers, columns=...)``
-    takes columns as they are.  ``rows`` is a read-only view that builds a
-    row tuple (of Python scalars) only when one is read, so
-    ``len(table.rows)`` builds none.
+    ``chunks`` is a re-iterable source of column chunks; a chunk holds one
+    sequence per header, a numpy array, a list or a :class:`Categorical`,
+    all of one length.  An eager table is one chunk:
+    ``Table(headers, rows)`` transposes row tuples into list columns, and
+    ``Table(headers, columns=...)`` takes columns as they are.
+    ``Table(headers, chunks=...)`` takes any source whose every pass
+    yields the same chunks, such as a stream that samples them afresh.
+    ``rows`` is a read-only view that builds a row tuple (of Python
+    scalars) only when one is read; ``len(table.rows)`` builds none, and
+    the first full pass over the chunks records it.
     """
 
-    __slots__ = ("headers", "columns")
+    __slots__ = ("headers", "chunks", "_length")
 
     def __init__(self, headers: Sequence[str], rows: Sequence[tuple] = (), *,
-                 columns: Optional[Sequence[Sequence]] = None):
+                 columns: Optional[Sequence[Sequence]] = None,
+                 chunks: Optional[Iterable[tuple]] = None):
         self.headers = tuple(headers)
-        if columns is None:
-            rows = list(rows)
-            if any(len(row) != len(self.headers) for row in rows):
-                raise ValueError(f"every row needs {len(self.headers)} values")
-            columns = [list(c) for c in zip(*rows)] if rows else \
-                [[] for _ in self.headers]
-        self.columns = tuple(columns)
-        if len(self.columns) != len(self.headers):
-            raise ValueError(f"{len(self.columns)} columns for "
-                             f"{len(self.headers)} headers")
-        if len({len(c) for c in self.columns}) > 1:
-            raise ValueError("columns differ in length")
+        self._length = None
+        if chunks is None:
+            if columns is None:
+                rows = list(rows)
+                if any(len(row) != len(self.headers) for row in rows):
+                    raise ValueError(f"every row needs {len(self.headers)} values")
+                columns = [list(c) for c in zip(*rows)] if rows else \
+                    [[] for _ in self.headers]
+            columns = tuple(columns)
+            if len(columns) != len(self.headers):
+                raise ValueError(f"{len(columns)} columns for "
+                                 f"{len(self.headers)} headers")
+            if len({len(c) for c in columns}) > 1:
+                raise ValueError("columns differ in length")
+            chunks = (columns,)
+            self._length = _length(columns)
+        self.chunks = chunks
 
     @property
     def rows(self) -> "_RowView":
-        return _RowView(self.columns)
+        return _RowView(self)
+
+    def each_chunk(self, use) -> None:
+        """``use(columns)`` for every chunk in order, each dropped before
+        the next one is made; the pass records the row count."""
+        n = 0
+        for columns in self.chunks:
+            n += _length(columns)
+            use(columns)
+            del columns             # a streamed chunk dies before the next
+        self._length = n
+
+
+def _length(columns: tuple) -> int:
+    return len(columns[0]) if columns else 0
 
 
 class Categorical:
@@ -88,21 +116,31 @@ class Categorical:
 class _RowView(_SequenceABC):
     """Row tuples of a columnar table, built on access."""
 
-    __slots__ = ("_columns",)
+    __slots__ = ("_table",)
 
-    def __init__(self, columns: tuple):
-        self._columns = columns
+    def __init__(self, table: Table):
+        self._table = table
 
     def __len__(self) -> int:
-        return len(self._columns[0]) if self._columns else 0
+        if self._table._length is None:
+            self._table.each_chunk(lambda columns: None)
+        return self._table._length
 
     def __getitem__(self, i):
         if isinstance(i, slice):
             return [self[k] for k in range(*i.indices(len(self)))]
-        return tuple(_py(c[i]) for c in self._columns)
+        n = len(self)
+        if not -n <= i < n:
+            raise IndexError("row index out of range")
+        i %= n
+        for columns in self._table.chunks:
+            if i < _length(columns):
+                return tuple(_py(c[i]) for c in columns)
+            i -= _length(columns)
 
     def __iter__(self):
-        return zip(*(_as_list(c) for c in self._columns))
+        for columns in self._table.chunks:
+            yield from zip(*(_as_list(c) for c in columns))
 
 
 def _py(x):
@@ -138,13 +176,15 @@ def write_csv(fh, table: Table) -> None:
     # 0, ",", 1, ",", ..., "\n": columns joined by commas
     template = [p for i in range(len(table.headers))
                 for p in (",", i)][1:] + ["\n"]
-    _write_rows(fh, table, template, _fmt)
+    table.each_chunk(lambda columns: _write_rows(fh, columns, template, _fmt))
 
 
 def write_jsonl(fh, name: str, table: Table, many: bool) -> None:
     """One JSON object per row, keyed by the headers, with a leading
     ``table`` key naming the table when ``many`` tables share the file."""
-    _write_rows(fh, table, _jsonl_template(name, table, many), _json_value)
+    template = _jsonl_template(name, table, many)
+    table.each_chunk(lambda columns: _write_rows(fh, columns, template,
+                                                 _json_value))
 
 
 def _jsonl_template(name: str, table: Table, many: bool) -> list:
@@ -162,21 +202,21 @@ def _jsonl_template(name: str, table: Table, many: bool) -> list:
     return template + ["}\n"]
 
 
-def _write_rows(fh, table: Table, template: list, cell) -> None:
-    """Write every row of ``table`` as ``template`` filled in, block by block.
+def _write_rows(fh, columns: tuple, template: list, cell) -> None:
+    """Write every row of a chunk as ``template`` filled in, block by block.
 
     ``template`` alternates literal text and column indices and ends with
     text; ``cell`` formats one value of a list or non-numeric column.  A
-    table of integer arrays and categoricals only is written as byte
+    chunk of integer arrays and categoricals only is written as byte
     matrices; any other is formatted value by value and joined.
     """
-    if all(_is_byte_column(c) for c in table.columns):
-        _write_byte_rows(fh, table, template, cell)
+    if all(_is_byte_column(c) for c in columns):
+        _write_byte_rows(fh, columns, template, cell)
         return
     width = len(template)
-    render = {piece: _render(table.columns[piece], cell)
+    render = {piece: _render(columns[piece], cell)
               for piece in template if not isinstance(piece, str)}
-    n = len(table.rows)
+    n = _length(columns)
     for start in range(0, n, _BLOCK):
         stop = min(start + _BLOCK, n)
         parts: list = [None] * ((stop - start) * width)
@@ -210,7 +250,7 @@ def _is_byte_column(column) -> bool:
         isinstance(column, np.ndarray) and column.dtype.kind in "iu")
 
 
-def _write_byte_rows(fh, table: Table, template: list, cell) -> None:
+def _write_byte_rows(fh, columns: tuple, template: list, cell) -> None:
     """``_write_rows`` for integer and categorical columns, as byte matrices.
 
     Each template piece owns a fixed span of a block's (rows, width)
@@ -218,9 +258,9 @@ def _write_byte_rows(fh, table: Table, template: list, cell) -> None:
     bytes are written once, a column's for each block.  The block's text
     is the kept bytes in row order, so no Python object is built per row.
     """
-    n = len(table.rows)
+    n = _length(columns)
     spans = [np.frombuffer(p.encode("utf-8"), dtype=np.uint8)
-             if isinstance(p, str) else _column_bytes(table.columns[p], cell)
+             if isinstance(p, str) else _column_bytes(columns[p], cell)
              for p in template]
     edges = list(accumulate(map(len, spans), initial=0))
     mat = np.empty((min(n, _BYTE_BLOCK), edges[-1]), dtype=np.uint8)

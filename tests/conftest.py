@@ -247,6 +247,20 @@ def haar_random_unitary(n: int, seed: int) -> np.ndarray:
 
 # -- Fock-space oracles ----------------------------------------------------
 
+def sector_occupations(n_modes, cutoff):
+    """The graded-lexicographic occupation table of ``FockBasis``, built
+    sector by sector: the vectors of each total over the last ``width``
+    modes, grown one leading mode at a time, then joined.  The reference
+    for the in-place builder."""
+    sectors = [np.full((1, 1), t, dtype=np.uint8) for t in range(cutoff + 1)]
+    for _width in range(2, n_modes + 1):
+        sectors = [np.concatenate([
+            np.hstack((np.full((len(sectors[t - h]), 1), h, dtype=np.uint8),
+                       sectors[t - h]))
+            for h in range(t + 1)]) for t in range(cutoff + 1)]
+    return np.concatenate(sectors)
+
+
 def vacuum_state(basis):
     amps = np.zeros(basis.dim, dtype=complex)
     amps[0] = 1.0

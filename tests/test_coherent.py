@@ -5,6 +5,7 @@ import pytest
 
 from proxyifm.circuit import compile_circuit
 from proxyifm.coherent import (
+    ClickDistribution,
     CoherentTrain,
     click_distribution,
     fringe_sweep,
@@ -183,9 +184,8 @@ def test_sampling_zero_probability_gives_no_events():
 
 
 def test_sampling_certain_cell_fires_every_shot():
-    dist = type("D", (), {"p_click": {"D": np.array([1.0])}})()
-    from proxyifm.coherent import sample_clicks as sc
-    log = sc(dist, shots=10, seed=3)
+    dist = ClickDistribution(p_click={"D": np.array([1.0])})
+    log = sample_clicks(dist, shots=10, seed=3)
     assert len(log) == 10
     assert set(log.shot_idx.tolist()) == set(range(10))
 

@@ -242,7 +242,7 @@ def test_event_tables_take_the_byte_path(tmp_path):
 
 def test_fock_mc_run_of_one_shot_has_one_category():
     report = run(load_scenario("hom_pair"), mode="mc", shots=1, seed=5, cutoff=2)
-    outcome = report.tables["events"].columns[1]
+    (outcome,) = [columns[1] for columns in report.tables["events"].chunks]
     assert len(outcome.categories) == 1
     assert outcome.codes.tolist() == [0]
 
@@ -258,7 +258,7 @@ def test_fock_mc_renders_only_the_drawn_outcomes(name, cutoff, shots):
     every_text = runner.outcome_texts(dist.cells, dist.outcomes)
     report = run(scenario, engine="fock", mode="mc", shots=shots, seed=5,
                  cutoff=cutoff)
-    outcome = report.tables["events"].columns[1]
+    (outcome,) = [columns[1] for columns in report.tables["events"].chunks]
     assert outcome.tolist() == [every_text[r] for r in rows.tolist()]
     assert outcome.categories == [every_text[r] for r in sorted(set(rows.tolist()))]
 
@@ -271,7 +271,7 @@ def test_table_rows_round_trip():
     assert list(table.rows) == rows
     assert table.rows[1] == rows[1]
     assert len(table.rows) == 2
-    assert Table(("a", "b"), []).columns == ([], [])
+    assert Table(("a", "b"), []).chunks == (([], []),)
 
 
 def test_table_rows_view_yields_python_scalars():
@@ -294,7 +294,7 @@ def test_table_rows_view_yields_categories():
 def test_event_name_columns_are_categorical(name):
     """Each distinct name of an event log is stored, and formatted, once."""
     report = run(load_scenario(name), mode="mc", shots=2000, seed=3, cutoff=2)
-    names = report.tables["events"].columns[1]
+    (names,) = [columns[1] for columns in report.tables["events"].chunks]
     assert isinstance(names, Categorical)
     assert len(set(names.categories)) == len(names.categories)
 

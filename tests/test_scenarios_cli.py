@@ -520,7 +520,7 @@ def test_oracle_cutoff_of_each_shipped_scenario(name):
         report = run(scenario, engine="fock", mode="exact", cutoff=cutoff,
                      tables=("joint",))
         assert list(report.tables) == ["joint"]
-        assert sum(report.tables["joint"].columns[1]) == pytest.approx(1.0, abs=1e-12)
+        assert sum(report.tables["joint"].chunks[0][1]) == pytest.approx(1.0, abs=1e-12)
 
 
 def test_cli_oracle_tensor_sum_below_one_photon(tmp_path):
