@@ -61,7 +61,8 @@ def _sample_chunks(shots: int, seed: int, draw, start: int = 0) -> tuple:
     if shots < 1:
         raise ValueError("shots must be >= 1")
     if start < 0 or start % _MC_CHUNK:
-        raise ValueError(f"start {start} is not a multiple of {_MC_CHUNK} shots")
+        raise ValueError(f"start {start} is not a non-negative multiple "
+                         f"of {_MC_CHUNK}")
     stop = start + shots
     parts = [draw(np.random.Generator(np.random.Philox(
                   np.random.SeedSequence(seed, spawn_key=(chunk,)))),

@@ -85,14 +85,13 @@ class FockBasis:
             raise StateTooLargeError(
                 f"basis of {dim} states over {n_modes} modes needs {size} "
                 f"bytes, over the bound of {MAX_BASIS_BYTES} bytes")
-        # The table is filled in place, one width at a time from the last
-        # mode.  Row start[t] is the first of total t, and the vectors over
-        # the last w modes with total t, in lexicographic order, are the
-        # first C(t + w - 1, w - 1) rows there (every other row of total t
-        # has a photon in an earlier mode).  Widening to w keeps the rows
-        # with no photon in the new mode, and copies in, after them, each
-        # narrower block of total t - h behind a new mode holding h: rows
-        # that no later copy reads.
+        # Filled in place, one mode at a time from the last.  Row start[t]
+        # is the first of total t, and the vectors of total t with photons
+        # only in the last w modes are, in lexicographic order, the first
+        # C(t + w - 1, w - 1) rows there.  Widening to w modes keeps those
+        # rows, the new mode empty, and appends for each h = 1..t the
+        # narrower block of total t - h behind a new mode holding h.  The
+        # copies land past every row that a copy reads.
         occupations = np.zeros((dim, n_modes), dtype=np.uint8)
         start = [math.comb(t - 1 + n_modes, n_modes) for t in range(cutoff + 1)]
         occupations[start, -1] = np.arange(cutoff + 1)

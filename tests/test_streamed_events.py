@@ -6,10 +6,10 @@ must not grow with shots, and the table must read the same on every pass.
 """
 
 import hashlib
+import tracemalloc
 
 import numpy as np
 import pytest
-import tracemalloc
 
 from proxyifm.cli import main
 from proxyifm.coherent import ClickDistribution, sample_clicks
@@ -100,13 +100,13 @@ def test_row_count_before_and_after_emit(name, len_first, tmp_path):
         assert lines == shots
 
 
-def test_a_refused_run_opens_no_file(tmp_path):
-    scenario = load_scenario("fig2_blocked")
-    with pytest.raises(ValueError, match="shots"):
-        run(scenario, mode="mc", shots=0, seed=1)
+def test_bad_shots_and_probabilities_are_refused_before_emit():
+    """``run`` raises, so no output file is ever opened for these."""
+    for name in SCENARIOS:
+        with pytest.raises(ValueError, match="shots"):
+            run(load_scenario(name), mode="mc", shots=0, seed=1, cutoff=2)
     with pytest.raises(ValueError, match=r"\[0, 1\]"):
         ClickDistribution(p_click={"D": np.array([0.5, np.nan])})
-    assert list(tmp_path.iterdir()) == []
 
 
 # -- the samplers' chunk offset ---------------------------------------------
