@@ -2,15 +2,16 @@
 the results as byte-stable CSV or JSONL.
 
 Each engine's results become :class:`~proxyifm.tables.Table` objects.
-A Monte-Carlo event table is a stream: each pass over it calls the
-engine's sampler once per ``_MC_CHUNK`` of shots, keyed on (seed, chunk)
-as a whole-run call is, and takes the columns straight from the sampler
-arrays, with terminals and Fock outcome vectors as categorical columns.
-``emit`` writes each chunk with the block writers of
-:mod:`proxyifm.tables` and drops it before the next one is sampled, so a
-run's memory after propagation is O(chunk), not O(shots).  The checks
-that can refuse a run (shots, click probabilities) are made by ``run``,
-before any file is opened.
+A table whose length grows with the input is a stream of ``_MC_CHUNK``-row
+chunks, built afresh on each pass: a Monte-Carlo event table samples each
+chunk of shots, keyed on (seed, chunk) as a whole-run call is, with
+terminals and Fock outcome vectors as categorical columns, and the exact
+coherent ``field`` and Fock ``joint`` tables compute and format only their
+chunk's rows.  Short tables are one eager chunk.  ``emit`` writes each
+chunk with the block writers of :mod:`proxyifm.tables` and drops it before
+the next one is built, so a run's memory after propagation is O(chunk).
+The checks that can refuse a run (shots, click probabilities) are made by
+``run``, before any file is opened.
 
 Every float is printed with 17 significant digits so regression diffs
 are exact, and nothing volatile (timestamps included) reaches the output
@@ -109,18 +110,19 @@ def _coherent_train(scenario: Scenario) -> CoherentTrain:
 
 
 class _Chunks:
-    """The column chunks of a Monte-Carlo event table, sampled afresh on
-    every pass: ``draw(count, start)`` returns the columns of ``count``
-    shots from shot ``start`` on, for each ``_MC_CHUNK`` in turn."""
+    """The column chunks of a streamed table, built afresh on every pass:
+    ``draw(count, start)`` returns the columns of ``count`` rows from row
+    ``start`` on (shots, for a Monte-Carlo table), for each ``_MC_CHUNK``
+    in turn."""
 
-    def __init__(self, shots: int, draw):
-        if shots < 1:
-            raise ValueError("shots must be >= 1")
-        self.shots, self.draw = shots, draw
+    def __init__(self, rows: int, draw):
+        if rows < 1:
+            raise ValueError(f"a stream needs rows (shots) >= 1, got {rows}")
+        self.rows, self.draw = rows, draw
 
     def __iter__(self):
-        for start in range(0, self.shots, _MC_CHUNK):
-            yield self.draw(min(_MC_CHUNK, self.shots - start), start)
+        for start in range(0, self.rows, _MC_CHUNK):
+            yield self.draw(min(_MC_CHUNK, self.rows - start), start)
 
 
 def _event_table(shots: int, sample) -> Table:
@@ -136,13 +138,19 @@ def _event_table(shots: int, sample) -> Table:
 
 def _field_table(field_cfg) -> Table:
     flat, terminal, bins = _flatten_cells(field_cfg.amplitudes)
-    # Scalar arithmetic on purpose: the vectorised np.abs of a complex array
-    # can differ from the scalar one in the last digit.
-    mean = [float(abs(a) ** 2) for a in flat]
+    names = list(field_cfg.amplitudes)
+
+    def columns(count: int, start: int) -> tuple:
+        cells = slice(start, start + count)
+        # Scalar arithmetic on purpose: the vectorised np.abs of a complex
+        # array can differ from the scalar one in the last digit.
+        mean = [float(abs(a) ** 2) for a in flat[cells]]
+        return (Categorical(terminal[cells], names), bins[cells],
+                flat[cells].real, flat[cells].imag, mean,
+                [float(-np.expm1(-m)) for m in mean])
+
     return Table(headers=("terminal", "bin", "re", "im", "mean_n", "p_click"),
-                 columns=(Categorical(terminal, list(field_cfg.amplitudes)),
-                          bins, flat.real, flat.imag, mean,
-                          [float(-np.expm1(-m)) for m in mean]))
+                 chunks=_Chunks(len(flat), columns))
 
 
 def _run_coherent(scenario: Scenario, mode: str, shots: int, seed: int) -> dict:
@@ -220,10 +228,14 @@ def _run_fock(scenario: Scenario, mode: str, shots: int, seed: int,
     if mode == "exact":
         # Most probable first, ties in lexicographic outcome order.
         order = np.lexsort([*dist.outcomes.T[::-1], -dist.probabilities])
-        tables["joint"] = Table(
-            headers=("outcome_vector", "probability"),
-            columns=(outcome_texts(dist.cells, dist.outcomes[order]),
-                     dist.probabilities[order]))
+
+        def joint(count: int, start: int) -> tuple:
+            rows = order[start:start + count]   # distinct: texts, not codes
+            return (outcome_texts(dist.cells, dist.outcomes[rows]),
+                    dist.probabilities[rows])
+
+        tables["joint"] = Table(headers=("outcome_vector", "probability"),
+                                chunks=_Chunks(len(order), joint))
         if want is None or "marginals" in want:
             tables["marginals"] = Table(
                 headers=("terminal", "bin", "mean_n"),

@@ -3,9 +3,9 @@
 Schema ``proxy-ifm/1``.  Top-level keys:
 
 * ``pulses``    - the source block: ``{"kind": "coherent", "n": N,
-  "alpha_squared": ..., "phases": [...]}``, ``{"kind": "tensor_sum",
-  "n": N}``, or ``{"kind": "single_photons", "photons": [[source_id,
-  bin], ...]}``.
+  "alpha_squared": ..., "phases": [...]}`` or ``{"kind": "tensor_sum",
+  "n": N}``, fed into the circuit's only source, or ``{"kind":
+  "single_photons", "photons": [[source_id, bin], ...]}``.
 * ``circuit``   - ``{"n_bins": optional, "elements": [...]}`` with one
   object per element (``source``, ``beamsplitter``, ``obstacle``,
   ``delay``, ``phase``, ``absorber``) wired by named wires; wire names
@@ -188,6 +188,10 @@ def _scenario_from_dict(raw: dict) -> Scenario:
         ids.add(d.id)
         elements.append(d)
 
+    n_sources = sum(isinstance(e, Source) for e in elements)
+    if n_sources > 1 and not isinstance(source, FockSourceSpec):
+        raise ParseError(f"pulses: a {source.kind} train feeds one source, "
+                         f"not {n_sources} sources")
     if isinstance(source, FockSourceSpec):
         source_bins = {e.id: e.n_bins for e in elements if isinstance(e, Source)}
         for sid, b in source.photons:

@@ -3,11 +3,12 @@
 A :class:`Table` keeps its rows as a re-iterable source of column chunks:
 each chunk holds one numpy array, list or :class:`Categorical` per
 header, so an engine can hand over its arrays as they are and no Python
-object is built per row.  An eager table is one chunk; a Monte-Carlo
-event table is a stream whose chunks are sampled each time the table is
-read.  A column of repeated names (terminals, Fock outcome vectors) is a
-:class:`Categorical`: integer codes into a category list, each category
-formatted once.
+object is built per row.  Rows are read front to back.  A short table is
+one eager chunk; a long one (Monte-Carlo events, exact field, Fock joint)
+is a stream whose chunks are built each time the table is read.  A column
+of repeated names (terminals, drawn Fock outcomes) is a
+:class:`Categorical`: integer codes into a category list, each formatted
+once.
 
 :func:`write_csv` and :func:`write_jsonl` write a table chunk by chunk,
 and each chunk block by block, to a file opened in binary mode, as UTF-8
@@ -24,7 +25,6 @@ digits, JSON values as ``json.dumps`` writes them.
 from __future__ import annotations
 
 import json
-from collections.abc import Sequence as _SequenceABC
 from itertools import accumulate
 from typing import Iterable, Optional, Sequence
 
@@ -45,10 +45,10 @@ class Table:
     ``Table(headers, rows)`` transposes row tuples into list columns, and
     ``Table(headers, columns=...)`` takes columns as they are.
     ``Table(headers, chunks=...)`` takes any source whose every pass
-    yields the same chunks, such as a stream that samples them afresh.
-    ``rows`` is a read-only view that builds a row tuple (of Python
-    scalars) only when one is read; ``len(table.rows)`` builds none, and
-    the first full pass over the chunks records it.
+    yields the same chunks, such as a stream that builds them afresh.
+    ``rows`` iterates the row tuples (of Python scalars) front to back and
+    has a length; it has no random access.  ``len(table.rows)`` builds no
+    row tuple, and the first full pass over the chunks records it.
     """
 
     __slots__ = ("headers", "chunks", "_length")
@@ -106,15 +106,12 @@ class Categorical:
     def __len__(self) -> int:
         return len(self.codes)
 
-    def __getitem__(self, i: int):
-        return self.categories[self.codes[i]]
-
     def tolist(self) -> list:
         return [self.categories[k] for k in self.codes.tolist()]
 
 
-class _RowView(_SequenceABC):
-    """Row tuples of a columnar table, built on access."""
+class _RowView:
+    """Row tuples of a columnar table, built as they are iterated."""
 
     __slots__ = ("_table",)
 
@@ -126,25 +123,9 @@ class _RowView(_SequenceABC):
             self._table.each_chunk(lambda columns: None)
         return self._table._length
 
-    def __getitem__(self, i):
-        if isinstance(i, slice):
-            return [self[k] for k in range(*i.indices(len(self)))]
-        n = len(self)
-        if not -n <= i < n:
-            raise IndexError("row index out of range")
-        i %= n
-        for columns in self._table.chunks:
-            if i < _length(columns):
-                return tuple(_py(c[i]) for c in columns)
-            i -= _length(columns)
-
     def __iter__(self):
         for columns in self._table.chunks:
             yield from zip(*(_as_list(c) for c in columns))
-
-
-def _py(x):
-    return x.item() if isinstance(x, np.generic) else x
 
 
 def _as_list(column) -> list:

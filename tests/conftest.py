@@ -1,4 +1,5 @@
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -14,6 +15,7 @@ from proxyifm.circuit import (
 )
 from proxyifm.errors import CutoffTooSmallError
 from proxyifm.fock import FockBasis, FockStateVector
+from proxyifm.tables import Categorical
 
 ALPHA_SQ = 0.1
 ALPHA = math.sqrt(ALPHA_SQ)
@@ -118,6 +120,20 @@ def event_counts(log):
 
 # Shots per keyed Monte-Carlo chunk: part of every sampler's byte contract.
 MC_CHUNK = 1 << 17
+
+
+def column_bytes(columns):
+    """The bytes one table chunk's columns own: array buffers (a
+    categorical's codes), or a list and its Python values."""
+    total = 0
+    for column in columns:
+        if isinstance(column, Categorical):
+            column = column.codes
+        if isinstance(column, np.ndarray):
+            total += column.nbytes
+        else:
+            total += sys.getsizeof(column) + sum(map(sys.getsizeof, column))
+    return total
 
 
 def reference_gap(u, p):

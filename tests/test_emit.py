@@ -269,14 +269,14 @@ def test_table_rows_round_trip():
     rows = [("D1", 0, 0.5), ("D2", 3, -0.0)]
     table = Table(("terminal", "bin", "p"), rows)
     assert list(table.rows) == rows
-    assert table.rows[1] == rows[1]
     assert len(table.rows) == 2
+    with pytest.raises(TypeError):      # rows are read front to back only
+        table.rows[1]
     assert Table(("a", "b"), []).chunks == (([], []),)
 
 
 def test_table_rows_view_yields_python_scalars():
     table = Table(("shot", "p"), columns=(np.arange(3), np.array([0.5, 1.0, 2.0])))
-    assert [type(x) for x in table.rows[0]] == [int, float]
     assert [type(x) for x in next(iter(table.rows))] == [int, float]
 
 
@@ -284,8 +284,6 @@ def test_table_rows_view_yields_categories():
     terminal = Categorical(np.array([1, 0, 1]), ["D1", "D2"])
     table = Table(("terminal", "shot"), columns=(terminal, np.arange(3)))
     assert list(table.rows) == [("D2", 0), ("D1", 1), ("D2", 2)]
-    assert table.rows[1] == ("D1", 1)
-    assert table.rows[1:] == [("D1", 1), ("D2", 2)]
     assert dict(table.rows) == {"D1": 1, "D2": 2}
 
 

@@ -5,7 +5,9 @@ the Fock oracle, the one-photon engine and ``circuit_spatial_unitary``
 all read that layout.  Circuits are drawn from the element grammar:
 sources, splitters with random 2x2 unitaries, delays (also on vacuum
 inputs), phases, obstacles with and without gated bins, detectors and
-absorbers, declared in a random order.
+absorbers, declared in a random order.  The grammar also has a
+split-delay-recombine chain on an open wire, so that two bins of one
+source often meet in one output cell, as in the paper's interferometers.
 """
 
 import math
@@ -75,10 +77,25 @@ def _circuits(draw):
         open_wires.append(wire)
         return wire
 
-    for k, kind in enumerate(draw(st.lists(
-            st.sampled_from(["splitter", "delay", "phase", "obstacle"]),
-            max_size=5))):
-        if kind == "splitter":
+    kinds = draw(st.lists(
+        st.sampled_from(["chain", "splitter", "delay", "phase", "obstacle"]),
+        max_size=5))
+    # Half the circuits open with a chain, on a source's wire.
+    if draw(st.booleans()):
+        kinds.insert(0, "chain")
+    for k, kind in enumerate(kinds):
+        if kind == "chain":
+            # Balanced splitters: a random unitary is often nearly diagonal,
+            # and then the two arms never meet.
+            wire = open_wires.pop(draw(st.integers(0, len(open_wires) - 1)))
+            arms = (f"w{next(counter)}", f"w{next(counter)}")
+            delayed = f"w{next(counter)}"
+            elements += [
+                BeamSplitter(f"bs{k}", (wire, f"vac{next(counter)}"), arms),
+                Delay(f"d{k}", arms[1], delayed, draw(st.integers(1, 2)),
+                      phase=draw(st.just(0.0) | _angles)),
+                BeamSplitter(f"bc{k}", (arms[0], delayed), (fresh(), fresh()))]
+        elif kind == "splitter":
             inputs = (take(), take())
             matrix = draw(st.none() | _unitaries())
             elements.append(BeamSplitter(f"bs{k}", inputs, (fresh(), fresh()),
@@ -168,8 +185,7 @@ def test_fock_oracle_two_photons_match_permanents(spec, data):
 
 @_settings
 @given(spec=_circuits(), phases=st.lists(_angles, min_size=3, max_size=3))
-# Random circuits seldom split a source, delay one arm and recombine it, so
-# two topologies where a train's pulses interfere are given explicitly.
+# The paper's two topologies, where a train's pulses interfere, always run.
 @example(spec=fig2_spec(3), phases=[0.0, 2.0, 4.0])
 @example(spec=fig3_spec(2, blocked="l"), phases=[1.0, 0.5, 0.0])
 def test_fock_oracle_coherent_means_match_propagation(spec, phases):

@@ -520,7 +520,8 @@ def test_oracle_cutoff_of_each_shipped_scenario(name):
         report = run(scenario, engine="fock", mode="exact", cutoff=cutoff,
                      tables=("joint",))
         assert list(report.tables) == ["joint"]
-        assert sum(report.tables["joint"].chunks[0][1]) == pytest.approx(1.0, abs=1e-12)
+        assert sum(p for _, p in report.tables["joint"].rows) == \
+            pytest.approx(1.0, abs=1e-12)
 
 
 def test_cli_oracle_tensor_sum_below_one_photon(tmp_path):
@@ -586,6 +587,33 @@ def test_cli_rejects_malformed_scenario_structure(tmp_path, edit, named):
     doc = _golden_doc("fig2_blocked")
     doc = edit(doc) or doc
     _cli_rejects(tmp_path, doc, named)
+
+
+@pytest.mark.parametrize("command", [
+    ("simulate", "--mode", "exact"),
+    ("simulate", "--mode", "mc", "--shots", "10"),
+    ("oracle", "--cutoff", "2"),
+    ("sweep", "--from", "0", "--to", "1", "--steps", "2"),
+], ids=["exact", "mc", "oracle", "sweep"])
+@pytest.mark.parametrize("name", ["fig2_blocked", "fig2_tensor_sum_blocked"])
+def test_cli_refuses_a_pulse_train_into_two_sources(tmp_path, capsys, name,
+                                                    command):
+    # A coherent or tensor-sum train feeds one source; bs1's vacuum input
+    # becomes a second source here.
+    doc = _golden_doc(name)
+    _element(doc, "bs1")["in"] = ["a", "b0"]
+    doc["circuit"]["elements"].append({"id": "src2", "kind": "source",
+                                       "out": "b0"})
+    scenario = tmp_path / "s.json"
+    scenario.write_text(json.dumps(doc))
+    out = tmp_path / "r.csv"
+    code = main([command[0], "--scenario", str(scenario), *command[1:],
+                 "--out", str(out)])
+    err = capsys.readouterr().err
+    assert code == 2, err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "2 sources" in err
+    assert not out.exists()
 
 
 # (slots + terminals) x n_bins x 16 B for fig2: 2 slots and 3 terminals.

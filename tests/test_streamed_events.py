@@ -18,7 +18,7 @@ from proxyifm.runner import emit, run
 from proxyifm.scenarios import load_scenario
 from proxyifm.singlephoton import OutcomeDistribution, sample_outcomes
 
-from conftest import MC_CHUNK, hom_spec
+from conftest import MC_CHUNK, column_bytes, hom_spec
 
 # (scenario, extra CLI arguments): one per sampler.
 SCENARIOS = {
@@ -58,19 +58,32 @@ def test_bytes_across_chunk_boundaries_are_pinned(name, fmt, tmp_path, monkeypat
     assert hashlib.sha256(out.read_bytes()).hexdigest() == DIGESTS[name, fmt]
 
 
+def _run_and_emit_peak(scenario, shots: int, path) -> int:
+    tracemalloc.start()
+    try:
+        report = run(scenario, mode="mc", shots=shots, seed=7, cutoff=2)
+        emit(report, path.suffix[1:], path)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
 @pytest.mark.parametrize("fmt", ["csv", "jsonl"])
 @pytest.mark.parametrize("name", sorted(SCENARIOS))
 def test_run_and_emit_memory_is_one_chunk(name, fmt, tmp_path):
-    """600,000 shots: the whole log's columns would hold about 14 MiB."""
+    """600,000 shots, four full chunks and a partial fifth, peak no higher
+    than one chunk does by half a chunk's column bytes; a writer that kept
+    the previous chunk alive would add a whole chunk."""
     scenario = load_scenario(name)
-    tracemalloc.start()
-    try:
-        report = run(scenario, mode="mc", shots=600_000, seed=7, cutoff=2)
-        emit(report, fmt, tmp_path / f"out.{fmt}")
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak < 6 * 2**20, f"{peak / 2**20:.1f} MiB"
+    report = run(scenario, mode="mc", shots=MC_CHUNK, seed=7, cutoff=2)
+    (columns,) = report.tables["events"].chunks
+    chunk = column_bytes(columns)
+    del report, columns
+    path = tmp_path / f"out.{fmt}"
+    one = _run_and_emit_peak(scenario, MC_CHUNK, path)
+    peak = _run_and_emit_peak(scenario, 600_000, path)
+    assert peak < one + chunk / 2, \
+        f"{peak / 2**20:.2f} MiB against {one / 2**20:.2f} MiB for one chunk"
 
 
 @pytest.mark.parametrize("name", sorted(SCENARIOS))
