@@ -88,11 +88,6 @@ def test_multi_chunk_bytes_are_pinned(case, tmp_path, monkeypatch):
 def test_exact_run_renders_no_rows_and_emit_holds_one_chunk(
         tmp_path, train, table, options):
     scenario = load_scenario(_train(tmp_path, *train))
-    first = next(iter(run(scenario, mode="exact", **options)
-                      .tables[table].chunks))
-    assert len(first[0]) == MC_CHUNK
-    chunk = column_bytes(first)
-    del first
     tracemalloc.start()
     try:
         report = run(scenario, mode="exact", **options)
@@ -102,7 +97,10 @@ def test_exact_run_renders_no_rows_and_emit_holds_one_chunk(
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
+    first = next(iter(report.tables[table].chunks))
+    chunk = column_bytes(first)
     # The report holds the distribution, which is well under one chunk of
     # rendered rows; a table built whole in ``run`` holds more than a chunk.
     assert kept < chunk / 2, f"{kept / 2**20:.1f} MiB kept"
     assert peak - kept < 1.5 * chunk, f"{(peak - kept) / 2**20:.1f} MiB"
+    assert len(first[0]) == MC_CHUNK
