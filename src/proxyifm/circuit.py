@@ -217,6 +217,15 @@ class CompiledCircuit:
         src = self._source(source_id)
         return range(self.max_path_delay, src.n_bins)
 
+    def middle_interior_bin(self) -> int:
+        """The interior bin where runs read conditionals and fringes."""
+        interior = self.interior_bins()
+        if not interior:
+            raise BinOverflowError(
+                f"a train of N={interior.stop} pulses has no interior bin: "
+                f"N must exceed the longest path delay D={self.max_path_delay}")
+        return interior[len(interior) // 2]
+
     def _source(self, source_id: Optional[str]) -> Source:
         if source_id is None:
             if len(self._sources) != 1:

@@ -358,8 +358,7 @@ def fringe_sweep(spec: CircuitSpec, phase_values: Sequence[float],
         compiled = compile_circuit(spec.with_element(replace(delay, phase=float(phi))))
         d1, d2 = compiled.detector_ids()[:2]
         field = propagate_coherent(compiled, source)
-        interior = compiled.interior_bins()
-        mid = interior[len(interior) // 2]
+        mid = compiled.middle_interior_bin()
         out.append((float(phi),
                     float(field.mean_photons(d1)[mid] / per_pulse),
                     float(field.mean_photons(d2)[mid] / per_pulse)))

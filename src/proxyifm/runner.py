@@ -5,11 +5,13 @@ Each engine's results become :class:`~proxyifm.tables.Table` objects.
 A table whose length grows with the input is a stream of ``_MC_CHUNK``-row
 chunks, built afresh on each pass: a Monte-Carlo event table samples each
 chunk of shots, keyed on (seed, chunk) as a whole-run call is, with
-terminals and Fock outcome vectors as categorical columns, and the exact
-coherent ``field`` and Fock ``joint`` tables compute and format only their
-chunk's rows.  Short tables are one eager chunk.  ``emit`` writes each
-chunk with the block writers of :mod:`proxyifm.tables` and drops it before
-the next one is built, so a run's memory after propagation is O(chunk).
+terminals as a categorical column, and the exact coherent ``field`` and
+Fock ``joint`` tables compute only their chunk's rows.  A Fock outcome
+column, joint or sampled, is an :class:`~proxyifm.tables.OutcomeVectors`
+of its rows' counts.  Short tables are one eager chunk.  ``emit`` writes
+each chunk with the one block writer of :mod:`proxyifm.tables` and drops
+it before the next one is built, so a run's memory after propagation is
+O(chunk).
 The checks that can refuse a run (shots, click probabilities) are made by
 ``run``, before any file is opened.
 
@@ -48,7 +50,7 @@ from .scenarios import (
     TensorSumSourceSpec,
 )
 from .singlephoton import propagate_photon, sample_outcomes, tensor_sum_state
-from .tables import _BLOCK, Categorical, Table, write_csv, write_jsonl
+from .tables import Categorical, OutcomeVectors, Table, write_csv, write_jsonl
 
 _ENGINE_SOURCES = {
     "coherent": (CoherentSourceSpec,),
@@ -161,8 +163,7 @@ def _run_coherent(scenario: Scenario, mode: str, shots: int, seed: int) -> dict:
     if mode == "exact":
         tables["field"] = _field_table(field_cfg)
         if scenario.trigger_terminal and compiled.loss_terminals:
-            interior = compiled.interior_bins()
-            trig_bin = interior[len(interior) // 2]
+            trig_bin = compiled.middle_interior_bin()
             p_empty = interaction_free_probability(scenario.spec, train, trig_bin)
             tables["conditionals"] = Table(
                 headers=("quantity", "value"),
@@ -205,20 +206,6 @@ def _prepare_fock_input(oracle: FockOracle, scenario: Scenario):
     return oracle.single_photon_state(src.photons)
 
 
-def outcome_texts(cells: Sequence[tuple[str, int]],
-                  outcomes: np.ndarray) -> list[str]:
-    """Stable text of each outcome row: ``terminal=counts`` groups, ``;``-joined.
-
-    A terminal's cells are adjacent in ``cells``.
-    """
-    groups: dict[str, list[str]] = {}
-    for term, _ in cells:
-        groups.setdefault(term.replace("%", "%%"), []).append("%d")
-    template = ";".join(f"{t}=" + ",".join(c) for t, c in groups.items())
-    return [template % tuple(row) for start in range(0, len(outcomes), _BLOCK)
-            for row in outcomes[start:start + _BLOCK].tolist()]
-
-
 def _run_fock(scenario: Scenario, mode: str, shots: int, seed: int,
               cutoff: int, want: Optional[Collection[str]]) -> dict:
     oracle = FockOracle(scenario.spec, cutoff)
@@ -230,8 +217,8 @@ def _run_fock(scenario: Scenario, mode: str, shots: int, seed: int,
         order = np.lexsort([*dist.outcomes.T[::-1], -dist.probabilities])
 
         def joint(count: int, start: int) -> tuple:
-            rows = order[start:start + count]   # distinct: texts, not codes
-            return (outcome_texts(dist.cells, dist.outcomes[rows]),
+            rows = order[start:start + count]
+            return (OutcomeVectors(dist.cells, dist.outcomes[rows]),
                     dist.probabilities[rows])
 
         tables["joint"] = Table(headers=("outcome_vector", "probability"),
@@ -241,25 +228,14 @@ def _run_fock(scenario: Scenario, mode: str, shots: int, seed: int,
                 headers=("terminal", "bin", "mean_n"),
                 rows=[(t, b, dist.mean(t, b)) for (t, b) in dist.cells])
     else:
-        tables["events"] = Table(
-            headers=("shot", "outcome_vector"),
-            chunks=_Chunks(shots, lambda count, start:
-                           _fock_event_columns(dist, count, seed, start)))
+        def events(count: int, start: int) -> tuple:
+            rows = sample_joint(dist, count, seed, start)
+            return (np.arange(start, start + count),
+                    OutcomeVectors(dist.cells, dist.outcomes[rows]))
+
+        tables["events"] = Table(headers=("shot", "outcome_vector"),
+                                 chunks=_Chunks(shots, events))
     return tables
-
-
-def _fock_event_columns(dist, count: int, seed: int, start: int) -> tuple:
-    """One chunk of Fock events.  Only the outcome rows drawn in the chunk
-    get a text: ``drawn`` lists them in row order, and each shot's code is
-    its row's rank there (``np.unique(..., return_inverse=True)`` without
-    the sort's copies)."""
-    rows = sample_joint(dist, count, seed, start)
-    seen = np.zeros(len(dist.outcomes), dtype=bool)
-    seen[rows] = True
-    drawn = np.flatnonzero(seen)
-    codes = (np.cumsum(seen) - 1)[rows]
-    return (np.arange(start, start + count),
-            Categorical(codes, outcome_texts(dist.cells, dist.outcomes[drawn])))
 
 
 def emit(report: RunReport, fmt: str, path: Union[str, Path]) -> None:
@@ -305,6 +281,9 @@ def sweep_table(scenario: Scenario, param: str, values: Sequence[float]) -> Tabl
             f"sweep target {element_id!r} must be the scenario's only delay")
     source = None
     if isinstance(scenario.source, CoherentSourceSpec):
+        if scenario.source.alpha_squared == 0:
+            raise ParseError("sweep needs pulses.alpha_squared > 0: the "
+                             "fringes are normalised to the per-pulse mean")
         source = _coherent_train(scenario)
     rows = np.array(fringe_sweep(scenario.spec, values, source=source),
                     dtype=float).reshape(-1, 3)

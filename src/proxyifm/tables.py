@@ -1,38 +1,31 @@
-"""Columnar result tables and their byte-stable CSV and JSONL writers.
+"""Columnar result tables and their byte-stable CSV and JSONL writer.
 
-A :class:`Table` keeps its rows as a re-iterable source of column chunks:
-each chunk holds one numpy array, list or :class:`Categorical` per
-header, so an engine can hand over its arrays as they are and no Python
-object is built per row.  Rows are read front to back.  A short table is
-one eager chunk; a long one (Monte-Carlo events, exact field, Fock joint)
-is a stream whose chunks are built each time the table is read.  A column
-of repeated names (terminals, drawn Fock outcomes) is a
-:class:`Categorical`: integer codes into a category list, each formatted
-once.
+A :class:`Table` keeps its rows as a re-iterable source of column chunks,
+each one numpy array, list, :class:`Categorical` (repeated names) or
+:class:`OutcomeVectors` (Fock photon counts) per header, so no Python
+object is built per row.  A long table is a stream whose chunks are built
+each time the table is read, front to back.
 
 :func:`write_csv` and :func:`write_jsonl` write a table chunk by chunk,
-and each chunk block by block, to a file opened in binary mode, as UTF-8
-with ``\n`` line ends; a chunk is dropped before the next one is made, so
-writing costs O(chunk) memory however long the table is.  A chunk whose
-columns are all integer arrays or categoricals (every Monte-Carlo event
-table) is rendered as numpy byte matrices, ``_BYTE_BLOCK`` rows at a time;
-any other (exact, oracle and sweep tables, which hold floats or lists) is
-formatted value by value and joined, ``_BLOCK`` rows at a time.  Both give
-the bytes of a row-by-row writer: every float printed with 17 significant
-digits, JSON values as ``json.dumps`` writes them.
+in blocks of ``_BYTE_BLOCK`` rows, as UTF-8 with ``\n`` line ends, so
+writing costs O(chunk) memory.  One writer renders every block as a
+``uint8`` matrix and keep mask; the text is the kept bytes in row order.
+Literals, integers, categories and outcome counts take no Python object
+per row; any other value is formatted one by one.  The bytes are a
+row-by-row writer's: floats with 17 significant digits, JSON as
+``json.dumps`` writes it.
 """
 
 from __future__ import annotations
 
+import io
 import json
 from itertools import accumulate
 from typing import Iterable, Optional, Sequence
 
 import numpy as np
 
-# Rows rendered and written at a time: as joined text, and as byte
-# matrices for tables of integer and categorical columns.
-_BLOCK = 1024
+# Rows rendered and written at a time.
 _BYTE_BLOCK = 4096
 
 
@@ -40,10 +33,10 @@ class Table:
     """A result table stored column by column, in chunks of rows.
 
     ``chunks`` is a re-iterable source of column chunks; a chunk holds one
-    sequence per header, a numpy array, a list or a :class:`Categorical`,
-    all of one length.  An eager table is one chunk:
-    ``Table(headers, rows)`` transposes row tuples into list columns, and
-    ``Table(headers, columns=...)`` takes columns as they are.
+    sequence per header, a numpy array, a list, a :class:`Categorical` or
+    an :class:`OutcomeVectors`, all of one length.  An eager table is one
+    chunk: ``Table(headers, rows)`` transposes row tuples into list
+    columns, and ``Table(headers, columns=...)`` takes columns as they are.
     ``Table(headers, chunks=...)`` takes any source whose every pass
     yields the same chunks, such as a stream that builds them afresh.
     ``rows`` iterates the row tuples (of Python scalars) front to back and
@@ -110,6 +103,28 @@ class Categorical:
         return [self.categories[k] for k in self.codes.tolist()]
 
 
+class OutcomeVectors:
+    """Fock outcome vectors: ``counts[i, j]`` is row ``i``'s photon count
+    in the (terminal, bin) cell ``cells[j]``.  A row reads ``D1=0,1;D2=0,0``
+    (a terminal's cells are adjacent)."""
+
+    __slots__ = ("cells", "counts")
+
+    def __init__(self, cells: Sequence[tuple[str, int]], counts: np.ndarray):
+        self.cells = tuple(cells)
+        self.counts = np.asarray(counts)
+
+    def __len__(self) -> int:
+        return len(self.counts)
+
+    def tolist(self) -> list:
+        """Each row's text, as the writer renders it (a terminal name holds
+        no NUL, so a NUL can end each row)."""
+        out = io.BytesIO()
+        _write_rows(out, (self,), [0, "\0"], _fmt)
+        return out.getvalue().decode("utf-8").split("\0")[:-1]
+
+
 class _RowView:
     """Row tuples of a columnar table, built as they are iterated."""
 
@@ -129,8 +144,8 @@ class _RowView:
 
 
 def _as_list(column) -> list:
-    return column.tolist() if isinstance(column, (np.ndarray, Categorical)) \
-        else column
+    return column.tolist() if isinstance(
+        column, (np.ndarray, Categorical, OutcomeVectors)) else column
 
 
 def _fmt(x) -> str:
@@ -187,103 +202,85 @@ def _write_rows(fh, columns: tuple, template: list, cell) -> None:
     """Write every row of a chunk as ``template`` filled in, block by block.
 
     ``template`` alternates literal text and column indices and ends with
-    text; ``cell`` formats one value of a list or non-numeric column.  A
-    chunk of integer arrays and categoricals only is written as byte
-    matrices; any other is formatted value by value and joined.
+    text; ``cell`` formats what is not an integer.  Each piece owns a span
+    of the block's ``uint8`` matrix and keep mask.  A literal's bytes are
+    written when the widths change; any other piece's ``load(start,
+    stop)`` gives its width, then ``fill`` writes its bytes and keep mask.
     """
-    if all(_is_byte_column(c) for c in columns):
-        _write_byte_rows(fh, columns, template, cell)
-        return
-    width = len(template)
-    render = {piece: _render(columns[piece], cell)
-              for piece in template if not isinstance(piece, str)}
-    n = _length(columns)
-    for start in range(0, n, _BLOCK):
-        stop = min(start + _BLOCK, n)
-        parts: list = [None] * ((stop - start) * width)
-        for k, piece in enumerate(template):
-            if isinstance(piece, str):
-                parts[k::width] = [piece] * (stop - start)
-            else:
-                parts[k::width] = render[piece](start, stop)
-        fh.write("".join(parts).encode("utf-8"))
-
-
-def _render(column, cell):
-    """``block(start, stop)``: the text of each value of a column's rows.
-
-    Integer arrays print with ``str``.  A :class:`Categorical` formats each
-    category once and indexes the texts by code; any other value is
-    formatted by ``cell``.
-    """
-    if isinstance(column, Categorical):
-        texts = np.empty(len(column.categories), dtype=object)
-        texts[:] = [cell(x) for x in column.categories]
-        return lambda start, stop: texts[column.codes[start:stop]].tolist()
-    if isinstance(column, np.ndarray):
-        fmt = str if column.dtype.kind in "iu" else cell
-        return lambda start, stop: list(map(fmt, column[start:stop].tolist()))
-    return lambda start, stop: list(map(cell, column[start:stop]))
-
-
-def _is_byte_column(column) -> bool:
-    return isinstance(column, Categorical) or (
-        isinstance(column, np.ndarray) and column.dtype.kind in "iu")
-
-
-def _write_byte_rows(fh, columns: tuple, template: list, cell) -> None:
-    """``_write_rows`` for integer and categorical columns, as byte matrices.
-
-    Each template piece owns a fixed span of a block's (rows, width)
-    ``uint8`` matrix and of a keep mask of the same shape: a literal's
-    bytes are written once, a column's for each block.  The block's text
-    is the kept bytes in row order, so no Python object is built per row.
-    """
-    n = _length(columns)
-    spans = [np.frombuffer(p.encode("utf-8"), dtype=np.uint8)
-             if isinstance(p, str) else _column_bytes(columns[p], cell)
-             for p in template]
-    edges = list(accumulate(map(len, spans), initial=0))
-    mat = np.empty((min(n, _BYTE_BLOCK), edges[-1]), dtype=np.uint8)
-    keep = np.ones(mat.shape, dtype=bool)
-    fills = []
-    for span, a, b in zip(spans, edges, edges[1:]):
-        if isinstance(span, np.ndarray):
-            mat[:, a:b] = span
-        else:
-            fills.append((span.fill, a, b))
+    spans: list = []
+    for p in template:
+        spans += [p] if isinstance(p, str) else _column_spans(columns[p], cell)
+    spans = [np.frombuffer(s.encode("utf-8"), dtype=np.uint8) if isinstance(s, str)
+             else s for s in spans]
+    n, widths = _length(columns), None
     for start in range(0, n, _BYTE_BLOCK):
         stop = min(start + _BYTE_BLOCK, n)
+        loaded = [len(s) if isinstance(s, np.ndarray) else s.load(start, stop)
+                  for s in spans]
+        if loaded != widths:
+            widths = loaded
+            edges = list(accumulate(widths, initial=0))
+            mat = np.empty((min(n, _BYTE_BLOCK), edges[-1]), dtype=np.uint8)
+            keep = np.ones(mat.shape, dtype=bool)
+            for span, a, b in zip(spans, edges, edges[1:]):
+                if isinstance(span, np.ndarray):
+                    mat[:, a:b] = span
         block, kept = mat[:stop - start], keep[:stop - start]
-        for fill, a, b in fills:
-            fill(start, stop, block[:, a:b], kept[:, a:b])
-        fh.write(block[kept].tobytes())
+        for span, a, b in zip(spans, edges, edges[1:]):
+            if not isinstance(span, np.ndarray):
+                span.fill(block[:, a:b], kept[:, a:b])
+        fh.write(block[kept])
+
+
+def _column_spans(column, cell) -> list:
+    if isinstance(column, OutcomeVectors):
+        return _outcome_spans(column, cell)
+    if isinstance(column, Categorical):
+        return [_CategoryBytes(column, cell)]
+    if isinstance(column, np.ndarray) and column.dtype.kind in "iu" \
+            and column.min(initial=0) >= 0:
+        return [_IntegerBytes(column)]
+    return [_TextBytes(column, cell)]
+
+
+def _outcome_spans(column: OutcomeVectors, cell) -> list:
+    """The text pieces ``terminal=``, ``,`` and ``;`` around one integer
+    span per cell.  ``cell`` quotes the whole text as it quotes ``""``
+    (JSONL) and escapes each piece on its own, which is the same as
+    escaping the whole, since JSON escapes character by character."""
+    quote = cell("")
+    k = len(quote) // 2
+    spans, previous = [quote[:k]], None
+    for j, (terminal, _) in enumerate(column.cells):
+        text = cell("," if terminal == previous else
+                    (";" if j else "") + f"{terminal}=")
+        spans += [text[k:len(text) - k], _IntegerBytes(column.counts[:, j])]
+        previous = terminal
+    return spans + [quote[k:]]
 
 
 class _CategoryBytes:
-    """A :class:`Categorical` as bytes: each category is encoded once into
-    a row of a padded (categories, width) matrix, and a block gathers the
-    rows of its codes."""
+    """A :class:`Categorical` as bytes: its categories are rendered once,
+    as a text column's block is, and a block gathers the rows of its
+    codes."""
 
     def __init__(self, column: Categorical, cell):
-        texts = [cell(x).encode("utf-8") for x in column.categories]
-        lengths = np.array([len(t) for t in texts], dtype=np.intp)
-        # At least one (never kept) byte, so every row is a void item.
-        self.width = max(1, int(lengths.max(initial=0)))
-        padded = np.frombuffer(b"".join(t.ljust(self.width, b"\0") for t in texts),
-                               dtype=np.uint8).reshape(len(texts), self.width)
-        kept = np.arange(self.width) < lengths[:, None]
+        texts = _TextBytes(column.categories, cell)
+        self.width = texts.load(0, len(column.categories))
+        padded = np.zeros((len(column.categories), self.width), dtype=np.uint8)
+        kept = np.empty(padded.shape, dtype=bool)
+        texts.fill(padded, kept)
         # One void item per category row, so a gather copies whole rows.
-        self._texts, self._kept = (_row_items(m) for m in (padded, kept))
-        self._codes = column.codes
+        self._texts, self._kept = _row_items(padded), _row_items(kept)
+        self._column = column.codes
 
-    def __len__(self) -> int:
+    def load(self, start, stop) -> int:
+        self._codes = self._column[start:stop]
         return self.width
 
-    def fill(self, start, stop, mat, keep) -> None:
-        codes = self._codes[start:stop]
-        _row_items(mat)[:] = self._texts[codes]
-        _row_items(keep)[:] = self._kept[codes]
+    def fill(self, mat, keep) -> None:
+        _row_items(mat)[:] = self._texts[self._codes]
+        _row_items(keep)[:] = self._kept[self._codes]
 
 
 def _row_items(mat: np.ndarray) -> np.ndarray:
@@ -292,44 +289,58 @@ def _row_items(mat: np.ndarray) -> np.ndarray:
 
 
 class _IntegerBytes:
-    """An integer column as decimal text: an optional sign byte, then the
-    digits right-aligned in a width that fits the column's largest
-    magnitude, written by repeated division of the unsigned magnitude, so
-    the whole int64 and uint64 ranges print."""
-
-    _TEN = np.uint64(10)
+    """A column of integers >= 0 as decimal text, right-aligned in a width
+    that fits its largest value, divided down digit by digit as unsigned
+    integers of its size (the faster division)."""
 
     def __init__(self, column: np.ndarray):
-        low = int(column.min(initial=0))
-        high = int(column.max(initial=0))
         self._column = column
-        self._signed = low < 0
-        digits = len(str(max(high, -low)))
-        self.width = int(self._signed) + digits
-        # A leading digit place is kept when the magnitude reaches it.
-        self._places = [np.uint64(10**k) for k in range(digits - 1, 0, -1)]
+        self.width = len(str(int(column.max(initial=0))))
+        kind = np.dtype(f"u{column.itemsize}").type
+        self._ten = kind(10)
+        # A leading digit place is kept when the value reaches it.
+        self._places = [kind(10**k) for k in range(self.width - 1, 0, -1)]
 
-    def __len__(self) -> int:
+    def load(self, start, stop) -> int:
+        self._values = self._column[start:stop].view(self._ten.dtype)
         return self.width
 
-    def fill(self, start, stop, mat, keep) -> None:
-        values = self._column[start:stop]
-        magnitude = values.astype(np.uint64)
-        if self._signed:
-            negative = np.less(values, 0, out=keep[:, 0])
-            np.negative(magnitude, out=magnitude, where=negative)
-            mat[:, 0] = ord("-")
-            mat, keep = mat[:, 1:], keep[:, 1:]
+    def fill(self, mat, keep) -> None:
+        values = self._values
         for k, place in enumerate(self._places):
-            np.greater_equal(magnitude, place, out=keep[:, k])
-        for k in range(mat.shape[1] - 1, -1, -1):
-            quotient = magnitude // self._TEN
-            magnitude -= quotient * self._TEN
-            np.add(magnitude, ord("0"), out=mat[:, k], casting="unsafe")
-            magnitude = quotient
+            np.greater_equal(values, place, out=keep[:, k])
+        for k in range(self.width - 1, 0, -1):
+            quotient = values // self._ten
+            np.add(values - quotient * self._ten, ord("0"), out=mat[:, k],
+                   casting="unsafe")
+            values = quotient
+        np.add(values, ord("0"), out=mat[:, 0], casting="unsafe")
 
 
-def _column_bytes(column, cell):
-    if isinstance(column, Categorical):
-        return _CategoryBytes(column, cell)
-    return _IntegerBytes(column)
+class _TextBytes:
+    """Any other column (floats, strings, lists), formatted by ``cell`` a
+    block at a time: each text's UTF-8 bytes left-aligned in a span as
+    wide as the block's longest text."""
+
+    def __init__(self, column, cell):
+        self._column, self._cell = column, cell
+
+    def load(self, start, stop) -> int:
+        texts = list(map(self._cell, _as_list(self._column[start:stop])))
+        # The byte lengths are the gaps between the NULs that end each
+        # text in one buffer, unless a text holds a NUL of its own.
+        ends = np.flatnonzero(np.frombuffer(
+            "\0".join([*texts, ""]).encode("utf-8"), dtype=np.uint8) == 0)
+        if len(ends) != len(texts):
+            ends = np.cumsum([len(t.encode("utf-8")) + 1 for t in texts]) - 1
+        self._lengths = np.diff(ends, prepend=-1) - 1
+        self._data = np.frombuffer("".join(texts).encode("utf-8"), dtype=np.uint8)
+        # At least one (never kept) byte, so every row is a void item.
+        return max(1, int(self._lengths.max(initial=0)))
+
+    def fill(self, mat, keep) -> None:
+        width = mat.shape[1]
+        # Row k of ``prefix`` keeps the first k bytes of a row.
+        prefix = _row_items(np.arange(width + 1)[:, None] > np.arange(width))
+        _row_items(keep)[:] = prefix[self._lengths]
+        mat[keep] = self._data

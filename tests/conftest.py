@@ -15,7 +15,7 @@ from proxyifm.circuit import (
 )
 from proxyifm.errors import CutoffTooSmallError
 from proxyifm.fock import FockBasis, FockStateVector
-from proxyifm.tables import Categorical
+from proxyifm.tables import Categorical, OutcomeVectors
 
 ALPHA_SQ = 0.1
 ALPHA = math.sqrt(ALPHA_SQ)
@@ -124,16 +124,29 @@ MC_CHUNK = 1 << 17
 
 def column_bytes(columns):
     """The bytes one table chunk's columns own: array buffers (a
-    categorical's codes), or a list and its Python values."""
+    categorical's codes, an outcome-vector column's counts), or a list and
+    its Python values."""
     total = 0
     for column in columns:
         if isinstance(column, Categorical):
             column = column.codes
+        elif isinstance(column, OutcomeVectors):
+            column = column.counts
         if isinstance(column, np.ndarray):
             total += column.nbytes
         else:
             total += sys.getsizeof(column) + sum(map(sys.getsizeof, column))
     return total
+
+
+def outcome_text(cells, counts) -> str:
+    """One Fock outcome row as text, row by row: ``terminal=count,...``
+    for each terminal, its counts in cell order, the groups joined by
+    ``;``.  The reference for the outcome-vector spans of the writer."""
+    groups = {}
+    for (terminal, _), count in zip(cells, counts):
+        groups.setdefault(terminal, []).append(str(count))
+    return ";".join(f"{t}=" + ",".join(c) for t, c in groups.items())
 
 
 def reference_gap(u, p):

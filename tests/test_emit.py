@@ -1,6 +1,6 @@
-"""Columnar tables and the block-streamed writers of ``runner.emit``.
+"""Columnar tables and the block-streamed writer of ``runner.emit``.
 
-The writers must produce the bytes of the plain row-by-row writers kept
+The writer must produce the bytes of the plain row-by-row writers kept
 below as a reference, for every column type and at every block boundary.
 """
 
@@ -8,7 +8,6 @@ import json
 import tempfile
 import tracemalloc
 from pathlib import Path
-from unittest import mock
 
 import numpy as np
 import pytest
@@ -19,6 +18,9 @@ from proxyifm import runner, tables
 from proxyifm.fock import FockOracle, sample_joint
 from proxyifm.runner import Categorical, RunReport, Table, emit, run
 from proxyifm.scenarios import load_scenario
+from proxyifm.tables import OutcomeVectors
+
+from conftest import outcome_text
 
 
 # -- reference: the row-by-row writers the columnar ones replace ------------
@@ -61,7 +63,9 @@ def _ref_emit(tables, fmt: str, path: Path) -> None:
 
 # -- generated tables --------------------------------------------------------
 
-BLOCK = runner._BLOCK
+BLOCK = tables._BYTE_BLOCK
+# Row counts at and around the block edges.
+_EDGE_ROWS = [0, 1, BLOCK - 1, BLOCK, BLOCK + 1, 2 * BLOCK + 1]
 _text = st.text(alphabet=st.characters(blacklist_categories=("Cs",)), max_size=6)
 _floats = st.floats() | st.sampled_from(
     [-0.0, 0.0, 5e-324, 2.2250738585072014e-308 / 3, 1e300, -1e300, 0.1])
@@ -96,8 +100,7 @@ def _column(draw, n_rows):
 
 @st.composite
 def _table(draw):
-    n_rows = draw(st.sampled_from([0, 1, BLOCK - 1, BLOCK, BLOCK + 1])
-                  | st.integers(0, 30))
+    n_rows = draw(st.sampled_from(_EDGE_ROWS) | st.integers(0, 30))
     headers = draw(st.lists(st.sampled_from(["shot", "bin", "table", "x"]) | _text,
                             min_size=1, max_size=4))
     drawn = [draw(_column(n_rows)) for _ in headers]
@@ -142,9 +145,8 @@ def test_emit_matches_row_writer_on_a_run(tmp_path, fmt):
         assert _files(tmp_path / name / "new") == _files(tmp_path / name / "ref")
 
 
-# -- the byte path: tables of integer arrays and categoricals only -----------
+# -- tables of integer arrays and categoricals only ---------------------------
 
-BYTE_BLOCK = tables._BYTE_BLOCK
 # Each side of every change in digit count, and both ends of int64.
 _DIGIT_EDGES = sorted({s * v for k in range(1, 19) for v in (10**k - 1, 10**k)
                        for s in (1, -1)} | {0, 1, -1, 2**63 - 1, -2**63})
@@ -173,8 +175,7 @@ def _byte_column(draw, n_rows):
 
 @st.composite
 def _byte_table(draw):
-    n_rows = draw(st.sampled_from([0, 1, BYTE_BLOCK - 1, BYTE_BLOCK, BYTE_BLOCK + 1])
-                  | st.integers(0, 30))
+    n_rows = draw(st.sampled_from(_EDGE_ROWS) | st.integers(0, 30))
     headers = draw(st.lists(st.sampled_from(["shot", "bin", "table"]) | _text,
                             min_size=1, max_size=4))
     drawn = [draw(_byte_column(n_rows)) for _ in headers]
@@ -189,8 +190,7 @@ def test_byte_path_matches_row_writer(names, data, fmt):
     drawn = {name: data.draw(_byte_table()) for name in names}
     report = RunReport("s", "coherent", "mc", {n: t for n, (_, _, t) in drawn.items()})
     reference = {n: (h, rows) for n, (h, rows, _) in drawn.items()}
-    with tempfile.TemporaryDirectory() as tmp, \
-            mock.patch.object(tables, "_render", side_effect=AssertionError):
+    with tempfile.TemporaryDirectory() as tmp:
         new, ref = Path(tmp, "new"), Path(tmp, "ref")
         new.mkdir()
         ref.mkdir()
@@ -207,7 +207,7 @@ def _assert_emit_matches_row_writer(tmp_path, table, rows, fmt):
         (tmp_path / f"ref.{fmt}").read_bytes()
 
 
-@pytest.mark.parametrize("n_rows", [BYTE_BLOCK - 1, BYTE_BLOCK, BYTE_BLOCK + 1])
+@pytest.mark.parametrize("n_rows", [BLOCK - 1, BLOCK, BLOCK + 1])
 @pytest.mark.parametrize("fmt", ["csv", "jsonl"])
 def test_byte_path_at_the_block_size(tmp_path, n_rows, fmt):
     """Every digit-count edge and awkward category on both sides of a block."""
@@ -233,34 +233,85 @@ def test_byte_path_on_empty_texts(tmp_path, categories, codes, fmt):
 
 
 def test_event_tables_take_the_byte_path(tmp_path):
+    """Every engine's event table, against the row writer."""
     for name in ("fig2_blocked", "fig2_tensor_sum_blocked", "hom_pair"):
         report = run(load_scenario(name), mode="mc", shots=500, seed=3, cutoff=2)
-        with mock.patch.object(tables, "_render", side_effect=AssertionError):
-            for fmt in ("csv", "jsonl"):
-                emit(report, fmt, tmp_path / f"{name}.{fmt}")
+        reference = {n: (t.headers, list(t.rows)) for n, t in report.tables.items()}
+        for fmt in ("csv", "jsonl"):
+            (tmp_path / name / fmt / "new").mkdir(parents=True)
+            (tmp_path / name / fmt / "ref").mkdir()
+            emit(report, fmt, tmp_path / name / fmt / "new" / f"out.{fmt}")
+            _ref_emit(reference, fmt, tmp_path / name / fmt / "ref" / f"out.{fmt}")
+            assert _files(tmp_path / name / fmt / "new") == \
+                _files(tmp_path / name / fmt / "ref")
+
+
+def _fock_mc(name, cutoff, shots):
+    """The Fock distribution of a shipped scenario, the rows that
+    ``sample_joint`` draws for ``shots`` at seed 5, and the outcome column
+    of the same Monte-Carlo run."""
+    scenario = load_scenario(name)
+    oracle = FockOracle(scenario.spec, cutoff)
+    dist = oracle.run(runner._prepare_fock_input(oracle, scenario))
+    rows = sample_joint(dist, shots, 5)
+    report = run(scenario, engine="fock", mode="mc", shots=shots, seed=5,
+                 cutoff=cutoff)
+    (outcome,) = [columns[1] for columns in report.tables["events"].chunks]
+    return dist, rows, outcome
 
 
 def test_fock_mc_run_of_one_shot_has_one_category():
-    report = run(load_scenario("hom_pair"), mode="mc", shots=1, seed=5, cutoff=2)
-    (outcome,) = [columns[1] for columns in report.tables["events"].chunks]
-    assert len(outcome.categories) == 1
-    assert outcome.codes.tolist() == [0]
+    dist, (row,), outcome = _fock_mc("hom_pair", 2, 1)
+    assert outcome.tolist() == [outcome_text(dist.cells, dist.outcomes[row])]
 
 
 @pytest.mark.parametrize("shots", [3, 40, 2000])
 @pytest.mark.parametrize("name, cutoff", [("hom_pair", 2),
                                           ("fig2_tensor_sum_blocked", 1)])
 def test_fock_mc_renders_only_the_drawn_outcomes(name, cutoff, shots):
-    scenario = load_scenario(name)
-    oracle = FockOracle(scenario.spec, cutoff)
-    dist = oracle.run(runner._prepare_fock_input(oracle, scenario))
-    rows = sample_joint(dist, shots, 5)
-    every_text = runner.outcome_texts(dist.cells, dist.outcomes)
-    report = run(scenario, engine="fock", mode="mc", shots=shots, seed=5,
-                 cutoff=cutoff)
-    (outcome,) = [columns[1] for columns in report.tables["events"].chunks]
-    assert outcome.tolist() == [every_text[r] for r in rows.tolist()]
-    assert outcome.categories == [every_text[r] for r in sorted(set(rows.tolist()))]
+    dist, rows, outcome = _fock_mc(name, cutoff, shots)
+    assert np.array_equal(outcome.counts, dist.outcomes[rows])
+    assert outcome.tolist() == [outcome_text(dist.cells, dist.outcomes[r])
+                                for r in rows.tolist()]
+
+
+# -- outcome vectors ------------------------------------------------------------
+
+# Terminal names with a JSON escape, a printf directive, a two-byte and a
+# four-byte (astral) character.
+_terminals = st.text(alphabet=["D", "1", "\\", "%", "\u00fc", "\U0001f600", '"'],
+                     min_size=1, max_size=4)
+
+
+@st.composite
+def _outcome_table(draw):
+    n_rows = draw(st.sampled_from(_EDGE_ROWS) | st.integers(0, 30))
+    names = draw(st.lists(_terminals, max_size=3, unique=True))
+    cells = [(t, b) for t in names for b in range(draw(st.integers(1, 3)))]
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    # Per cell, counts below 2, 10, 100 or 256: every digit count occurs.
+    highs = [draw(st.sampled_from([2, 10, 100, 256])) for _ in cells]
+    counts = rng.integers(0, highs, (n_rows, len(cells))).astype(np.uint8)
+    p = rng.random(n_rows)
+    texts = [outcome_text(cells, row) for row in counts.tolist()]
+    rows = list(zip(range(n_rows), texts, p.tolist()))
+    table = Table(("shot", "outcome_vector", "probability"),
+                  columns=(np.arange(n_rows), OutcomeVectors(cells, counts), p))
+    return table, rows, texts
+
+
+@settings(max_examples=40, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow, HealthCheck.data_too_large])
+@given(data=st.data(), fmt=st.sampled_from(["csv", "jsonl"]))
+def test_outcome_vectors_match_row_writer(data, fmt):
+    table, rows, texts = data.draw(_outcome_table())
+    (columns,) = table.chunks
+    assert columns[1].tolist() == texts
+    with tempfile.TemporaryDirectory() as tmp:
+        new, ref = Path(tmp, f"new.{fmt}"), Path(tmp, f"ref.{fmt}")
+        emit(RunReport("s", "fock", "exact", {"joint": table}), fmt, new)
+        _ref_emit({"joint": (table.headers, rows)}, fmt, ref)
+        assert new.read_bytes() == ref.read_bytes()
 
 
 # -- the Table itself ---------------------------------------------------------
@@ -287,11 +338,11 @@ def test_table_rows_view_yields_categories():
     assert dict(table.rows) == {"D1": 1, "D2": 2}
 
 
-@pytest.mark.parametrize("name", ["fig2_blocked", "fig2_tensor_sum_blocked",
-                                  "hom_pair"])
+@pytest.mark.parametrize("name", ["fig2_blocked", "fig2_tensor_sum_blocked"])
 def test_event_name_columns_are_categorical(name):
-    """Each distinct name of an event log is stored, and formatted, once."""
-    report = run(load_scenario(name), mode="mc", shots=2000, seed=3, cutoff=2)
+    """Each distinct terminal of an event log is stored, and formatted,
+    once.  (A Fock event's outcome vector holds its names in its cells.)"""
+    report = run(load_scenario(name), mode="mc", shots=2000, seed=3)
     (names,) = [columns[1] for columns in report.tables["events"].chunks]
     assert isinstance(names, Categorical)
     assert len(set(names.categories)) == len(names.categories)

@@ -2,10 +2,11 @@
 
 Each mutant sets one or two fields of a shipped scenario file to a value
 from a fixed pool of JSON values, or deletes them, and runs
-``proxyifm simulate`` in process.  Whatever the file holds, the CLI must
-exit 0, 2 (validation) or 3 (engine) without an escaping exception; a run
-that exits 0 must write only finite numbers; and a string where the schema
-wants a number must exit 2.
+``proxyifm simulate`` in process, and ``proxyifm sweep`` too for the
+mutants of the file that declares a sweep.  Whatever the file holds, the
+CLI must exit 0, 2 (validation) or 3 (engine) without an escaping
+exception; a run that exits 0 must write only finite numbers; and a
+string where the schema wants a number must exit 2.
 """
 
 import copy
@@ -140,10 +141,17 @@ def test_mutated_scenarios_fail_at_the_boundary(name, tmp_path, monkeypatch):
                 "--format", fmt, "--out", str(case / f"out.{fmt}")]
         if mode == "mc":
             argv += ["--shots", "64", "--seed", "5"]
-        code = main(argv)
-        assert code in (0, 2, 3), (label, changed, code)
-        if code == 0:
-            for out in case.glob("out.*"):
-                assert not _non_finite_numbers(out), (label, changed, out.name)
-        if expect is not None:
-            assert code == expect, (label, changed, code)
+        runs = [("out", argv)]
+        if name == "fringe_sweep":
+            runs.append(("sweep", ["sweep", "--scenario", str(scenario),
+                                   "--from", "0", "--to", "6.283185307179586",
+                                   "--steps", "5",
+                                   "--out", str(case / "sweep.csv")]))
+        for prefix, argv in runs:
+            code = main(argv)
+            assert code in (0, 2, 3), (label, changed, prefix, code)
+            if code == 0:
+                for out in case.glob(f"{prefix}.*"):
+                    assert not _non_finite_numbers(out), (label, changed, out.name)
+            if expect is not None:
+                assert code == expect, (label, changed, prefix, code)

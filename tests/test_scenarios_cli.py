@@ -687,3 +687,41 @@ def test_cli_rejects_ids_that_corrupt_tables(tmp_path, capsys, kind, char):
     assert code == 2, err
     assert err.startswith("error: ") and f"must not contain {char!r}" in err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("name, n, command", [
+    ("fig2_blocked", 1, ("simulate", "--mode", "exact")),
+    ("fig3_blocked_l", 2, ("simulate", "--mode", "exact")),
+    ("fringe_sweep", 1, ("sweep", "--from", "0", "--to", "1", "--steps", "3")),
+], ids=["fig2-exact", "fig3-exact", "sweep"])
+def test_cli_refuses_a_train_with_no_interior_bin(tmp_path, capsys, name, n,
+                                                   command):
+    """A conditional figure and a fringe are read at the middle interior
+    bin; a train of no more pulses than the longest path delay has none."""
+    doc = _golden_doc(name)
+    doc["pulses"].update(n=n, phases=[0.0] * n)
+    scenario = tmp_path / "s.json"
+    scenario.write_text(json.dumps(doc))
+    out = tmp_path / "r.csv"
+    code = main([command[0], "--scenario", str(scenario), *command[1:],
+                 "--out", str(out)])
+    err = capsys.readouterr().err
+    assert code == 3, err
+    assert err.startswith("engine error: ") and err.count("\n") == 1
+    assert f"N={n} " in err and f"D={n}" in err
+    assert not out.exists()
+
+
+def test_cli_sweep_refuses_a_dark_train(tmp_path, capsys):
+    """The fringes are normalised to the per-pulse mean, which is 0."""
+    doc = _golden_doc("fringe_sweep")
+    doc["pulses"]["alpha_squared"] = 0
+    scenario = tmp_path / "s.json"
+    scenario.write_text(json.dumps(doc))
+    out = tmp_path / "r.csv"
+    code = main(["sweep", "--scenario", str(scenario), "--from", "0", "--to", "1",
+                 "--steps", "3", "--out", str(out)])
+    err = capsys.readouterr().err
+    assert code == 2, err
+    assert err.startswith("error: ") and "alpha_squared" in err
+    assert not out.exists()
