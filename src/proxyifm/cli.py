@@ -143,11 +143,15 @@ def _read_unitary(path: str) -> np.ndarray:
     """The complex matrix in a CSV file, one row per line."""
     try:
         text = Path(path).read_text(encoding="utf-8")
-        return np.array([[complex(tok.strip().replace(" ", ""))
-                          for tok in line.split(",")]
-                         for line in text.strip().splitlines()], dtype=complex)
+        rows = [[complex(tok.strip().replace(" ", "")) for tok in line.split(",")]
+                for line in text.strip().splitlines()]
     except (OSError, ValueError) as exc:
         raise ParseError(f"unitary {path}: {exc}") from None
+    for k, row in enumerate(rows):
+        if len(row) != len(rows[0]):
+            raise ParseError(f"unitary {path}: row 1 has {len(rows[0])} "
+                             f"entries but row {k + 1} has {len(row)}")
+    return np.array(rows, dtype=complex)
 
 
 def _cmd_decompose(args) -> int:

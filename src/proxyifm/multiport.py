@@ -78,7 +78,10 @@ def reck_decompose(u: np.ndarray, tol: float = 1e-10) -> Decomposition:
     if n < 2 or n > MAX_DECOMPOSE_DIM:
         raise DimensionTooLargeError(
             f"supported sizes are 2..{MAX_DECOMPOSE_DIM}, got {n}")
-    if np.linalg.norm(u.conj().T @ u - np.eye(n)) > tol:
+    if not np.isfinite(u).all():
+        raise NonUnitaryInputError("input has a NaN or infinite entry")
+    # Not ``> tol``, which a NaN norm passes.
+    if not np.linalg.norm(u.conj().T @ u - np.eye(n)) <= tol:
         raise NonUnitaryInputError(f"input is not unitary to {tol}")
 
     v = u.copy()

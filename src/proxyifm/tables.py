@@ -8,12 +8,14 @@ each time the table is read, front to back.
 
 :func:`write_csv` and :func:`write_jsonl` write a table chunk by chunk,
 in blocks of ``_BYTE_BLOCK`` rows, as UTF-8 with ``\n`` line ends, so
-writing costs O(chunk) memory.  One writer renders every block as a
-``uint8`` matrix and keep mask; the text is the kept bytes in row order.
+writing costs O(chunk) memory; a block of wide rows holds fewer rows, so
+that it stays within ``_BLOCK_BYTES``.  One writer renders every block as
+a ``uint8`` matrix and keep mask; the text is the kept bytes in row order.
 Literals, integers, categories and outcome counts take no Python object
-per row; any other value is formatted one by one.  The bytes are a
-row-by-row writer's: floats with 17 significant digits, JSON as
-``json.dumps`` writes it.
+per row.  A block of floats formats each distinct value once and gathers
+the texts, unless most of its values are distinct; any other value is
+formatted one by one.  The bytes are a row-by-row writer's: floats with
+17 significant digits, JSON as ``json.dumps`` writes it.
 """
 
 from __future__ import annotations
@@ -25,8 +27,11 @@ from typing import Iterable, Optional, Sequence
 
 import numpy as np
 
-# Rows rendered and written at a time.
+# Rows rendered and written at a time: at most _BYTE_BLOCK, and fewer
+# when a block of them would be wider than _BLOCK_BYTES (rows of up to
+# 64 bytes, such as the event tables', keep the full block).
 _BYTE_BLOCK = 4096
+_BLOCK_BYTES = 1 << 18
 
 
 class Table:
@@ -206,21 +211,27 @@ def _write_rows(fh, columns: tuple, template: list, cell) -> None:
     of the block's ``uint8`` matrix and keep mask.  A literal's bytes are
     written when the widths change; any other piece's ``load(start,
     stop)`` gives its width, then ``fill`` writes its bytes and keep mask.
+    A block whose rows are too wide for ``_BLOCK_BYTES`` is loaded again
+    with fewer rows, which later blocks keep.
     """
     spans: list = []
     for p in template:
         spans += [p] if isinstance(p, str) else _column_spans(columns[p], cell)
     spans = [np.frombuffer(s.encode("utf-8"), dtype=np.uint8) if isinstance(s, str)
              else s for s in spans]
-    n, widths = _length(columns), None
-    for start in range(0, n, _BYTE_BLOCK):
-        stop = min(start + _BYTE_BLOCK, n)
+    n, rows, widths, start = _length(columns), _BYTE_BLOCK, None, 0
+    while start < n:
+        stop = min(start + rows, n)
         loaded = [len(s) if isinstance(s, np.ndarray) else s.load(start, stop)
                   for s in spans]
         if loaded != widths:
+            fit = max(1, _BLOCK_BYTES // sum(loaded))
+            if fit < stop - start:          # too wide: load fewer rows
+                rows = fit
+                continue
             widths = loaded
             edges = list(accumulate(widths, initial=0))
-            mat = np.empty((min(n, _BYTE_BLOCK), edges[-1]), dtype=np.uint8)
+            mat = np.empty((stop - start, edges[-1]), dtype=np.uint8)
             keep = np.ones(mat.shape, dtype=bool)
             for span, a, b in zip(spans, edges, edges[1:]):
                 if isinstance(span, np.ndarray):
@@ -230,6 +241,7 @@ def _write_rows(fh, columns: tuple, template: list, cell) -> None:
             if not isinstance(span, np.ndarray):
                 span.fill(block[:, a:b], kept[:, a:b])
         fh.write(block[kept])
+        start = stop
 
 
 def _column_spans(column, cell) -> list:
@@ -240,6 +252,8 @@ def _column_spans(column, cell) -> list:
     if isinstance(column, np.ndarray) and column.dtype.kind in "iu" \
             and column.min(initial=0) >= 0:
         return [_IntegerBytes(column)]
+    if isinstance(column, list) or getattr(column, "dtype", None) == np.float64:
+        return [_FloatBytes(column, cell)]
     return [_TextBytes(column, cell)]
 
 
@@ -317,10 +331,52 @@ class _IntegerBytes:
         np.add(values, ord("0"), out=mat[:, 0], casting="unsafe")
 
 
+class _FloatBytes:
+    """A column that may hold floats only: a ``float64`` array, or a list
+    whose block holds nothing but Python floats.  A block whose values
+    are at most half distinct formats each distinct value once, and its
+    rows gather those texts as a :class:`Categorical`'s do; any other
+    block is a text block.  Values are told apart by their bits, so
+    ``-0.0`` and ``0.0`` (texts ``-0`` and ``0``) stay apart."""
+
+    def __init__(self, column, cell):
+        self._column, self._cell = column, cell
+        self._texts = _TextBytes(column, cell)
+
+    def load(self, start, stop) -> int:
+        codes = _few_floats(self._column[start:stop])
+        if codes is None:
+            self._span = self._texts
+            return self._texts.load(start, stop)
+        self._span = _CategoryBytes(codes, self._cell)
+        return self._span.load(0, stop - start)
+
+    def fill(self, mat, keep) -> None:
+        self._span.fill(mat, keep)
+
+
+def _few_floats(values) -> Optional[Categorical]:
+    """A block of floats as codes into its distinct values, or ``None``
+    when it holds anything but floats or more than half of its values
+    are distinct."""
+    if isinstance(values, list):
+        if set(map(type, values)) != {float}:
+            return None
+        values = np.array(values, dtype=np.float64)
+    bits = values.view(np.uint64)
+    ordered = np.sort(bits)
+    distinct = ordered[np.append(True, ordered[1:] != ordered[:-1])]
+    if 2 * len(distinct) > len(bits):
+        return None
+    return Categorical(np.searchsorted(distinct, bits),
+                       distinct.view(np.float64).tolist())
+
+
 class _TextBytes:
-    """Any other column (floats, strings, lists), formatted by ``cell`` a
-    block at a time: each text's UTF-8 bytes left-aligned in a span as
-    wide as the block's longest text."""
+    """Any other column (strings, mixed lists, and the float blocks that
+    are mostly distinct), formatted by ``cell`` value by value, a block at
+    a time: each text's UTF-8 bytes left-aligned in a span as wide as the
+    block's longest text."""
 
     def __init__(self, column, cell):
         self._column, self._cell = column, cell

@@ -4,6 +4,7 @@ The writer must produce the bytes of the plain row-by-row writers kept
 below as a reference, for every column type and at every block boundary.
 """
 
+import io
 import json
 import tempfile
 import tracemalloc
@@ -230,6 +231,101 @@ def test_byte_path_on_empty_texts(tmp_path, categories, codes, fmt):
                            np.arange(len(codes), dtype=np.uint64)))
     rows = [(categories[k], i) for i, k in enumerate(codes)]
     _assert_emit_matches_row_writer(tmp_path, table, rows, fmt)
+
+
+# -- float blocks formatted once per distinct value ---------------------------
+
+# Values that print alike but differ in bits (-0.0 and 0.0, NaN payloads),
+# infinities, subnormals and the float extremes.
+_NAN_PAYLOAD = np.array([0x7FF8000000000001], dtype=np.uint64).view(float)[0].item()
+_AWKWARD = [-0.0, 0.0, float("nan"), -float("nan"), _NAN_PAYLOAD, float("inf"),
+            -float("inf"), 5e-324, -5e-324, 2.2250738585072014e-308 / 3,
+            2.2250738585072014e-308, 1.7976931348623157e308, 0.1, 1.0, -1.0]
+
+
+def _float_values(kind: str, n_rows: int, seed: int) -> np.ndarray:
+    """``n_rows`` floats of which one, ``n_rows // 2`` or all are distinct
+    in bits, the awkward values among them, in shuffled order."""
+    rng = np.random.default_rng(seed)
+    randoms = rng.standard_normal(n_rows) * 10.0 ** rng.integers(-300, 300, n_rows)
+    pool = np.concatenate([_AWKWARD, randoms])
+    if kind == "all-equal":
+        return np.full(n_rows, -0.0)
+    if kind == "half-distinct":
+        pool = pool[:max(1, n_rows // 2)]
+        return rng.permutation(pool[np.arange(n_rows) % len(pool)])
+    return rng.permutation(pool[:n_rows])
+
+
+@pytest.mark.parametrize("n_rows", [BLOCK - 1, BLOCK, BLOCK + 1])
+@pytest.mark.parametrize("kind", ["all-equal", "half-distinct", "all-distinct"])
+@pytest.mark.parametrize("form", ["array", "strided", "list"])
+@pytest.mark.parametrize("fmt", ["csv", "jsonl"])
+def test_float_blocks_match_row_writer(tmp_path, n_rows, kind, form, fmt):
+    """A float64 array, a strided one (as a complex array's ``.real``) or
+    a list of Python floats, beside a mixed list that turns from floats
+    to str, int and bool, must give the row writer's bytes."""
+    values = _float_values(kind, n_rows, seed=n_rows)
+    if form == "strided":
+        pairs = np.empty(n_rows, dtype=complex)
+        pairs.real, pairs.imag = values, 1.0
+        column = pairs.real
+        assert not column.flags.c_contiguous
+    else:
+        column = values.tolist() if form == "list" else values
+    mixed = values.tolist()
+    mixed[-3:] = ["x", 5, True]
+    # A row is at most 60 bytes ('{"f":' 24 ',"m":' 24 '}\n'), so every
+    # block but the last holds _BYTE_BLOCK rows.
+    assert tables._BLOCK_BYTES // 60 >= BLOCK
+    table = Table(("f", "m"), columns=(column, mixed))
+    _assert_emit_matches_row_writer(tmp_path, table,
+                                    list(zip(values.tolist(), mixed)), fmt)
+
+
+@pytest.mark.parametrize("kind, deduped", [
+    ("all-equal", True), ("half-distinct", True), ("all-distinct", False),
+])
+def test_float_blocks_take_the_gather_when_few_are_distinct(kind, deduped):
+    values = _float_values(kind, BLOCK, seed=1)
+    for block in (values, values.tolist()):
+        codes = tables._few_floats(block)
+        assert (codes is not None) == deduped
+        if deduped:
+            # Distinct by bits: -0.0, 0.0 and each NaN stay apart.
+            bits = values.view(np.uint64)
+            assert len(codes.categories) == len(np.unique(bits))
+            assert np.array_equal(
+                np.array(codes.tolist()).view(np.uint64), bits)
+
+
+@pytest.mark.parametrize("other", [5, "0.5", np.float64(0.5), True])
+def test_mixed_lists_are_formatted_value_by_value(other):
+    """Only a block of Python floats is deduped, so an int stays ``5``."""
+    assert tables._few_floats([0.5, other, 0.5, 0.5]) is None
+
+
+def test_wide_rows_are_written_in_smaller_blocks():
+    """A block of wide rows holds at most ``_BLOCK_BYTES``; a narrow
+    table keeps ``_BYTE_BLOCK`` rows a block."""
+    def writes(table):
+        sizes = []
+
+        class Sink(io.BytesIO):
+            def write(self, data):
+                sizes.append(len(data))
+                return super().write(data)
+
+        tables.write_csv(Sink(), table)
+        return sizes[1:]            # the header line first
+
+    rng = np.random.default_rng(3)
+    wide = rng.standard_normal((2 * BLOCK + 1, 16))
+    sizes = writes(Table([f"x{i}" for i in range(16)], columns=tuple(wide.T)))
+    assert max(sizes) <= tables._BLOCK_BYTES
+    assert len(sizes) > 3
+    assert len(writes(Table(("shot", "bin"),
+                            columns=(np.arange(2 * BLOCK + 1),) * 2))) == 3
 
 
 def test_event_tables_take_the_byte_path(tmp_path):

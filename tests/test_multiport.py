@@ -119,6 +119,16 @@ def test_reck_rejects_non_unitary():
         reck_decompose(np.ones((3, 3)))
 
 
+def test_reck_rejects_a_nan_residual():
+    """The unitarity check holds on a NaN norm, which ``norm > tol`` lets
+    through: entries near the float limit are finite, but u^H u is not."""
+    huge = np.array([[1e300, 1e300], [1e300, -1e300]], dtype=complex)
+    with np.errstate(all="ignore"):
+        assert np.isnan(np.linalg.norm(huge.conj().T @ huge - np.eye(2)))
+        with pytest.raises(NonUnitaryInputError):
+            reck_decompose(huge)
+
+
 def test_reck_rejects_large_matrices():
     with pytest.raises(DimensionTooLargeError):
         reck_decompose(np.eye(13, dtype=complex))

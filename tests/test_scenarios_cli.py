@@ -416,6 +416,29 @@ def test_cli_decompose_rejects_bad_unitary_file(tmp_path, text):
     assert not out.exists()
 
 
+def test_cli_decompose_names_ragged_row_lengths(tmp_path):
+    upath = tmp_path / "u.csv"
+    upath.write_text("1,0,0\n0,1,0\n0,1\n")
+    r = _cli("decompose", "--unitary", str(upath), "--out", str(tmp_path / "o.csv"))
+    assert r.returncode == 2, r.stderr
+    assert "row 1 has 3 entries but row 3 has 2" in r.stderr
+    assert "inhomogeneous" not in r.stderr
+
+
+@pytest.mark.parametrize("text", ["1,0\n0,nan\n", "inf,0\n0,1\n", "1,0\n0,-infj\n",
+                                  "nan,nan\nnan,nan\n"],
+                         ids=["nan", "inf", "imaginary-inf", "all-nan"])
+def test_cli_decompose_rejects_non_finite_entries(tmp_path, text):
+    """A NaN or infinite entry is refused before any stage: exit 2, no rows."""
+    upath = tmp_path / "u.csv"
+    upath.write_text(text)
+    out = tmp_path / "steps.csv"
+    r = _cli("decompose", "--unitary", str(upath), "--out", str(out))
+    assert r.returncode == 2, r.stderr
+    assert r.stderr.startswith("error: ") and "Traceback" not in r.stderr
+    assert not out.exists()
+
+
 def test_cli_decompose_rejects_nan_tolerance(tmp_path):
     upath = tmp_path / "u.csv"
     upath.write_text("2,0\n0,1\n")
