@@ -226,6 +226,18 @@ class CompiledCircuit:
                 f"N must exceed the longest path delay D={self.max_path_delay}")
         return interior[len(interior) // 2]
 
+    def with_delay_phase(self, delay_id: str, phase: float) -> "CompiledCircuit":
+        """The same layout with delay ``delay_id``'s phase replaced.
+
+        A phase moves no amplitude between slots or bins, so nothing is
+        validated or laid out again; the walk reads the new phase where it
+        read the old one, as on a circuit compiled with it.
+        """
+        order = tuple(replace(e, phase=phase)
+                      if isinstance(e, Delay) and e.id == delay_id else e
+                      for e in self._order)
+        return replace(self, _order=order)
+
     def _source(self, source_id: Optional[str]) -> Source:
         if source_id is None:
             if len(self._sources) != 1:
@@ -351,7 +363,10 @@ def validate(spec: CircuitSpec) -> list[Element]:
             m = e.resolved_matrix()
             if m.shape != (2, 2):
                 raise NonUnitaryBeamSplitterError(f"{e.id!r}: matrix must be 2x2")
-            r = np.linalg.norm(m.conj().T @ m - np.eye(2))
+            # Entries near the float limit overflow to a NaN residual,
+            # which the check below refuses.
+            with np.errstate(over="ignore", invalid="ignore"):
+                r = np.linalg.norm(m.conj().T @ m - np.eye(2))
             if not r <= UNITARITY_TOL:
                 raise NonUnitaryBeamSplitterError(
                     f"{e.id!r}: unitarity residual {r:.3e} exceeds {UNITARITY_TOL}")

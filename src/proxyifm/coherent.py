@@ -338,11 +338,13 @@ def fringe_sweep(spec: CircuitSpec, phase_values: Sequence[float],
                  ) -> list[tuple[float, float, float]]:
     """Sweep the delay's propagation phase and record both output fringes.
 
-    ``spec`` must contain exactly one delay and two detectors.  For each
-    phase the train is re-propagated and the middle interior bin's mean
-    photon number at each detector, normalised to the per-pulse mean, is
-    reported; on the matched two-pulse interferometer this traces
-    ``(1 + cos(phase)) / 2`` and ``(1 - cos(phase)) / 2``.
+    ``spec`` must contain exactly one delay and two detectors.  The
+    circuit is compiled and the train's amplitudes computed once; for each
+    phase the train is walked through that layout with the delay's phase
+    replaced, and the middle interior bin's mean photon number at each
+    detector, normalised to the per-pulse mean, is reported.  On the
+    matched two-pulse interferometer this traces ``(1 + cos(phase)) / 2``
+    and ``(1 - cos(phase)) / 2``.
     """
     delays = [e for e in spec.elements if isinstance(e, Delay)]
     if len(delays) != 1:
@@ -352,13 +354,15 @@ def fringe_sweep(spec: CircuitSpec, phase_values: Sequence[float],
         n = spec.sources()[0].n_bins
         source = CoherentTrain.uniform(n, 1.0)
     per_pulse = abs(source.alpha) ** 2
+    compiled = compile_circuit(spec)
+    d1, d2 = compiled.detector_ids()[:2]
+    mid = compiled.middle_interior_bin()
+    amplitudes = source.amplitudes()
 
     out = []
     for phi in phase_values:
-        compiled = compile_circuit(spec.with_element(replace(delay, phase=float(phi))))
-        d1, d2 = compiled.detector_ids()[:2]
-        field = propagate_coherent(compiled, source)
-        mid = compiled.middle_interior_bin()
+        walked = compiled.with_delay_phase(delay.id, float(phi))
+        field = FieldConfiguration(walked.propagate(amplitudes))
         out.append((float(phi),
                     float(field.mean_photons(d1)[mid] / per_pulse),
                     float(field.mean_photons(d2)[mid] / per_pulse)))

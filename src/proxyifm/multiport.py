@@ -80,8 +80,11 @@ def reck_decompose(u: np.ndarray, tol: float = 1e-10) -> Decomposition:
             f"supported sizes are 2..{MAX_DECOMPOSE_DIM}, got {n}")
     if not np.isfinite(u).all():
         raise NonUnitaryInputError("input has a NaN or infinite entry")
-    # Not ``> tol``, which a NaN norm passes.
-    if not np.linalg.norm(u.conj().T @ u - np.eye(n)) <= tol:
+    # Entries near the float limit overflow to a NaN norm; not ``> tol``,
+    # which a NaN norm passes.
+    with np.errstate(over="ignore", invalid="ignore"):
+        residual = np.linalg.norm(u.conj().T @ u - np.eye(n))
+    if not residual <= tol:
         raise NonUnitaryInputError(f"input is not unitary to {tol}")
 
     v = u.copy()

@@ -144,12 +144,13 @@ def _field_table(field_cfg) -> Table:
 
     def columns(count: int, start: int) -> tuple:
         cells = slice(start, start + count)
-        # Scalar arithmetic on purpose: the vectorised np.abs of a complex
-        # array can differ from the scalar one in the last digit.
-        mean = [float(abs(a) ** 2) for a in flat[cells]]
+        a = flat[cells]
+        # The bits of the scalar float(abs(a) ** 2) and -expm1(-mean): the
+        # SIMD np.abs of a complex array, h ** 2 (which is h * h) and pow
+        # with an array exponent can each differ in the last digit.
+        mean = np.float_power(np.hypot(a.real, a.imag), 2.0)
         return (Categorical(terminal[cells], names), bins[cells],
-                flat[cells].real, flat[cells].imag, mean,
-                [float(-np.expm1(-m)) for m in mean])
+                a.real, a.imag, mean, -np.expm1(-mean))
 
     return Table(headers=("terminal", "bin", "re", "im", "mean_n", "p_click"),
                  chunks=_Chunks(len(flat), columns))

@@ -157,6 +157,8 @@ def load_scenario(path_or_name: Union[str, Path]) -> Scenario:
     except json.JSONDecodeError as exc:
         raise ParseError(f"{path}: {exc.msg} (line {exc.lineno}, column {exc.colno})",
                          line=exc.lineno, column=exc.colno) from exc
+    except ValueError as exc:   # an integer of more digits than int() takes
+        raise ParseError(f"{path}: malformed scenario: {exc}") from None
     try:
         return _scenario_from_dict(raw)
     except (KeyError, TypeError, ValueError) as exc:
@@ -306,7 +308,12 @@ def _parse_source(raw: dict) -> SourceSpec:
         if alpha_squared < 0:
             raise ParseError(f"pulses: alpha_squared {alpha_squared!r} must be "
                              "finite and non-negative")
-        phases = tuple(_finite(p, "pulses: phases") for p in phases)
+        # Finite floats, the usual list, are kept in one pass; any other
+        # list is read value by value, so that an error names the value.
+        if set(map(type, phases)) == {float} and all(map(math.isfinite, phases)):
+            phases = tuple(phases)
+        else:
+            phases = tuple(_finite(p, "pulses: phases") for p in phases)
         return CoherentSourceSpec(n_pulses=n, alpha_squared=alpha_squared,
                                   phases=phases)
     if kind == "tensor_sum":
@@ -362,7 +369,10 @@ def _finite(value, what: str) -> float:
     float a scenario holds passes here."""
     if isinstance(value, (bool, str)):
         raise ParseError(f"{what} {value!r} must be a finite number")
-    x = float(value)
+    try:
+        x = float(value)
+    except OverflowError:       # an integer past the largest float
+        raise ParseError(f"{what} {value!r} must be finite") from None
     if not math.isfinite(x):
         raise ParseError(f"{what} {x!r} must be finite")
     return x

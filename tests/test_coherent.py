@@ -1,9 +1,11 @@
+import json
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from proxyifm.circuit import compile_circuit
+from proxyifm.circuit import Delay, PhaseShift, compile_circuit
 from proxyifm.coherent import (
     ClickDistribution,
     CoherentTrain,
@@ -14,6 +16,7 @@ from proxyifm.coherent import (
     sample_clicks,
 )
 from proxyifm.errors import BinOverflowError, NoLossTerminalError, ZeroPulsesError
+from proxyifm.scenarios import builtin_scenario_path, load_scenario
 
 from conftest import (
     ALPHA,
@@ -288,6 +291,57 @@ def test_fringe_sweep_extremes():
     assert rows[1][1] == pytest.approx(0.5, abs=1e-12)
     assert rows[2][1] == pytest.approx(0.0, abs=1e-12)
     assert rows[2][2] == pytest.approx(1.0, abs=1e-12)
+
+
+def _fringe_rows_compiled_per_phase(spec, phases, source):
+    """The sweep as it was first written: a compile of the spec with the
+    delay's phase replaced, and a propagation, for every phase."""
+    (delay,) = [e for e in spec.elements if isinstance(e, Delay)]
+    per_pulse = abs(source.alpha) ** 2
+    rows = []
+    for phi in phases:
+        compiled = compile_circuit(spec.with_element(replace(delay, phase=float(phi))))
+        d1, d2 = compiled.detector_ids()[:2]
+        field = propagate_coherent(compiled, source)
+        mid = compiled.middle_interior_bin()
+        rows.append((float(phi),
+                     float(field.mean_photons(d1)[mid] / per_pulse),
+                     float(field.mean_photons(d2)[mid] / per_pulse)))
+    return rows
+
+
+def test_fringe_sweep_walks_one_layout_with_the_bits_of_a_compile_per_phase(
+        tmp_path):
+    n = 500
+    doc = json.loads(builtin_scenario_path("fringe_sweep").read_text(encoding="utf-8"))
+    rng = np.random.default_rng(2203)
+    doc["pulses"].update(n=n, alpha_squared=0.37,
+                         phases=rng.uniform(-math.pi, math.pi, n).tolist())
+    path = tmp_path / "sweep.json"
+    path.write_text(json.dumps(doc))
+    scenario = load_scenario(path)
+    source = CoherentTrain(alpha=complex(math.sqrt(0.37)),
+                           phases=scenario.source.phases)
+    phases = np.linspace(-3.0, 3.1, 32)
+    rows = fringe_sweep(scenario.spec, phases, source=source)
+    expected = _fringe_rows_compiled_per_phase(scenario.spec, phases, source)
+    assert len(rows) == 32
+    assert np.array_equal(np.array(rows).view(np.uint64),
+                          np.array(expected).view(np.uint64))
+
+
+@pytest.mark.parametrize("delays", [0, 2])
+def test_fringe_sweep_needs_exactly_one_delay(delays):
+    if delays == 0:
+        spec = fig2_spec(n_pulses=6)
+        (delay,) = [e for e in spec.elements if isinstance(e, Delay)]
+        spec = spec.with_element(PhaseShift(delay.id, delay.input, delay.output, 0.0))
+    else:
+        spec = fig3_spec(n_pulses=6)
+    assert sum(isinstance(e, Delay) for e in spec.elements) == delays
+    compile_circuit(spec)                       # a valid circuit all the same
+    with pytest.raises(ValueError, match="exactly one delay"):
+        fringe_sweep(spec, [0.0, 1.0])
 
 
 def test_coherent_overlap_values():

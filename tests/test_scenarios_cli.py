@@ -748,3 +748,85 @@ def test_cli_sweep_refuses_a_dark_train(tmp_path, capsys):
     assert code == 2, err
     assert err.startswith("error: ") and "alpha_squared" in err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("value, named", [
+    (float("nan"), "nan must be finite"),
+    (float("inf"), "inf must be finite"),
+    (float("-inf"), "-inf must be finite"),
+    (True, "True must be a finite number"),
+    ("0.5", "'0.5' must be a finite number"),
+    (10**399, f"{10**399} must be finite"),
+], ids=["nan", "inf", "-inf", "true", "string", "400-digit-integer"])
+@pytest.mark.parametrize("where", [0, 9])
+def test_cli_names_the_bad_pulse_phase(tmp_path, capsys, value, named, where):
+    """Any phase list that is not all finite floats is read value by value,
+    so the one stderr line names the value; a 400-digit integer, past the
+    largest float, is refused as an infinite one is."""
+    doc = _golden_doc("fig2_blocked")
+    doc["pulses"]["phases"][where] = value
+    scenario = tmp_path / "s.json"
+    scenario.write_text(json.dumps(doc))
+    out = tmp_path / "r.csv"
+    code = main(["simulate", "--scenario", str(scenario), "--out", str(out)])
+    err = capsys.readouterr().err
+    assert code == 2, err
+    assert err == f"error: scenario {str(scenario)!r}: pulses: phases {named}\n"
+    assert not out.exists()
+
+
+def test_integer_pulse_phases_load_as_the_same_floats(tmp_path):
+    doc = _golden_doc("fig2_blocked")
+    n = doc["pulses"]["n"]
+    paths = {}
+    for kind, phases in (("int", list(range(n))), ("float", [float(k) for k in range(n)]),
+                         ("mixed", [k if k % 2 else float(k) for k in range(n)])):
+        doc["pulses"]["phases"] = phases
+        paths[kind] = tmp_path / f"{kind}.json"
+        paths[kind].write_text(json.dumps(doc))
+    loaded = {kind: load_scenario(p).source.phases for kind, p in paths.items()}
+    assert loaded["int"] == loaded["float"] == loaded["mixed"] \
+        == tuple(float(k) for k in range(n))
+    assert all(type(x) is float for x in loaded["int"] + loaded["mixed"])
+
+
+def test_cli_refuses_an_integer_past_the_json_digit_limit(tmp_path, capsys):
+    """Python's int() takes at most 4300 digits; a longer number in the
+    file is a validation error, not a traceback."""
+    doc = _golden_doc("fig2_blocked")
+    scenario = tmp_path / "s.json"
+    scenario.write_text(json.dumps(doc).replace(
+        '"alpha_squared": 0.1', '"alpha_squared": 1' + "0" * 5000))
+    out = tmp_path / "r.csv"
+    code = main(["simulate", "--scenario", str(scenario), "--out", str(out)])
+    err = capsys.readouterr().err
+    assert code == 2, err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "4300 digits" in err
+    assert not out.exists()
+
+
+def test_cli_decompose_refuses_entries_near_the_float_limit_in_one_line(tmp_path):
+    """The residual of a finite matrix near the float limit overflows to
+    NaN: refused, with no numpy warning before the error line."""
+    upath = tmp_path / "u.csv"
+    upath.write_text("1e200,0\n0,1e200\n")
+    out = tmp_path / "steps.csv"
+    r = _cli("decompose", "--unitary", str(upath), "--out", str(out))
+    assert r.returncode == 2, r.stderr
+    assert r.stderr == "error: input is not unitary to 1e-10\n"
+    assert not out.exists()
+
+
+def test_cli_refuses_a_splitter_near_the_float_limit_in_one_line(tmp_path):
+    doc = _golden_doc("fig2_blocked")
+    _element(doc, "bs1")["matrix"] = [[[1e200, 0.0], [0.0, 0.0]],
+                                      [[0.0, 0.0], [1e200, 0.0]]]
+    scenario = tmp_path / "s.json"
+    scenario.write_text(json.dumps(doc))
+    out = tmp_path / "r.csv"
+    r = _cli("simulate", "--scenario", str(scenario), "--out", str(out))
+    assert r.returncode == 2, r.stderr
+    assert r.stderr.startswith("error: ") and r.stderr.count("\n") == 1
+    assert "'bs1': unitarity residual nan exceeds 1e-10" in r.stderr
+    assert not out.exists()
