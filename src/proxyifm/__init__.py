@@ -18,7 +18,6 @@ from .circuit import (
     Obstacle,
     PhaseShift,
     Source,
-    circuit_spatial_unitary,
     compile_circuit,
     default_beamsplitter,
 )
@@ -44,9 +43,6 @@ from .multiport import (
     Decomposition,
     TwoModeOp,
     reck_decompose,
-    recompose,
-    tritter,
-    verify_cascade_equivalence,
 )
 from .scenarios import Scenario, list_builtin_scenarios, load_scenario
 from .singlephoton import (

@@ -12,7 +12,7 @@ bins shifts bin t to bin t+k exactly and multiplies by ``exp(i*phase)``.
 ``compile_circuit`` validates the element graph and lays it out once:
 each wire's spatial slot, last populated bin and path delays, and from
 them ``n_bins``, the terminal order and the overflow checks.  The Fock
-oracle and ``circuit_spatial_unitary`` read that same layout.
+oracle reads that same layout.
 ``CompiledCircuit.propagate`` walks one length-``n_bins`` amplitude
 vector per wire through the elements in topological order, so a pass
 costs O(elements x n_bins); no dense matrix of the circuit is built.
@@ -162,13 +162,6 @@ class CircuitSpec:
             new.append(e)
         return replace(self, elements=tuple(new))
 
-    def with_element(self, element: Element) -> "CircuitSpec":
-        """Copy of the spec with the same-id element replaced."""
-        new = tuple(element if e.id == element.id else e for e in self.elements)
-        if all(e is not element for e in new):
-            raise KeyError(element.id)
-        return replace(self, elements=new)
-
 
 @dataclass(frozen=True, eq=False)
 class CompiledCircuit:
@@ -177,8 +170,8 @@ class CompiledCircuit:
     ``propagate`` walks one source's amplitude vector to per-terminal
     amplitudes, in ``terminal_order`` (detectors first, then loss
     terminals).  ``wire_slot`` maps every wire to one of ``n_slots``
-    spatial slots: the ports of ``circuit_spatial_unitary`` and the mode
-    blocks of the Fock oracle.  Immutable after build and safe to share.
+    spatial slots, the mode blocks of the Fock oracle.  Immutable after
+    build and safe to share.
     """
 
     n_bins: int
@@ -488,31 +481,3 @@ def compile_circuit(spec: CircuitSpec) -> CompiledCircuit:
         _sources=tuple(sources),
         _order=tuple(order),
     )
-
-
-def circuit_spatial_unitary(spec: CircuitSpec) -> np.ndarray:
-    """Collapse the delay-ignored spatial part of a cascade into one matrix.
-
-    Rows and columns are the spatial slots of ``compile_circuit``.  Beam
-    splitters and phase shifters act on those slots; delays (including
-    their propagation phase, which is temporal) and retracted or inserted
-    obstacles are the identity.  The result is the product of element
-    matrices in topological order, hence unitary.
-    """
-    compiled = compile_circuit(spec)
-    n, slot = compiled.n_slots, compiled.wire_slot
-    u = np.eye(n, dtype=complex)
-    for e in compiled._order:
-        if isinstance(e, BeamSplitter):
-            i, j = slot[e.inputs[0]], slot[e.inputs[1]]
-            m = e.resolved_matrix()
-            step = np.eye(n, dtype=complex)
-            step[i, i], step[i, j] = m[0, 0], m[0, 1]
-            step[j, i], step[j, j] = m[1, 0], m[1, 1]
-            u = step @ u
-        elif isinstance(e, PhaseShift):
-            i = slot[e.input]
-            step = np.eye(n, dtype=complex)
-            step[i, i] = np.exp(1j * e.angle)
-            u = step @ u
-    return u

@@ -150,9 +150,6 @@ class FockStateVector:
     amplitudes: np.ndarray
     deficit: float = 0.0
 
-    def norm_squared(self) -> float:
-        return float(np.sum(np.abs(self.amplitudes) ** 2))
-
 
 def prepare_coherent_train(basis: FockBasis, alpha: complex,
                            pulse_modes: Sequence[int]) -> FockStateVector:

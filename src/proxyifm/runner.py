@@ -30,7 +30,7 @@ from typing import Optional, Sequence, Union
 
 import numpy as np
 
-from .circuit import Delay, compile_circuit
+from .circuit import Delay, Detector, compile_circuit
 from .coherent import (
     _MC_CHUNK,
     CoherentTrain,
@@ -280,6 +280,9 @@ def sweep_table(scenario: Scenario, param: str, values: Sequence[float]) -> Tabl
     if len(delays) != 1 or delays[0].id != element_id:
         raise ParseError(
             f"sweep target {element_id!r} must be the scenario's only delay")
+    detectors = sum(isinstance(e, Detector) for e in scenario.spec.elements)
+    if detectors < 2:
+        raise ParseError(f"sweep needs two detectors; the scenario has {detectors}")
     source = None
     if isinstance(scenario.source, CoherentSourceSpec):
         if scenario.source.alpha_squared == 0:

@@ -152,6 +152,9 @@ def load_scenario(path_or_name: Union[str, Path]) -> Scenario:
         text = path.read_text(encoding="utf-8")
     except OSError as exc:
         raise ParseError(f"cannot read scenario file {path}: {exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"{path}: not UTF-8 text (invalid byte at offset "
+                         f"{exc.start})") from None
     try:
         raw = json.loads(text)
     except json.JSONDecodeError as exc:

@@ -11,11 +11,13 @@ in blocks of ``_BYTE_BLOCK`` rows, as UTF-8 with ``\n`` line ends, so
 writing costs O(chunk) memory; a block of wide rows holds fewer rows, so
 that it stays within ``_BLOCK_BYTES``.  One writer renders every block as
 a ``uint8`` matrix and keep mask; the text is the kept bytes in row order.
-Literals, integers, categories and outcome counts take no Python object
-per row.  A block of floats formats each distinct value once and gathers
-the texts, unless most of its values are distinct; any other value is
-formatted one by one.  The bytes are a row-by-row writer's: floats with
-17 significant digits, JSON as ``json.dumps`` writes it.
+Literals, integers and outcome counts take no Python object per row.
+Any other column is text: a categorical column formats each category
+once, and a block of a ``float64`` array formats each distinct value
+once unless most of its values are distinct; the rows gather those
+texts.  Every other block, lists included, is formatted value by value.
+The bytes are a row-by-row writer's: floats with 17 significant digits,
+JSON as ``json.dumps`` writes it.
 """
 
 from __future__ import annotations
@@ -247,13 +249,9 @@ def _write_rows(fh, columns: tuple, template: list, cell) -> None:
 def _column_spans(column, cell) -> list:
     if isinstance(column, OutcomeVectors):
         return _outcome_spans(column, cell)
-    if isinstance(column, Categorical):
-        return [_CategoryBytes(column, cell)]
     if isinstance(column, np.ndarray) and column.dtype.kind in "iu" \
             and column.min(initial=0) >= 0:
         return [_IntegerBytes(column)]
-    if isinstance(column, list) or getattr(column, "dtype", None) == np.float64:
-        return [_FloatBytes(column, cell)]
     return [_TextBytes(column, cell)]
 
 
@@ -271,30 +269,6 @@ def _outcome_spans(column: OutcomeVectors, cell) -> list:
         spans += [text[k:len(text) - k], _IntegerBytes(column.counts[:, j])]
         previous = terminal
     return spans + [quote[k:]]
-
-
-class _CategoryBytes:
-    """A :class:`Categorical` as bytes: its categories are rendered once,
-    as a text column's block is, and a block gathers the rows of its
-    codes."""
-
-    def __init__(self, column: Categorical, cell):
-        texts = _TextBytes(column.categories, cell)
-        self.width = texts.load(0, len(column.categories))
-        padded = np.zeros((len(column.categories), self.width), dtype=np.uint8)
-        kept = np.empty(padded.shape, dtype=bool)
-        texts.fill(padded, kept)
-        # One void item per category row, so a gather copies whole rows.
-        self._texts, self._kept = _row_items(padded), _row_items(kept)
-        self._column = column.codes
-
-    def load(self, start, stop) -> int:
-        self._codes = self._column[start:stop]
-        return self.width
-
-    def fill(self, mat, keep) -> None:
-        _row_items(mat)[:] = self._texts[self._codes]
-        _row_items(keep)[:] = self._kept[self._codes]
 
 
 def _row_items(mat: np.ndarray) -> np.ndarray:
@@ -331,38 +305,11 @@ class _IntegerBytes:
         np.add(values, ord("0"), out=mat[:, 0], casting="unsafe")
 
 
-class _FloatBytes:
-    """A column that may hold floats only: a ``float64`` array, or a list
-    whose block holds nothing but Python floats.  A block whose values
-    are at most half distinct formats each distinct value once, and its
-    rows gather those texts as a :class:`Categorical`'s do; any other
-    block is a text block.  Values are told apart by their bits, so
-    ``-0.0`` and ``0.0`` (texts ``-0`` and ``0``) stay apart."""
-
-    def __init__(self, column, cell):
-        self._column, self._cell = column, cell
-        self._texts = _TextBytes(column, cell)
-
-    def load(self, start, stop) -> int:
-        codes = _few_floats(self._column[start:stop])
-        if codes is None:
-            self._span = self._texts
-            return self._texts.load(start, stop)
-        self._span = _CategoryBytes(codes, self._cell)
-        return self._span.load(0, stop - start)
-
-    def fill(self, mat, keep) -> None:
-        self._span.fill(mat, keep)
-
-
-def _few_floats(values) -> Optional[Categorical]:
-    """A block of floats as codes into its distinct values, or ``None``
-    when it holds anything but floats or more than half of its values
-    are distinct."""
-    if isinstance(values, list):
-        if set(map(type, values)) != {float}:
-            return None
-        values = np.array(values, dtype=np.float64)
+def _few_floats(values: np.ndarray) -> Optional[Categorical]:
+    """A block of a ``float64`` array as codes into its distinct values,
+    or ``None`` when more than half of them are distinct.  Values are
+    told apart by their bits, so ``-0.0`` and ``0.0`` (texts ``-0`` and
+    ``0``) stay apart."""
     bits = values.view(np.uint64)
     ordered = np.sort(bits)
     distinct = ordered[np.append(True, ordered[1:] != ordered[:-1])]
@@ -373,30 +320,69 @@ def _few_floats(values) -> Optional[Categorical]:
 
 
 class _TextBytes:
-    """Any other column (strings, mixed lists, and the float blocks that
-    are mostly distinct), formatted by ``cell`` value by value, a block at
-    a time: each text's UTF-8 bytes left-aligned in a span as wide as the
-    block's longest text."""
+    """Any other column as the texts of ``cell``, each one's UTF-8 bytes
+    left-aligned in a span as wide as the block's longest text.
+
+    Each distinct text is formatted once where the distinct values are
+    known: a :class:`Categorical`'s categories once per column, and a
+    ``float64`` block that is at most half distinct (:func:`_few_floats`)
+    once per block.  Their rows gather the padded texts by code.  Any
+    other block (strings, lists, mostly distinct floats) is formatted
+    value by value, straight into the block matrix.
+    """
 
     def __init__(self, column, cell):
         self._column, self._cell = column, cell
+        if isinstance(column, Categorical):
+            self._distinct = self._padded(column.categories)
 
     def load(self, start, stop) -> int:
-        texts = list(map(self._cell, _as_list(self._column[start:stop])))
+        column = self._column
+        if isinstance(column, Categorical):
+            self._codes = column.codes[start:stop]
+            return self._width
+        block = column[start:stop]
+        few = _few_floats(block) if getattr(block, "dtype", None) == np.float64 \
+            else None
+        if few is not None:
+            self._codes, self._distinct = few.codes, self._padded(few.categories)
+            return self._width
+        self._codes = None
+        self._lengths, self._data = self._format(block)
+        # At least one (never kept) byte, so every row is a void item.
+        return max(1, int(self._lengths.max(initial=0)))
+
+    def fill(self, mat, keep) -> None:
+        if self._codes is None:
+            width = mat.shape[1]
+            # Row k of ``prefix`` keeps the first k bytes of a row.
+            prefix = _row_items(np.arange(width + 1)[:, None] > np.arange(width))
+            _row_items(keep)[:] = prefix[self._lengths]
+            mat[keep] = self._data
+        else:
+            texts, kept = self._distinct
+            _row_items(mat)[:] = texts[self._codes]
+            _row_items(keep)[:] = kept[self._codes]
+
+    def _format(self, values) -> tuple:
+        """The byte length of each value's text, and their joined bytes."""
+        texts = list(map(self._cell, _as_list(values)))
         # The byte lengths are the gaps between the NULs that end each
         # text in one buffer, unless a text holds a NUL of its own.
         ends = np.flatnonzero(np.frombuffer(
             "\0".join([*texts, ""]).encode("utf-8"), dtype=np.uint8) == 0)
         if len(ends) != len(texts):
             ends = np.cumsum([len(t.encode("utf-8")) + 1 for t in texts]) - 1
-        self._lengths = np.diff(ends, prepend=-1) - 1
-        self._data = np.frombuffer("".join(texts).encode("utf-8"), dtype=np.uint8)
-        # At least one (never kept) byte, so every row is a void item.
-        return max(1, int(self._lengths.max(initial=0)))
+        lengths = np.diff(ends, prepend=-1) - 1
+        return lengths, np.frombuffer("".join(texts).encode("utf-8"),
+                                      dtype=np.uint8)
 
-    def fill(self, mat, keep) -> None:
-        width = mat.shape[1]
-        # Row k of ``prefix`` keeps the first k bytes of a row.
-        prefix = _row_items(np.arange(width + 1)[:, None] > np.arange(width))
-        _row_items(keep)[:] = prefix[self._lengths]
-        mat[keep] = self._data
+    def _padded(self, values) -> tuple:
+        """The texts of distinct values, zero-padded to one width (set as
+        ``_width``), and their keep masks, one void item per text."""
+        lengths, data = self._format(values)
+        self._width = max(1, int(lengths.max(initial=0)))
+        kept = np.arange(self._width) < lengths[:, None]
+        texts = np.zeros(kept.shape, dtype=np.uint8)
+        texts[kept] = data
+        return _row_items(texts), _row_items(kept)

@@ -1,5 +1,7 @@
 import math
 import sys
+from dataclasses import dataclass, replace
+from typing import Optional, Sequence
 
 import numpy as np
 import pytest
@@ -12,9 +14,11 @@ from proxyifm.circuit import (
     Obstacle,
     PhaseShift,
     Source,
+    compile_circuit,
 )
-from proxyifm.errors import CutoffTooSmallError
+from proxyifm.errors import CutoffTooSmallError, DimensionMismatchError
 from proxyifm.fock import FockBasis, FockStateVector
+from proxyifm.multiport import Decomposition, TwoModeOp
 from proxyifm.tables import Categorical, OutcomeVectors
 
 ALPHA_SQ = 0.1
@@ -101,6 +105,160 @@ def map_column(compiled, source_id, bin_idx):
     """Column of :func:`dense_map` fed by one (source, bin) input."""
     ids = [s.id for s in compiled._sources]
     return sum(s.n_bins for s in compiled._sources[:ids.index(source_id)]) + bin_idx
+
+
+def with_element(spec, element):
+    """Copy of ``spec`` with the same-id element replaced."""
+    new = tuple(element if e.id == element.id else e for e in spec.elements)
+    if all(e is not element for e in new):
+        raise KeyError(element.id)
+    return replace(spec, elements=new)
+
+
+def circuit_spatial_unitary(spec: CircuitSpec) -> np.ndarray:
+    """Collapse the delay-ignored spatial part of a cascade into one matrix.
+
+    Rows and columns are the spatial slots of ``compile_circuit``.  Beam
+    splitters and phase shifters act on those slots; delays (including
+    their propagation phase, which is temporal) and retracted or inserted
+    obstacles are the identity.  The result is the product of element
+    matrices in topological order, hence unitary.
+    """
+    compiled = compile_circuit(spec)
+    n, slot = compiled.n_slots, compiled.wire_slot
+    u = np.eye(n, dtype=complex)
+    for e in compiled._order:
+        if isinstance(e, BeamSplitter):
+            i, j = slot[e.inputs[0]], slot[e.inputs[1]]
+            m = e.resolved_matrix()
+            step = np.eye(n, dtype=complex)
+            step[i, i], step[i, j] = m[0, 0], m[0, 1]
+            step[j, i], step[j, j] = m[1, 0], m[1, 1]
+            u = step @ u
+        elif isinstance(e, PhaseShift):
+            i = slot[e.input]
+            step = np.eye(n, dtype=complex)
+            step[i, i] = np.exp(1j * e.angle)
+            u = step @ u
+    return u
+
+
+# -- multiport: the three-way splitter and phase-insensitive comparison -----
+#
+# Detectors cannot see per-port phases, so circuit-vs-matrix equivalence
+# is judged up to diagonal phase matrices on both sides.
+
+def tritter() -> np.ndarray:
+    """The three-way splitter used by the three-pulse scenarios.
+
+    Rows: (1/sqrt2, i/2, -1/2), (i/sqrt2, 1/2, i/2), (0, i/sqrt2, 1/sqrt2).
+    """
+    s = 1.0 / np.sqrt(2.0)
+    return np.array([
+        [s, 0.5j, -0.5],
+        [1j * s, 0.5, 0.5j],
+        [0.0, 1j * s, s],
+    ], dtype=complex)
+
+
+def _embed(op: TwoModeOp, n: int) -> np.ndarray:
+    m = np.eye(n, dtype=complex)
+    i, j = op.mode_pair
+    m[i, i], m[i, j] = op.matrix[0, 0], op.matrix[0, 1]
+    m[j, i], m[j, j] = op.matrix[1, 0], op.matrix[1, 1]
+    return m
+
+
+def recompose(d: Decomposition) -> np.ndarray:
+    """Product of the embedded stages, applied in cascade order, times
+    the output phases: the unitary a :class:`Decomposition` came from."""
+    u = np.eye(d.dim, dtype=complex)
+    for op in d.steps:
+        u = _embed(op, d.dim) @ u
+    return np.diag(d.output_phases) @ u
+
+
+@dataclass(frozen=True, eq=False)
+class EquivalenceReport:
+    """Phase-fixed Frobenius distance between a cascade and a target."""
+
+    distance: float
+    left_phases: np.ndarray
+    right_phases: np.ndarray
+
+
+def phase_fix_distance(u: np.ndarray, target: np.ndarray) -> EquivalenceReport:
+    """min over diagonal phase matrices L, R of ||L u R - target||_F.
+
+    Phases are propagated over a spanning tree of the entries where both
+    matrices are non-negligible (matching the first usable entry of each
+    row and column); rows or columns that stay unconstrained keep phase 1.
+    Magnitude mismatches are left in place and simply show up as distance.
+    """
+    u = np.asarray(u, dtype=complex)
+    target = np.asarray(target, dtype=complex)
+    if u.shape != target.shape or u.ndim != 2 or u.shape[0] != u.shape[1]:
+        raise DimensionMismatchError(
+            f"shape mismatch: {u.shape} vs {target.shape}")
+    n = u.shape[0]
+    eps = 1e-9 * max(np.abs(u).max(), np.abs(target).max(), 1.0)
+    usable = (np.abs(u) > eps) & (np.abs(target) > eps)
+
+    left = np.full(n, np.nan + 0j)
+    right = np.full(n, np.nan + 0j)
+    for start in range(n):
+        if not np.isnan(left[start].real):
+            continue
+        cols = np.nonzero(usable[start])[0]
+        if len(cols) == 0:
+            left[start] = 1.0
+            continue
+        left[start] = 1.0
+        frontier_rows = [start]
+        while frontier_rows:
+            next_rows = []
+            for i in frontier_rows:
+                for j in np.nonzero(usable[i])[0]:
+                    if np.isnan(right[j].real):
+                        ratio = target[i, j] / u[i, j]
+                        right[j] = (ratio / abs(ratio)) / left[i]
+            for j in range(n):
+                if np.isnan(right[j].real):
+                    continue
+                for i in np.nonzero(usable[:, j])[0]:
+                    if np.isnan(left[i].real):
+                        ratio = target[i, j] / u[i, j]
+                        left[i] = (ratio / abs(ratio)) / right[j]
+                        next_rows.append(i)
+            frontier_rows = next_rows
+    right[np.isnan(right.real)] = 1.0
+    left = left / np.abs(left)
+    right = right / np.abs(right)
+
+    fixed = np.diag(left) @ u @ np.diag(right)
+    return EquivalenceReport(
+        distance=float(np.linalg.norm(fixed - target)),
+        left_phases=left,
+        right_phases=right,
+    )
+
+
+def verify_cascade_equivalence(spec: CircuitSpec, target: np.ndarray,
+                               output_order: Optional[Sequence[int]] = None,
+                               input_order: Optional[Sequence[int]] = None,
+                               ) -> EquivalenceReport:
+    """Compare a cascade's spatial unitary with a target multiport matrix.
+
+    ``output_order`` / ``input_order`` reorder the cascade's ports to the
+    target's convention (a detector relabeling, not a physical change)
+    before the diagonal-phase fit.
+    """
+    u = circuit_spatial_unitary(spec)
+    if output_order is not None:
+        u = u[np.asarray(output_order), :]
+    if input_order is not None:
+        u = u[:, np.asarray(input_order)]
+    return phase_fix_distance(u, target)
 
 
 def event_records(log):
@@ -318,6 +476,10 @@ def collective_power_state(basis, modes, power):
     return FockStateVector(basis, amps)
 
 
+def norm_squared(state) -> float:
+    return float(np.sum(np.abs(state.amplitudes) ** 2))
+
+
 def state_overlap(a, b) -> complex:
     return complex(np.vdot(a.amplitudes, b.amplitudes))
 
@@ -325,7 +487,7 @@ def state_overlap(a, b) -> complex:
 def fidelity(a, b) -> float:
     """|<a|b>|^2 with both sides normalised."""
     ov = state_overlap(a, b)
-    return abs(ov) ** 2 / (a.norm_squared() * b.norm_squared())
+    return abs(ov) ** 2 / (norm_squared(a) * norm_squared(b))
 
 
 def mean_occupation(state, mode: int) -> float:

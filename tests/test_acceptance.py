@@ -18,12 +18,7 @@ from proxyifm.coherent import (
     sample_clicks,
 )
 from proxyifm.fock import FockBasis, FockOracle, prepare_coherent_train
-from proxyifm.multiport import (
-    recompose,
-    reck_decompose,
-    tritter,
-    verify_cascade_equivalence,
-)
+from proxyifm.multiport import reck_decompose
 from proxyifm.scenarios import load_scenario
 from proxyifm.singlephoton import propagate_photon, sample_outcomes, tensor_sum_state
 
@@ -41,8 +36,11 @@ from conftest import (
     marginal_pmf,
     p_coincidence,
     p_terminal_coincidence,
+    recompose,
     terminal_probability,
+    tritter,
     truncated_poisson_pmf,
+    verify_cascade_equivalence,
 )
 from test_multiport import recombination_spec
 

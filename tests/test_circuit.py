@@ -14,7 +14,6 @@ from proxyifm.circuit import (
     Detector,
     Obstacle,
     Source,
-    circuit_spatial_unitary,
     compile_circuit,
     default_beamsplitter,
 )
@@ -31,6 +30,7 @@ from proxyifm.scenarios import GOLDEN_SCENARIOS, load_scenario
 
 from conftest import (
     ALPHA,
+    circuit_spatial_unitary,
     dense_map,
     fig2_spec,
     fig3_spec,

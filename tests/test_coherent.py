@@ -26,6 +26,7 @@ from conftest import (
     fig2_spec,
     fig3_spec,
     total_output_energy,
+    with_element,
 )
 
 
@@ -300,7 +301,7 @@ def _fringe_rows_compiled_per_phase(spec, phases, source):
     per_pulse = abs(source.alpha) ** 2
     rows = []
     for phi in phases:
-        compiled = compile_circuit(spec.with_element(replace(delay, phase=float(phi))))
+        compiled = compile_circuit(with_element(spec, replace(delay, phase=float(phi))))
         d1, d2 = compiled.detector_ids()[:2]
         field = propagate_coherent(compiled, source)
         mid = compiled.middle_interior_bin()
@@ -335,7 +336,7 @@ def test_fringe_sweep_needs_exactly_one_delay(delays):
     if delays == 0:
         spec = fig2_spec(n_pulses=6)
         (delay,) = [e for e in spec.elements if isinstance(e, Delay)]
-        spec = spec.with_element(PhaseShift(delay.id, delay.input, delay.output, 0.0))
+        spec = with_element(spec, PhaseShift(delay.id, delay.input, delay.output, 0.0))
     else:
         spec = fig3_spec(n_pulses=6)
     assert sum(isinstance(e, Delay) for e in spec.elements) == delays

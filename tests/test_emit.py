@@ -264,7 +264,8 @@ def _float_values(kind: str, n_rows: int, seed: int) -> np.ndarray:
 def test_float_blocks_match_row_writer(tmp_path, n_rows, kind, form, fmt):
     """A float64 array, a strided one (as a complex array's ``.real``) or
     a list of Python floats, beside a mixed list that turns from floats
-    to str, int and bool, must give the row writer's bytes."""
+    to str, int, bool and ``np.float64``, must give the row writer's
+    bytes (an int stays ``5``, a string ``"0.5"``)."""
     values = _float_values(kind, n_rows, seed=n_rows)
     if form == "strided":
         pairs = np.empty(n_rows, dtype=complex)
@@ -274,7 +275,7 @@ def test_float_blocks_match_row_writer(tmp_path, n_rows, kind, form, fmt):
     else:
         column = values.tolist() if form == "list" else values
     mixed = values.tolist()
-    mixed[-3:] = ["x", 5, True]
+    mixed[-7:] = ["x", 5, True, 5, "0.5", np.float64(0.5), True]
     # A row is at most 60 bytes ('{"f":' 24 ',"m":' 24 '}\n'), so every
     # block but the last holds _BYTE_BLOCK rows.
     assert tables._BLOCK_BYTES // 60 >= BLOCK
@@ -288,21 +289,39 @@ def test_float_blocks_match_row_writer(tmp_path, n_rows, kind, form, fmt):
 ])
 def test_float_blocks_take_the_gather_when_few_are_distinct(kind, deduped):
     values = _float_values(kind, BLOCK, seed=1)
-    for block in (values, values.tolist()):
-        codes = tables._few_floats(block)
-        assert (codes is not None) == deduped
-        if deduped:
-            # Distinct by bits: -0.0, 0.0 and each NaN stay apart.
-            bits = values.view(np.uint64)
-            assert len(codes.categories) == len(np.unique(bits))
-            assert np.array_equal(
-                np.array(codes.tolist()).view(np.uint64), bits)
+    codes = tables._few_floats(values)
+    assert (codes is not None) == deduped
+    if deduped:
+        # Distinct by bits: -0.0, 0.0 and each NaN stay apart.
+        bits = values.view(np.uint64)
+        assert len(codes.categories) == len(np.unique(bits))
+        assert np.array_equal(np.array(codes.tolist()).view(np.uint64), bits)
 
 
-@pytest.mark.parametrize("other", [5, "0.5", np.float64(0.5), True])
-def test_mixed_lists_are_formatted_value_by_value(other):
-    """Only a block of Python floats is deduped, so an int stays ``5``."""
-    assert tables._few_floats([0.5, other, 0.5, 0.5]) is None
+def test_each_distinct_text_is_formatted_once(monkeypatch):
+    """Categories are formatted once per column and the distinct values
+    of a deduped float block once per block; a mostly distinct block and
+    a list are formatted value by value."""
+    calls, fmt = [], tables._fmt
+
+    def counting(x):
+        calls.append(x)
+        return fmt(x)
+
+    monkeypatch.setattr(tables, "_fmt", counting)
+    few = np.repeat([0.25, 3.0, 2.0], [BLOCK, BLOCK // 2, BLOCK // 2])
+    floats = np.concatenate([few, np.arange(BLOCK) + 0.5])
+    names = Categorical(np.arange(3 * BLOCK) % 3, ["D1", "D2", "obstacle_l"])
+    table = Table(("terminal", "value", "note"),
+                  columns=(names, floats, ["n"] * (3 * BLOCK)))
+    # Narrow rows: three full blocks.
+    assert tables._BLOCK_BYTES // 24 >= BLOCK
+    tables.write_csv(io.BytesIO(), table)
+    assert calls[:3] == ["D1", "D2", "obstacle_l"]
+    floats_seen = [x for x in calls[3:] if isinstance(x, float)]
+    # One text per distinct value, in the order of their bits.
+    assert floats_seen == [0.25, 2.0, 3.0] + (np.arange(BLOCK) + 0.5).tolist()
+    assert len(calls) == 3 + len(floats_seen) + 3 * BLOCK
 
 
 def test_wide_rows_are_written_in_smaller_blocks():

@@ -27,7 +27,6 @@ from proxyifm.circuit import (
     Obstacle,
     PhaseShift,
     Source,
-    circuit_spatial_unitary,
     compile_circuit,
 )
 from proxyifm.coherent import CoherentTrain
@@ -35,6 +34,7 @@ from proxyifm.fock import FockOracle
 from proxyifm.singlephoton import propagate_photon
 
 from conftest import (
+    circuit_spatial_unitary,
     dense_map,
     fig2_spec,
     fig3_spec,

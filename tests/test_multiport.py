@@ -15,17 +15,17 @@ from proxyifm.errors import (
     DimensionTooLargeError,
     NonUnitaryInputError,
 )
-from proxyifm.multiport import (
-    Decomposition,
-    TwoModeOp,
+from proxyifm.multiport import Decomposition, TwoModeOp, reck_decompose
+
+from conftest import (
+    circuit_spatial_unitary,
+    fig3_spec,
+    haar_random_unitary,
     phase_fix_distance,
-    reck_decompose,
     recompose,
     tritter,
     verify_cascade_equivalence,
 )
-
-from conftest import fig3_spec, haar_random_unitary
 
 
 def recombination_spec():
@@ -185,7 +185,6 @@ def test_verify_splitting_cascade_matches_transposed_tritter():
 def test_full_cascade_routes_everything_to_one_port():
     # with the delays collapsed, the whole three-pulse circuit is a closed
     # interferometer: the single input column lands on the bright port
-    from proxyifm.circuit import circuit_spatial_unitary
     u = circuit_spatial_unitary(fig3_spec(n_pulses=1))
     col = u[:, 0]
     assert sorted(np.round(np.abs(col), 12)) == [0.0, 0.0, 1.0]

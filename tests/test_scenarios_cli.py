@@ -750,6 +750,40 @@ def test_cli_sweep_refuses_a_dark_train(tmp_path, capsys):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("detectors", [0, 1])
+def test_cli_sweep_refuses_fewer_than_two_detectors(tmp_path, capsys, detectors):
+    """The fringes are read at two detectors; an output wire with no
+    detector ends in an absorber."""
+    doc = _golden_doc("fringe_sweep")
+    for d in doc["detectors"][detectors:]:
+        doc["circuit"]["elements"].append(
+            {"id": f"dump_{d['wire']}", "kind": "absorber", "wire": d["wire"]})
+    doc["detectors"] = doc["detectors"][:detectors]
+    scenario = tmp_path / "s.json"
+    scenario.write_text(json.dumps(doc))
+    out = tmp_path / "r.csv"
+    code = main(["sweep", "--scenario", str(scenario), "--from", "0", "--to", "1",
+                 "--steps", "3", "--out", str(out)])
+    err = capsys.readouterr().err
+    assert code == 2, err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert f"the scenario has {detectors}" in err
+    assert not out.exists()
+
+
+def test_cli_refuses_a_scenario_file_that_is_not_utf8(tmp_path, capsys):
+    scenario = tmp_path / "s.json"
+    scenario.write_bytes(b"\xff\xfe" + json.dumps(_golden_doc("fig2_blocked"))
+                         .encode("utf-16-le"))
+    out = tmp_path / "r.csv"
+    code = main(["simulate", "--scenario", str(scenario), "--out", str(out)])
+    err = capsys.readouterr().err
+    assert code == 2, err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert str(scenario) in err and "not UTF-8" in err and "offset 0" in err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("value, named", [
     (float("nan"), "nan must be finite"),
     (float("inf"), "inf must be finite"),
