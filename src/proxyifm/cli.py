@@ -125,17 +125,14 @@ def _cmd_sweep(args) -> int:
     scenario = load_scenario(args.scenario)
     values = np.linspace(args.start, args.stop, args.steps)
     table = sweep_table(scenario, args.param, values)
-    report = RunReport(scenario_id=scenario.scenario_id, engine="coherent",
-                       mode="sweep", tables={"sweep": table})
-    emit(report, "csv", _out_path(args.out))
+    emit(RunReport({"sweep": table}), "csv", _out_path(args.out))
     return 0
 
 
 def _cmd_oracle(args) -> int:
     scenario = load_scenario(args.scenario)
-    report = run(scenario, engine="fock", mode="exact", cutoff=args.cutoff,
-                 tables=("joint",))
-    emit(report, "csv", _out_path(args.out))
+    report = run(scenario, engine="fock", mode="exact", cutoff=args.cutoff)
+    emit(RunReport({"joint": report.tables["joint"]}), "csv", _out_path(args.out))
     return 0
 
 
@@ -168,9 +165,7 @@ def _cmd_decompose(args) -> int:
     table = Table(headers=("position", "i", "j", "m00re", "m00im", "m01re",
                            "m01im", "m10re", "m10im", "m11re", "m11im"),
                   rows=out_rows)
-    report = RunReport(scenario_id="decompose", engine="multiport",
-                       mode="exact", tables={"steps": table})
-    emit(report, "csv", _out_path(args.out))
+    emit(RunReport({"steps": table}), "csv", _out_path(args.out))
     return 0
 
 

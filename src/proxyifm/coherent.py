@@ -283,29 +283,6 @@ def partner_pulses(circuit: CompiledCircuit, trigger_bin: int) -> tuple[int, ...
     return tuple(sorted(trigger_bin - d for d in circuit.path_delays if d > 0))
 
 
-def delay_stage_probe(spec: CircuitSpec) -> CircuitSpec:
-    """Variant of ``spec`` with an absorber in front of every delay.
-
-    Compiling the probe exposes, per input pulse, the mean photon number
-    the pulse sends into each delayed arm (counted once, at the first
-    delay on the path).  Existing obstacles are retracted so the probe
-    measures the splitting stage alone.
-    """
-    elements = []
-    k = 0
-    for e in spec.elements:
-        if isinstance(e, Obstacle):
-            e = replace(e, inserted=False)
-        if isinstance(e, Delay) and e.bins > 0:
-            probe_wire = f"__probe_w{k}"
-            elements.append(Obstacle(f"__probe_{e.id}", e.input, probe_wire))
-            elements.append(replace(e, input=probe_wire))
-            k += 1
-        else:
-            elements.append(e)
-    return replace(spec, elements=tuple(elements))
-
-
 def interaction_free_probability(spec: CircuitSpec, train: CoherentTrain,
                                  trigger_bin: int) -> float:
     """Exact windowed no-interaction probability for an interior trigger.
@@ -318,14 +295,30 @@ def interaction_free_probability(spec: CircuitSpec, train: CoherentTrain,
     exactly the single blocked slice feeding the trigger's interference
     event; for deeper cascades it covers every delayed arm of every
     proxied pulse, whether or not that arm currently hosts the obstacle.
+
+    mu is read from a probe: ``spec`` with its obstacles retracted and an
+    obstacle ``probe;<delay id>`` in front of every delay, which absorbs
+    what each pulse sends into that delayed arm (counted once, at the
+    first delay on the path).  Only these obstacles count, not light lost
+    at an absorber; a scenario's ids and wires never hold the ``;``.
     """
-    probe = compile_circuit(delay_stage_probe(spec))
+    elements, arms = [], []
+    for e in spec.elements:
+        if isinstance(e, Obstacle):
+            e = replace(e, inserted=False)
+        if isinstance(e, Delay) and e.bins > 0:
+            arm = f"probe;{e.id}"
+            elements += [Obstacle(arm, e.input, arm), replace(e, input=arm)]
+            arms.append(arm)
+        else:
+            elements.append(e)
+    probe = compile_circuit(replace(spec, elements=tuple(elements)))
     field = propagate_coherent(probe, train)
     partners = partner_pulses(probe, trigger_bin)
-    if not partners or not probe.loss_terminals:
+    if not partners or not arms:
         raise NoLossTerminalError("circuit has no delayed arm to probe")
     mu = 0.0
-    for term in probe.loss_terminals:
+    for term in arms:
         means = field.mean_photons(term)
         for p in partners:
             if 0 <= p < len(means):
@@ -350,12 +343,16 @@ def fringe_sweep(spec: CircuitSpec, phase_values: Sequence[float],
     if len(delays) != 1:
         raise ValueError("fringe_sweep needs a spec with exactly one delay")
     delay = delays[0]
+    compiled = compile_circuit(spec)
+    detectors = compiled.detector_ids()
+    if len(detectors) < 2:
+        raise ValueError(f"fringe_sweep needs two detectors; the spec has "
+                         f"{len(detectors)}")
+    d1, d2 = detectors[:2]
     if source is None:
         n = spec.sources()[0].n_bins
         source = CoherentTrain.uniform(n, 1.0)
     per_pulse = abs(source.alpha) ** 2
-    compiled = compile_circuit(spec)
-    d1, d2 = compiled.detector_ids()[:2]
     mid = compiled.middle_interior_bin()
     amplitudes = source.amplitudes()
 

@@ -6,7 +6,8 @@ A table whose length grows with the input is a stream of ``_MC_CHUNK``-row
 chunks, built afresh on each pass: a Monte-Carlo event table samples each
 chunk of shots, keyed on (seed, chunk) as a whole-run call is, with
 terminals as a categorical column, and the exact coherent ``field`` and
-Fock ``joint`` tables compute only their chunk's rows.  A Fock outcome
+Fock ``joint`` and ``marginals`` tables compute only their chunk's rows,
+so a table that is never written is never computed.  A Fock outcome
 column, joint or sampled, is an :class:`~proxyifm.tables.OutcomeVectors`
 of its rows' counts.  Short tables are one eager chunk.  ``emit`` writes
 each chunk with the one block writer of :mod:`proxyifm.tables` and drops
@@ -23,7 +24,6 @@ seed).
 
 from __future__ import annotations
 
-from collections.abc import Collection
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Optional, Sequence, Union
@@ -43,66 +43,53 @@ from .coherent import (
 )
 from .errors import EngineSourceMismatchError, IoError
 from .fock import FockOracle, sample_joint
-from .scenarios import (
-    CoherentSourceSpec,
-    FockSourceSpec,
-    Scenario,
-    TensorSumSourceSpec,
-)
+from .scenarios import CoherentSourceSpec, Scenario, TensorSumSourceSpec
 from .singlephoton import propagate_photon, sample_outcomes, tensor_sum_state
 from .tables import Categorical, OutcomeVectors, Table, write_csv, write_jsonl
 
-_ENGINE_SOURCES = {
-    "coherent": (CoherentSourceSpec,),
-    "singlephoton": (TensorSumSourceSpec,),
-    "fock": (CoherentSourceSpec, TensorSumSourceSpec, FockSourceSpec),
+# The engines that accept each source kind, its natural engine first.
+_ENGINES = {
+    "coherent": ("coherent", "fock"),
+    "tensor_sum": ("singlephoton", "fock"),
+    "single_photons": ("fock",),
 }
 
 
 @dataclass(frozen=True)
 class RunReport:
-    """The engine output tables of one run, in emit order."""
+    """Result tables by name, in emit order."""
 
-    scenario_id: str
-    engine: str
-    mode: str
     tables: dict[str, Table]
 
 
 def run(scenario: Scenario, engine: Optional[str] = None,
         mode: Optional[str] = None, shots: Optional[int] = None,
-        seed: Optional[int] = None, cutoff: int = 5,
-        tables: Optional[Collection[str]] = None) -> RunReport:
+        seed: Optional[int] = None, cutoff: int = 5) -> RunReport:
     """Execute a scenario and collect the result tables.
 
-    ``engine`` defaults to the scenario source's natural engine; asking an
-    engine to consume a source it cannot represent raises
-    ``EngineSourceMismatchError``.  ``tables`` names the tables to keep
-    (all by default); one that is not kept may not be built at all.
-    Errors reach the caller as raised.
+    ``engine`` defaults to the natural engine of the scenario's source
+    kind (the first of its ``_ENGINES``); an engine that cannot consume
+    that kind raises ``EngineSourceMismatchError``.  Streamed tables are
+    computed only when they are written.  Errors reach the caller as
+    raised.
     """
-    engine = engine or scenario.engine()
+    accepted = _ENGINES[scenario.source.kind]
+    engine = engine or accepted[0]
     mode = mode or scenario.defaults.mode
     shots = scenario.defaults.shots if shots is None else shots
     seed = scenario.defaults.seed if seed is None else seed
     if mode not in ("exact", "mc"):
         raise ValueError(f"unknown mode {mode!r}")
-    if engine not in _ENGINE_SOURCES:
-        raise EngineSourceMismatchError(f"unknown engine {engine!r}")
-    if not isinstance(scenario.source, _ENGINE_SOURCES[engine]):
+    if engine not in accepted:
         raise EngineSourceMismatchError(
-            f"engine {engine!r} cannot consume a {scenario.source.kind!r} source")
+            f"engine {engine!r} cannot consume a {scenario.source.kind!r} "
+            f"source (use {' or '.join(accepted)})")
 
     if engine == "coherent":
-        built = _run_coherent(scenario, mode, shots, seed)
-    elif engine == "singlephoton":
-        built = _run_singlephoton(scenario, mode, shots, seed)
-    else:
-        built = _run_fock(scenario, mode, shots, seed, cutoff, tables)
-    if tables is not None:
-        built = {name: t for name, t in built.items() if name in tables}
-    return RunReport(scenario_id=scenario.scenario_id, engine=engine,
-                     mode=mode, tables=built)
+        return RunReport(_run_coherent(scenario, mode, shots, seed))
+    if engine == "singlephoton":
+        return RunReport(_run_singlephoton(scenario, mode, shots, seed))
+    return RunReport(_run_fock(scenario, mode, shots, seed, cutoff))
 
 
 def _coherent_train(scenario: Scenario) -> CoherentTrain:
@@ -200,15 +187,15 @@ def _run_singlephoton(scenario: Scenario, mode: str, shots: int, seed: int) -> d
 def _prepare_fock_input(oracle: FockOracle, scenario: Scenario):
     src = scenario.source
     if isinstance(src, CoherentSourceSpec):
-        return oracle.coherent_train_state(
-            complex(np.sqrt(src.alpha_squared)), src.n_pulses, src.phases)
+        train = _coherent_train(scenario)
+        return oracle.coherent_train_state(train.alpha, src.n_pulses, train.phases)
     if isinstance(src, TensorSumSourceSpec):
         return oracle.tensor_sum_state(src.n_pulses)
     return oracle.single_photon_state(src.photons)
 
 
 def _run_fock(scenario: Scenario, mode: str, shots: int, seed: int,
-              cutoff: int, want: Optional[Collection[str]]) -> dict:
+              cutoff: int) -> dict:
     oracle = FockOracle(scenario.spec, cutoff)
     state = _prepare_fock_input(oracle, scenario)
     dist = oracle.run(state)
@@ -224,10 +211,14 @@ def _run_fock(scenario: Scenario, mode: str, shots: int, seed: int,
 
         tables["joint"] = Table(headers=("outcome_vector", "probability"),
                                 chunks=_Chunks(len(order), joint))
-        if want is None or "marginals" in want:
-            tables["marginals"] = Table(
-                headers=("terminal", "bin", "mean_n"),
-                rows=[(t, b, dist.mean(t, b)) for (t, b) in dist.cells])
+
+        def marginals(count: int, start: int) -> tuple:
+            cells = dist.cells[start:start + count]
+            return ([t for t, _ in cells], [b for _, b in cells],
+                    [dist.mean(t, b) for t, b in cells])
+
+        tables["marginals"] = Table(headers=("terminal", "bin", "mean_n"),
+                                    chunks=_Chunks(len(dist.cells), marginals))
     else:
         def events(count: int, start: int) -> tuple:
             rows = sample_joint(dist, count, seed, start)

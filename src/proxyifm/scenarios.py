@@ -63,18 +63,6 @@ SCHEMA = "proxy-ifm/1"
 
 _BUILTIN_DIR = Path(__file__).parent / "scenarios"
 
-GOLDEN_SCENARIOS = (
-    "fig2_open",
-    "fig2_blocked",
-    "fig2_tensor_sum_open",
-    "fig2_tensor_sum_blocked",
-    "fig3_open",
-    "fig3_blocked_l",
-    "fig3_blocked_m",
-    "fringe_sweep",
-    "hom_pair",
-)
-
 
 @dataclass(frozen=True)
 class CoherentSourceSpec:
@@ -121,12 +109,6 @@ class Scenario:
     defaults: RunDefaults
     sweep_params: dict[str, tuple[str, str]] = field(default_factory=dict)
     trigger_terminal: Optional[str] = None
-
-    def engine(self) -> str:
-        """The engine matching the source type."""
-        return {"coherent": "coherent",
-                "tensor_sum": "singlephoton",
-                "single_photons": "fock"}[self.source.kind]
 
 
 def builtin_scenario_path(name: str) -> Path:

@@ -167,7 +167,7 @@ _json_encode = json.JSONEncoder(separators=(",", ":")).encode
 def _json_value(x) -> str:
     """One value as ``json.dumps`` writes it inside a row object."""
     if isinstance(x, float):
-        x = float(format(x, ".17g"))
+        x = float(x)            # np.float64's repr is not json's
         if x - x == 0.0:        # finite: json writes float.__repr__
             return repr(x)
     return _json_encode(x)

@@ -26,7 +26,7 @@ from proxyifm.errors import (
     NonUnitaryBeamSplitterError,
     StateTooLargeError,
 )
-from proxyifm.scenarios import GOLDEN_SCENARIOS, load_scenario
+from proxyifm.scenarios import list_builtin_scenarios, load_scenario
 
 from conftest import (
     ALPHA,
@@ -306,7 +306,7 @@ def two_source_spec():
 
 
 WALK_CASES = {name: (lambda name=name: load_scenario(name).spec)
-              for name in GOLDEN_SCENARIOS}
+              for name in list_builtin_scenarios()}
 WALK_CASES["gated_fig2"] = lambda: gated_fig2_spec(6, gate={1, 4})
 WALK_CASES["two_sources"] = two_source_spec
 

@@ -5,7 +5,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from proxyifm.circuit import Delay, PhaseShift, compile_circuit
+from proxyifm.circuit import Absorber, Delay, Detector, PhaseShift, compile_circuit
 from proxyifm.coherent import (
     ClickDistribution,
     CoherentTrain,
@@ -342,6 +342,19 @@ def test_fringe_sweep_needs_exactly_one_delay(delays):
     assert sum(isinstance(e, Delay) for e in spec.elements) == delays
     compile_circuit(spec)                       # a valid circuit all the same
     with pytest.raises(ValueError, match="exactly one delay"):
+        fringe_sweep(spec, [0.0, 1.0])
+
+
+@pytest.mark.parametrize("detectors", [0, 1])
+def test_fringe_sweep_needs_two_detectors(detectors):
+    # Each dropped detector's wire ends in an absorber instead.
+    spec = fig2_spec(n_pulses=6)
+    dropped = ("D1", "D2")[detectors:]
+    spec = replace(spec, elements=tuple(
+        Absorber(e.id, e.wire) if e.id in dropped else e for e in spec.elements))
+    assert sum(isinstance(e, Detector) for e in spec.elements) == detectors
+    compile_circuit(spec)                       # a valid circuit all the same
+    with pytest.raises(ValueError, match=f"two detectors; the spec has {detectors}"):
         fringe_sweep(spec, [0.0, 1.0])
 
 

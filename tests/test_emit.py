@@ -122,7 +122,7 @@ def _files(directory: Path) -> dict:
 @given(names=_names, data=st.data(), fmt=st.sampled_from(["csv", "jsonl"]))
 def test_emit_matches_row_writer(names, data, fmt):
     drawn = {name: data.draw(_table()) for name in names}
-    report = RunReport("s", "coherent", "mc", {n: t for n, (_, _, t) in drawn.items()})
+    report = RunReport({n: t for n, (_, _, t) in drawn.items()})
     reference = {n: (h, rows) for n, (h, rows, _) in drawn.items()}
     with tempfile.TemporaryDirectory() as tmp:
         new, ref = Path(tmp, "new"), Path(tmp, "ref")
@@ -189,7 +189,7 @@ def _byte_table(draw):
 @given(names=_names, data=st.data(), fmt=st.sampled_from(["csv", "jsonl"]))
 def test_byte_path_matches_row_writer(names, data, fmt):
     drawn = {name: data.draw(_byte_table()) for name in names}
-    report = RunReport("s", "coherent", "mc", {n: t for n, (_, _, t) in drawn.items()})
+    report = RunReport({n: t for n, (_, _, t) in drawn.items()})
     reference = {n: (h, rows) for n, (h, rows, _) in drawn.items()}
     with tempfile.TemporaryDirectory() as tmp:
         new, ref = Path(tmp, "new"), Path(tmp, "ref")
@@ -201,8 +201,7 @@ def test_byte_path_matches_row_writer(names, data, fmt):
 
 
 def _assert_emit_matches_row_writer(tmp_path, table, rows, fmt):
-    emit(RunReport("s", "coherent", "mc", {"events": table}), fmt,
-         tmp_path / f"new.{fmt}")
+    emit(RunReport({"events": table}), fmt, tmp_path / f"new.{fmt}")
     _ref_emit({"events": (table.headers, rows)}, fmt, tmp_path / f"ref.{fmt}")
     assert (tmp_path / f"new.{fmt}").read_bytes() == \
         (tmp_path / f"ref.{fmt}").read_bytes()
@@ -424,7 +423,7 @@ def test_outcome_vectors_match_row_writer(data, fmt):
     assert columns[1].tolist() == texts
     with tempfile.TemporaryDirectory() as tmp:
         new, ref = Path(tmp, f"new.{fmt}"), Path(tmp, f"ref.{fmt}")
-        emit(RunReport("s", "fock", "exact", {"joint": table}), fmt, new)
+        emit(RunReport({"joint": table}), fmt, new)
         _ref_emit({"joint": (table.headers, rows)}, fmt, ref)
         assert new.read_bytes() == ref.read_bytes()
 

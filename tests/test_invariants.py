@@ -15,7 +15,7 @@ from proxyifm.coherent import (
 )
 from proxyifm.fock import FockOracle, sample_joint
 from proxyifm.runner import emit, run
-from proxyifm.scenarios import GOLDEN_SCENARIOS, load_scenario
+from proxyifm.scenarios import list_builtin_scenarios, load_scenario
 from proxyifm.singlephoton import propagate_photon, sample_outcomes, tensor_sum_state
 
 from conftest import ALPHA_SQ, dense_map, event_counts, fig2_spec, fig3_spec
@@ -26,7 +26,7 @@ COHERENT_SCENARIOS = ("fig2_open", "fig2_blocked", "fig3_open",
 TENSOR_SCENARIOS = ("fig2_tensor_sum_open", "fig2_tensor_sum_blocked")
 
 
-@pytest.mark.parametrize("name", GOLDEN_SCENARIOS)
+@pytest.mark.parametrize("name", list_builtin_scenarios())
 def test_every_golden_circuit_is_an_isometry(name):
     cc = compile_circuit(load_scenario(name).spec)
     u = dense_map(cc)
@@ -130,12 +130,12 @@ def test_three_pulse_window_value_observable_with_both_arms_blocked():
     assert abs(p_hat - exact) <= 3 * sigma
 
 
-@pytest.mark.parametrize("name", GOLDEN_SCENARIOS)
+@pytest.mark.parametrize("name", list_builtin_scenarios())
 def test_golden_round_trip_under_ten_seconds(name, tmp_path):
     start = time.perf_counter()
     scenario = load_scenario(name)
     kwargs = {}
-    if scenario.engine() == "fock":
+    if scenario.source.kind == "single_photons":
         kwargs["cutoff"] = 2
     report = run(scenario, mode="exact", **kwargs)
     emit(report, "csv", tmp_path / f"{name}.csv")

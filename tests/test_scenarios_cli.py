@@ -18,18 +18,17 @@ from proxyifm.errors import (
     UnresolvedElementIdError,
 )
 from proxyifm.runner import emit, run, sweep_table
-from proxyifm.scenarios import (
-    GOLDEN_SCENARIOS,
-    list_builtin_scenarios,
-    load_scenario,
-)
+from proxyifm.scenarios import list_builtin_scenarios, load_scenario
 
 from conftest import ALPHA_SQ, haar_random_unitary
 
 
 def test_all_golden_scenarios_ship_and_load():
-    assert sorted(GOLDEN_SCENARIOS) == list_builtin_scenarios()
-    for name in GOLDEN_SCENARIOS:
+    assert list_builtin_scenarios() == [
+        "fig2_blocked", "fig2_open", "fig2_tensor_sum_blocked",
+        "fig2_tensor_sum_open", "fig3_blocked_l", "fig3_blocked_m",
+        "fig3_open", "fringe_sweep", "hom_pair"]
+    for name in list_builtin_scenarios():
         scenario = load_scenario(name)
         assert scenario.scenario_id == name
         assert scenario.schema_version == "proxy-ifm/1"
@@ -40,7 +39,8 @@ def test_fig2_open_golden_parameters():
     scenario = load_scenario("fig2_open")
     assert scenario.source.n_pulses == 10
     assert scenario.source.alpha_squared == pytest.approx(ALPHA_SQ)
-    assert scenario.engine() == "coherent"
+    # the coherent engine, the natural one for a coherent source
+    assert run(scenario).tables["field"].headers[2:4] == ("re", "im")
 
 
 def test_empty_file_is_a_parse_error(tmp_path):
@@ -97,6 +97,34 @@ def test_run_fig2_blocked_reports_no_interaction():
     assert cond["p_no_interaction"] == pytest.approx(math.exp(-0.05), abs=1e-12)
 
 
+def _absorb_bright_port(doc):
+    doc["circuit"]["elements"].append({"id": "dump", "kind": "absorber", "wire": "c"})
+    doc["detectors"] = [d for d in doc["detectors"] if d["id"] != "D1"]
+
+
+def _probe_like_wire(doc):
+    _element(doc, "obstacle_l")["out"] = "__probe_w0"
+    _element(doc, "delay_l")["in"] = "__probe_w0"
+
+
+@pytest.mark.parametrize("edit", [_absorb_bright_port, _probe_like_wire],
+                         ids=["absorber", "probe-like-wire"])
+def test_no_interaction_counts_only_delay_stage_light(tmp_path, edit):
+    # Neither edit touches the delay stage, so the figure stays e^(-0.05):
+    # light lost at an absorber never entered a delay, and a scenario's
+    # wire names cannot collide with the delay-stage probe's.
+    doc = _golden_doc("fig2_blocked")
+    edit(doc)
+    scenario = tmp_path / "s.json"
+    scenario.write_text(json.dumps(doc))
+    out = tmp_path / "r.csv"
+    r = _cli("simulate", "--scenario", str(scenario), "--mode", "exact",
+             "--out", str(out))
+    assert r.returncode == 0, r.stderr
+    rows = out.with_suffix(".conditionals.csv").read_text().splitlines()
+    assert rows[-1] == "p_no_interaction,0.95122942450071402"
+
+
 def test_run_tensor_sum_blocked_outcome_table():
     report = run(load_scenario("fig2_tensor_sum_blocked"), mode="exact")
     p = dict(report.tables["p_outcome"].rows)
@@ -128,8 +156,7 @@ def test_fock_engine_accepts_coherent_source(tmp_path):
     p = tmp_path / "small.json"
     p.write_text(json.dumps(doc))
     report = run(load_scenario(p), engine="fock", mode="exact", cutoff=4)
-    assert report.engine == "fock"
-    assert "joint" in report.tables
+    assert list(report.tables) == ["joint", "marginals"]
     marginals = {(t, b): v for t, b, v in report.tables["marginals"].rows}
     assert marginals[("obstacle_l", 1)] == pytest.approx(0.05, abs=1e-4)
 
@@ -167,8 +194,7 @@ def test_emit_empty_event_log(tmp_path):
     report = run(scenario, mode="mc", shots=1, seed=1)
     # keep only an empty table to exercise the empty-file contract
     from proxyifm.runner import RunReport, Table
-    empty = RunReport(scenario_id="x", engine="coherent", mode="mc",
-                      tables={"events": Table(("shot", "terminal", "bin"), [])})
+    empty = RunReport({"events": Table(("shot", "terminal", "bin"), [])})
     csv_path = tmp_path / "empty.csv"
     emit(empty, "csv", csv_path)
     assert csv_path.read_text() == "shot,terminal,bin\n"
@@ -288,7 +314,7 @@ def test_cli_decompose_round_trip(tmp_path):
 def test_cli_list_scenarios():
     r = _cli("list-scenarios")
     assert r.returncode == 0
-    for name in GOLDEN_SCENARIOS:
+    for name in list_builtin_scenarios():
         assert name in r.stdout
 
 
@@ -540,9 +566,8 @@ def test_oracle_cutoff_of_each_shipped_scenario(name):
     with pytest.raises(CutoffTooSmallError):
         run(scenario, engine="fock", mode="exact", cutoff=cutoff - 1)
     if cutoff < 6:
-        report = run(scenario, engine="fock", mode="exact", cutoff=cutoff,
-                     tables=("joint",))
-        assert list(report.tables) == ["joint"]
+        report = run(scenario, engine="fock", mode="exact", cutoff=cutoff)
+        assert list(report.tables) == ["joint", "marginals"]
         assert sum(p for _, p in report.tables["joint"].rows) == \
             pytest.approx(1.0, abs=1e-12)
 
