@@ -191,12 +191,7 @@ class CompiledCircuit:
         length-``n_bins`` array per terminal, in ``terminal_order``.
         Linear and norm preserving.
         """
-        source = self._source(source_id)
-        if len(amplitudes) > source.n_bins:
-            raise BinOverflowError(
-                f"{len(amplitudes)} input amplitudes exceed the {source.n_bins} "
-                f"input bins of source {source.id!r}")
-        return self._walk(amplitudes, source)
+        return self._walk(amplitudes, self.input_source(len(amplitudes), source_id))
 
     def detector_ids(self) -> tuple[str, ...]:
         return tuple(t for t in self.terminal_order if t not in self.loss_terminals)
@@ -230,6 +225,15 @@ class CompiledCircuit:
                       if isinstance(e, Delay) and e.id == delay_id else e
                       for e in self._order)
         return replace(self, _order=order)
+
+    def input_source(self, n: int, source_id: Optional[str] = None) -> Source:
+        """The source that an input of ``n`` bins feeds, once it fits."""
+        source = self._source(source_id)
+        if n > source.n_bins:
+            raise BinOverflowError(
+                f"{n} input amplitudes exceed the {source.n_bins} "
+                f"input bins of source {source.id!r}")
+        return source
 
     def _source(self, source_id: Optional[str]) -> Source:
         if source_id is None:
@@ -304,6 +308,12 @@ class CompiledCircuit:
     _order: tuple[Element, ...] = field(default=(), repr=False)
 
 
+def unitarity_residual(m: np.ndarray) -> float:
+    """``|m^H m - 1|``; NaN, silently, where it overflows (no ``<= tol``)."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        return float(np.linalg.norm(m.conj().T @ m - np.eye(len(m))))
+
+
 def _is_vacuum(wire: str) -> bool:
     return wire.startswith(_VACUUM_PREFIX)
 
@@ -356,10 +366,7 @@ def validate(spec: CircuitSpec) -> list[Element]:
             m = e.resolved_matrix()
             if m.shape != (2, 2):
                 raise NonUnitaryBeamSplitterError(f"{e.id!r}: matrix must be 2x2")
-            # Entries near the float limit overflow to a NaN residual,
-            # which the check below refuses.
-            with np.errstate(over="ignore", invalid="ignore"):
-                r = np.linalg.norm(m.conj().T @ m - np.eye(2))
+            r = unitarity_residual(m)
             if not r <= UNITARITY_TOL:
                 raise NonUnitaryBeamSplitterError(
                     f"{e.id!r}: unitarity residual {r:.3e} exceeds {UNITARITY_TOL}")

@@ -47,27 +47,37 @@ _MC_CHUNK = 1 << 17
 _DRAW_BYTES = 1 << 20
 
 
-def _sample_chunks(shots: int, seed: int, draw, start: int = 0) -> tuple:
-    """``draw(rng, chunk, count)`` for each fixed chunk of shots ``start``
-    to ``start + shots - 1``.
+class _Chunks:
+    """``draw(count, first)`` for each ``_MC_CHUNK`` of the rows (shots, for
+    a Monte-Carlo table) ``start`` to ``start + rows - 1``, afresh on every
+    pass: a streamed table's column chunks, or a sampler's chunks."""
 
-    Chunk ``chunk`` (its first shot) draws from its own counter-based
-    Philox stream keyed on ``(seed, chunk)``, so every shot's random
-    numbers depend only on the seed and the shot index; ``start`` must
-    therefore be a chunk boundary.  ``draw`` returns a tuple of arrays;
-    the result joins them over the chunks in order (one chunk's are
-    returned as they are).
-    """
-    if shots < 1:
-        raise ValueError("shots must be >= 1")
+    def __init__(self, rows: int, draw, start: int = 0):
+        if rows < 1:
+            raise ValueError(f"a stream needs rows (shots) >= 1, got {rows}")
+        self.rows, self.draw, self.start = rows, draw, start
+
+    def __iter__(self):
+        stop = self.start + self.rows
+        for first in range(self.start, stop, _MC_CHUNK):
+            yield self.draw(min(_MC_CHUNK, stop - first), first)
+
+
+def _sample_chunks(shots: int, seed: int, draw, start: int = 0) -> tuple:
+    """``draw(rng, chunk, count)`` for each ``_Chunks`` chunk of ``shots``
+    shots from ``start``, ``rng`` a Philox stream keyed on ``(seed, chunk)``:
+    a shot's draws depend only on the seed and its index, so ``start`` must
+    be a chunk boundary.  The tuples of arrays ``draw`` returns are joined
+    over the chunks in order (one chunk's are returned as they are)."""
     if start < 0 or start % _MC_CHUNK:
         raise ValueError(f"start {start} is not a non-negative multiple "
                          f"of {_MC_CHUNK}")
-    stop = start + shots
-    parts = [draw(np.random.Generator(np.random.Philox(
-                  np.random.SeedSequence(seed, spawn_key=(chunk,)))),
-                  chunk, min(_MC_CHUNK, stop - chunk))
-             for chunk in range(start, stop, _MC_CHUNK)]
+
+    def keyed(count, chunk):
+        return draw(np.random.Generator(np.random.Philox(
+            np.random.SeedSequence(seed, spawn_key=(chunk,)))), chunk, count)
+
+    parts = list(_Chunks(shots, keyed, start))
     return parts[0] if len(parts) == 1 else tuple(map(np.concatenate, zip(*parts)))
 
 
@@ -123,8 +133,6 @@ class CoherentTrain:
     @classmethod
     def uniform(cls, n_pulses: int, alpha_squared: float,
                 phase: float = 0.0) -> "CoherentTrain":
-        if n_pulses < 1:
-            raise ZeroPulsesError("a train needs at least one pulse")
         return cls(alpha=complex(math.sqrt(alpha_squared)),
                    phases=(phase,) * n_pulses)
 

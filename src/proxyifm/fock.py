@@ -1,8 +1,11 @@
 """Brute-force truncated Fock-space oracle.
 
-Ground truth for the fast engines.  The oracle takes the circuit's
-``compile_circuit`` layout, so its ``n_bins`` and spatial slots are those
-of the other engines.  Every (slot, bin) pair becomes a bosonic mode, laid
+Ground truth for the fast engines, so it re-decides nothing of theirs:
+its ``n_bins``, slots and cell order (``terminal_order``) are the
+``compile_circuit`` layout's, ``CompiledCircuit.input_source`` fits an
+input to its source, ``singlephoton.tensor_sum_state`` is its tensor-sum
+input and ``circuit.unitarity_residual`` tests its splitters.
+Every (slot, bin) pair becomes a bosonic mode, laid
 out bin-major (``bin * n_slots + slot``), and the state is expanded over
 all occupation vectors with total photon number up to a cutoff.  One
 state vector is carried through the elements, each applied exactly:
@@ -41,7 +44,9 @@ from .circuit import (
     Detector,
     Obstacle,
     PhaseShift,
+    UNITARITY_TOL,
     compile_circuit,
+    unitarity_residual,
 )
 from .coherent import _categorical_cdf, _sample_categorical
 from .errors import (
@@ -50,6 +55,7 @@ from .errors import (
     NonUnitaryError,
     StateTooLargeError,
 )
+from .singlephoton import tensor_sum_state
 
 # Largest basis that will be built, counted as its uint8 occupation table
 # plus two complex amplitude vectors.
@@ -233,8 +239,8 @@ def apply_two_mode_unitary(state: FockStateVector, mode_pair: tuple[int, int],
     u = np.asarray(matrix, dtype=complex)
     if u.shape != (2, 2):
         raise NonUnitaryError("two-mode matrix must be 2x2")
-    if not np.linalg.norm(u.conj().T @ u - np.eye(2)) <= 1e-10:
-        raise NonUnitaryError("two-mode matrix is not unitary to 1e-10")
+    if not unitarity_residual(u) <= UNITARITY_TOL:
+        raise NonUnitaryError(f"two-mode matrix is not unitary to {UNITARITY_TOL}")
     a, b = mode_pair
     lo, hi = sorted(mode_pair)
     basis = state.basis
@@ -288,8 +294,8 @@ def apply_mode_permutation(state: FockStateVector, perm: Sequence[int]
 @dataclass(frozen=True, eq=False)
 class JointDistribution:
     """Exact joint outcome table over detector photon counts and absorbed
-    counts.  ``cells`` orders the outcome vector: detector (terminal, bin)
-    cells in declaration order, then obstacle/absorber cells.  Row k of
+    counts.  ``cells`` orders the outcome vector: (terminal, bin) cells in
+    the circuit's ``terminal_order``, detectors first.  Row k of
     ``outcomes`` (one column per cell) is a distinct outcome of
     probability ``probabilities[k]``."""
 
@@ -336,42 +342,36 @@ class FockOracle:
         self.n_bins = self.compiled.n_bins
         slot = self.compiled.wire_slot
         self.n_modes = self.compiled.n_slots * self.n_bins
-        # The mode read out for each cell; (slot mode, loss mode) swaps.
-        cell_mode: dict[tuple[str, int], int] = {}
-        self._swaps: dict[str, list[tuple[int, int]]] = {}
+        # Per terminal, the mode read out for each bin: an obstacle's are
+        # its loss modes.
+        self._read: dict[str, dict[int, int]] = {}
         for e in self.compiled._order:
             if isinstance(e, Obstacle) and e.inserted:
-                gate = sorted(e.bins) if e.bins is not None else range(self.n_bins)
-                self._swaps[e.id] = []
-                for b in gate:
-                    self._swaps[e.id].append((self.mode(slot[e.input], b),
-                                              self.n_modes))
-                    cell_mode[(e.id, b)] = self.n_modes
-                    self.n_modes += 1
+                gate = [b for b in range(self.n_bins) if e.bins is None or b in e.bins]
+                self._read[e.id] = {b: self.n_modes + k for k, b in enumerate(gate)}
+                self.n_modes += len(gate)
             elif isinstance(e, (Detector, Absorber)):
-                cell_mode.update(((e.id, b), self.mode(slot[e.wire], b))
-                                 for b in range(self.n_bins))
-        # Detector cells first, each kind in circuit order.
-        self.cells = tuple(sorted(
-            cell_mode, key=lambda c: c[0] in self.compiled.loss_terminals))
-        self._cell_modes = [cell_mode[c] for c in self.cells]
+                self._read[e.id] = {b: self.mode(slot[e.wire], b)
+                                    for b in range(self.n_bins)}
+        order = self.compiled.terminal_order
+        self.cells = tuple((t, b) for t in order for b in self._read[t])
+        self._cell_modes = [m for t in order for m in self._read[t].values()]
         self.basis = FockBasis.build(self.n_modes, cutoff)
 
     def mode(self, slot: int, bin_idx: int) -> int:
         return bin_idx * self.compiled.n_slots + slot
 
-    def source_modes(self, source_id: Optional[str] = None) -> list[int]:
-        """Mode indices of a source's populated input bins."""
-        s = self.compiled._source(source_id)
-        base = self.compiled.wire_slot[s.out]
-        return [self.mode(base, b) for b in range(s.n_bins)]
+    def source_modes(self, n: int, source_id: Optional[str] = None) -> list[int]:
+        """The modes of an input of ``n`` bins, once it fits its source."""
+        s = self.compiled.input_source(n, source_id)
+        return [self.mode(self.compiled.wire_slot[s.out], b) for b in range(n)]
 
     # -- input preparation -------------------------------------------------
 
     def coherent_train_state(self, alpha: complex, n_pulses: int,
                              phases: Optional[Sequence[float]] = None,
                              source_id: Optional[str] = None) -> FockStateVector:
-        modes = self.source_modes(source_id)[:n_pulses]
+        modes = self.source_modes(n_pulses, source_id)
         state = prepare_coherent_train(self.basis, alpha, modes)
         if phases is not None:
             for m, ph in zip(modes, phases):
@@ -381,22 +381,21 @@ class FockOracle:
 
     def tensor_sum_state(self, n_pulses: int,
                          source_id: Optional[str] = None) -> FockStateVector:
+        psi = tensor_sum_state(n_pulses)
         if self.basis.cutoff < 1:
             raise CutoffTooSmallError("the photon exceeds the basis cutoff 0")
-        modes = self.source_modes(source_id)[:n_pulses]
+        modes = self.source_modes(n_pulses, source_id)
         occ = np.zeros((len(modes), self.n_modes), dtype=np.uint8)
         occ[np.arange(len(modes)), modes] = 1
         amps = np.zeros(self.basis.dim, dtype=complex)
-        amps[self.basis.index_of(occ)] = 1.0 / math.sqrt(n_pulses)
+        amps[self.basis.index_of(occ)] = psi
         return FockStateVector(self.basis, amps)
 
     def single_photon_state(self, photons: Iterable[tuple[str, int]]
                             ) -> FockStateVector:
-        modes = []
-        for source_id, b in photons:
-            s = self.compiled._source(source_id)
-            modes.append(self.mode(self.compiled.wire_slot[s.out], b))
-        return prepare_single_photons(self.basis, modes)
+        return prepare_single_photons(
+            self.basis, [self.source_modes(b + 1, source_id)[b]
+                         for source_id, b in photons])
 
     # -- evolution ---------------------------------------------------------
 
@@ -420,7 +419,8 @@ class FockOracle:
                 state = self._slot_delay(state, slot[e.input], e)
             elif isinstance(e, Obstacle) and e.inserted:
                 perm = np.arange(self.n_modes)
-                for m, loss in self._swaps[e.id]:
+                for b, loss in self._read[e.id].items():
+                    m = self.mode(slot[e.input], b)
                     perm[m], perm[loss] = loss, m
                 state = apply_mode_permutation(state, perm)
         amps = state.amplitudes

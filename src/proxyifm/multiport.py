@@ -10,6 +10,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .circuit import unitarity_residual
 from .errors import DimensionMismatchError, DimensionTooLargeError, NonUnitaryInputError
 
 MAX_DECOMPOSE_DIM = 12
@@ -54,11 +55,7 @@ def reck_decompose(u: np.ndarray, tol: float = 1e-10) -> Decomposition:
             f"supported sizes are 2..{MAX_DECOMPOSE_DIM}, got {n}")
     if not np.isfinite(u).all():
         raise NonUnitaryInputError("input has a NaN or infinite entry")
-    # Entries near the float limit overflow to a NaN norm; not ``> tol``,
-    # which a NaN norm passes.
-    with np.errstate(over="ignore", invalid="ignore"):
-        residual = np.linalg.norm(u.conj().T @ u - np.eye(n))
-    if not residual <= tol:
+    if not unitarity_residual(u) <= tol:
         raise NonUnitaryInputError(f"input is not unitary to {tol}")
 
     v = u.copy()

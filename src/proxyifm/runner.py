@@ -30,11 +30,11 @@ from typing import Optional, Sequence, Union
 
 import numpy as np
 
-from .circuit import Delay, Detector, compile_circuit
+from .circuit import Delay, Detector, Obstacle, compile_circuit
 from .coherent import (
-    _MC_CHUNK,
     CoherentTrain,
     EventLog,
+    _Chunks,
     _flatten_cells,
     click_distribution,
     interaction_free_probability,
@@ -98,22 +98,6 @@ def _coherent_train(scenario: Scenario) -> CoherentTrain:
                          phases=src.phases)
 
 
-class _Chunks:
-    """The column chunks of a streamed table, built afresh on every pass:
-    ``draw(count, start)`` returns the columns of ``count`` rows from row
-    ``start`` on (shots, for a Monte-Carlo table), for each ``_MC_CHUNK``
-    in turn."""
-
-    def __init__(self, rows: int, draw):
-        if rows < 1:
-            raise ValueError(f"a stream needs rows (shots) >= 1, got {rows}")
-        self.rows, self.draw = rows, draw
-
-    def __iter__(self):
-        for start in range(0, self.rows, _MC_CHUNK):
-            yield self.draw(min(_MC_CHUNK, self.rows - start), start)
-
-
 def _event_table(shots: int, sample) -> Table:
     """The (shot, terminal, bin) events of ``sample(count, start)``'s logs."""
     def columns(count: int, start: int) -> tuple:
@@ -150,7 +134,9 @@ def _run_coherent(scenario: Scenario, mode: str, shots: int, seed: int) -> dict:
     tables: dict[str, Table] = {}
     if mode == "exact":
         tables["field"] = _field_table(field_cfg)
-        if scenario.trigger_terminal and compiled.loss_terminals:
+        if scenario.trigger_terminal and any(
+                isinstance(e, Obstacle) and e.inserted
+                for e in scenario.spec.elements):
             trig_bin = compiled.middle_interior_bin()
             p_empty = interaction_free_probability(scenario.spec, train, trig_bin)
             tables["conditionals"] = Table(

@@ -1,6 +1,7 @@
 import itertools
 import math
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -25,6 +26,7 @@ from proxyifm.errors import (
     CutoffTooSmallError,
     NonUnitaryError,
     StateTooLargeError,
+    ZeroPulsesError,
 )
 from proxyifm.fock import (
     MAX_BASIS_BYTES,
@@ -255,6 +257,16 @@ def test_two_mode_unitary_rejects_nan_residual():
                                np.array([[np.nan, 0.0], [0.0, 1.0]]))
 
 
+def test_two_mode_unitary_refuses_an_overflow_without_warnings():
+    # u^H u overflows to NaN; the refusal prints no numpy RuntimeWarning.
+    basis = FockBasis.build(2, 2)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(NonUnitaryError):
+            apply_two_mode_unitary(vacuum_state(basis), (0, 1),
+                                   np.array([[1e200, 0.0], [0.0, 1.0]]))
+
+
 def test_mode_permutation_moves_photons():
     basis = FockBasis.build(3, 2)
     state = prepare_single_photons(basis, [0])
@@ -356,6 +368,23 @@ def test_oracle_matches_single_photon_engine(n_pulses):
     assert terminal_probability(dist, "obstacle_l") == pytest.approx(0.5, abs=1e-10)
     assert terminal_probability(dist, "D1") == pytest.approx(0.25, abs=1e-10)
     assert terminal_probability(dist, "D2") == pytest.approx(0.25, abs=1e-10)
+
+
+@pytest.mark.parametrize("prepare, error, match", [
+    (lambda o: o.tensor_sum_state(0), ZeroPulsesError, "at least one"),
+    (lambda o: o.tensor_sum_state(3), BinOverflowError, "3 input amplitudes"),
+    (lambda o: o.coherent_train_state(ALPHA, 3), BinOverflowError,
+     "3 input amplitudes"),
+    (lambda o: o.single_photon_state([("src", 2)]), BinOverflowError,
+     "3 input amplitudes"),
+], ids=["tensor-sum-empty", "tensor-sum-long", "coherent-long",
+        "photon-past-the-bins"])
+def test_oracle_input_must_fit_its_source(prepare, error, match):
+    # The source has 2 bins; the circuit has 3, so the third bin is a mode.
+    oracle = FockOracle(fig2_spec(n_pulses=2, inserted=True), 2)
+    assert oracle.n_bins == 3
+    with pytest.raises(error, match=match):
+        prepare(oracle)
 
 
 def test_oracle_single_photon_outcomes_are_exclusive():

@@ -125,6 +125,19 @@ def test_no_interaction_counts_only_delay_stage_light(tmp_path, edit):
     assert rows[-1] == "p_no_interaction,0.95122942450071402"
 
 
+@pytest.mark.parametrize("name, written", [("fig2_open", False),
+                                           ("fig2_blocked", True)])
+def test_conditionals_need_an_inserted_obstacle(tmp_path, name, written):
+    # The figure counts only the delay-stage probe, so an absorber alone
+    # does not switch the table on.
+    doc = _golden_doc(name)
+    _absorb_bright_port(doc)
+    scenario = tmp_path / "s.json"
+    scenario.write_text(json.dumps(doc))
+    report = run(load_scenario(scenario), mode="exact")
+    assert ("conditionals" in report.tables) == written
+
+
 def test_run_tensor_sum_blocked_outcome_table():
     report = run(load_scenario("fig2_tensor_sum_blocked"), mode="exact")
     p = dict(report.tables["p_outcome"].rows)
@@ -662,6 +675,33 @@ def test_cli_refuses_a_pulse_train_into_two_sources(tmp_path, capsys, name,
     assert err.startswith("error: ") and err.count("\n") == 1
     assert "2 sources" in err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("mode", ["exact", "mc"])
+@pytest.mark.parametrize("name", ["fig2_blocked", "fig2_tensor_sum_blocked"])
+def test_cli_refuses_a_train_longer_than_its_source(tmp_path, capsys, name,
+                                                    mode):
+    """Every engine, the Fock oracle included, refuses 4 pulses into a
+    2-bin source with one and the same line."""
+    doc = _golden_doc(name)
+    doc["pulses"]["n"] = 4
+    if "phases" in doc["pulses"]:
+        doc["pulses"]["phases"] = [0.0] * 4
+    _element(doc, "src")["n_bins"] = 2
+    scenario = tmp_path / "s.json"
+    scenario.write_text(json.dumps(doc))
+    out = tmp_path / "r.csv"
+    errors = []
+    for engine in ([], ["--engine", "fock"]):
+        code = main(["simulate", "--scenario", str(scenario), *engine,
+                     "--mode", mode, "--shots", "100", "--cutoff", "2",
+                     "--out", str(out)])
+        errors.append(capsys.readouterr().err)
+        assert code == 3, errors[-1]
+        assert not out.exists()
+    assert errors[0] == errors[1]
+    assert errors[0] == (f"engine error: scenario {str(scenario)!r}: 4 input "
+                         "amplitudes exceed the 2 input bins of source 'src'\n")
 
 
 # (slots + terminals) x n_bins x 16 B for fig2: 2 slots and 3 terminals.
