@@ -36,7 +36,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .circuit import CircuitSpec, CompiledCircuit, Delay, Obstacle, compile_circuit
-from .errors import NoLossTerminalError, ZeroPulsesError
+from .errors import NoLossTerminalError, ParseError, ZeroPulsesError
 
 # Fixed Monte-Carlo chunk size: results are a pure function of (seed, shot
 # index, cell index), independent of how a caller batches or parallelises.
@@ -125,6 +125,8 @@ class CoherentTrain:
 
     alpha: complex
     phases: tuple[float, ...]
+
+    kind = "coherent"
 
     def __post_init__(self):
         if len(self.phases) < 1:
@@ -339,34 +341,41 @@ def fringe_sweep(spec: CircuitSpec, phase_values: Sequence[float],
                  ) -> list[tuple[float, float, float]]:
     """Sweep the delay's propagation phase and record both output fringes.
 
-    ``spec`` must contain exactly one delay and two detectors.  The
-    circuit is compiled and the train's amplitudes computed once; for each
-    phase the train is walked through that layout with the delay's phase
-    replaced, and the middle interior bin's mean photon number at each
-    detector, normalised to the per-pulse mean, is reported.  On the
-    matched two-pulse interferometer this traces ``(1 + cos(phase)) / 2``
-    and ``(1 - cos(phase)) / 2``.
+    ``spec`` must hold one delay, one source and two or more detectors,
+    and ``source`` (by default a unit train over the source's bins) a
+    non-zero amplitude; ``ParseError`` otherwise.  The circuit is compiled
+    and the train's amplitudes computed once; for each phase the train is
+    walked through that layout with the delay's phase replaced, and the
+    middle interior bin's mean photon number at the first and the second
+    detector, normalised to the per-pulse mean, is reported: on the matched
+    two-pulse interferometer, ``(1 + cos(phase)) / 2`` and its complement.
     """
     delays = [e for e in spec.elements if isinstance(e, Delay)]
+    sources = spec.sources()
     if len(delays) != 1:
-        raise ValueError("fringe_sweep needs a spec with exactly one delay")
-    delay = delays[0]
+        raise ParseError(f"sweep needs exactly one delay; the scenario has "
+                         f"{len(delays)}")
+    if len(sources) != 1:
+        raise ParseError(f"sweep needs exactly one source; the scenario has "
+                         f"{len(sources)}")
     compiled = compile_circuit(spec)
     detectors = compiled.detector_ids()
     if len(detectors) < 2:
-        raise ValueError(f"fringe_sweep needs two detectors; the spec has "
+        raise ParseError(f"sweep needs two detectors; the scenario has "
                          f"{len(detectors)}")
     d1, d2 = detectors[:2]
     if source is None:
-        n = spec.sources()[0].n_bins
-        source = CoherentTrain.uniform(n, 1.0)
+        source = CoherentTrain.uniform(sources[0].n_bins, 1.0)
     per_pulse = abs(source.alpha) ** 2
+    if per_pulse == 0:
+        raise ParseError("sweep needs pulses.alpha_squared > 0: the fringes "
+                         "are normalised to the per-pulse mean")
     mid = compiled.middle_interior_bin()
     amplitudes = source.amplitudes()
 
     out = []
     for phi in phase_values:
-        walked = compiled.with_delay_phase(delay.id, float(phi))
+        walked = compiled.with_delay_phase(delays[0].id, float(phi))
         field = FieldConfiguration(walked.propagate(amplitudes))
         out.append((float(phi),
                     float(field.mean_photons(d1)[mid] / per_pulse),

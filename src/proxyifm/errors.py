@@ -74,7 +74,7 @@ class BinOverflowError(ProxyIfmError):
 
 
 class NoLossTerminalError(ProxyIfmError):
-    """A conditional no-interaction figure was requested without loss terminals."""
+    """The conditional no-interaction figure found no delayed arm to probe."""
 
 
 class EngineSourceMismatchError(ProxyIfmError):

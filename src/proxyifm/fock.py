@@ -310,14 +310,9 @@ class JointDistribution:
     def cell_index(self, terminal: str, bin_idx: int) -> int:
         return self.cells.index((terminal, bin_idx))
 
-    def _counts(self, cell: tuple[str, int]) -> np.ndarray:
-        return self.outcomes[:, self.cell_index(*cell)]
-
     def mean(self, terminal: str, bin_idx: int) -> float:
-        return float(self.probabilities @ self._counts((terminal, bin_idx)))
-
-    def p_click(self, terminal: str, bin_idx: int) -> float:
-        return float(self.probabilities[self._counts((terminal, bin_idx)) >= 1].sum())
+        return float(self.probabilities
+                     @ self.outcomes[:, self.cell_index(terminal, bin_idx)])
 
     @cached_property
     def _draws(self) -> tuple:

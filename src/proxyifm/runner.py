@@ -30,20 +30,21 @@ from typing import Optional, Sequence, Union
 
 import numpy as np
 
-from .circuit import Delay, Detector, Obstacle, compile_circuit
+from .circuit import Delay, Obstacle, compile_circuit
 from .coherent import (
     CoherentTrain,
     EventLog,
     _Chunks,
     _flatten_cells,
     click_distribution,
+    fringe_sweep,
     interaction_free_probability,
     propagate_coherent,
     sample_clicks,
 )
-from .errors import EngineSourceMismatchError, IoError
+from .errors import EngineSourceMismatchError, IoError, ParseError, UnresolvedElementIdError
 from .fock import FockOracle, sample_joint
-from .scenarios import CoherentSourceSpec, Scenario, TensorSumSourceSpec
+from .scenarios import Scenario, TensorSumSourceSpec
 from .singlephoton import propagate_photon, sample_outcomes, tensor_sum_state
 from .tables import Categorical, OutcomeVectors, Table, write_csv, write_jsonl
 
@@ -92,12 +93,6 @@ def run(scenario: Scenario, engine: Optional[str] = None,
     return RunReport(_run_fock(scenario, mode, shots, seed, cutoff))
 
 
-def _coherent_train(scenario: Scenario) -> CoherentTrain:
-    src = scenario.source
-    return CoherentTrain(alpha=complex(np.sqrt(src.alpha_squared)),
-                         phases=src.phases)
-
-
 def _event_table(shots: int, sample) -> Table:
     """The (shot, terminal, bin) events of ``sample(count, start)``'s logs."""
     def columns(count: int, start: int) -> tuple:
@@ -129,16 +124,17 @@ def _field_table(field_cfg) -> Table:
 
 def _run_coherent(scenario: Scenario, mode: str, shots: int, seed: int) -> dict:
     compiled = compile_circuit(scenario.spec)
-    train = _coherent_train(scenario)
-    field_cfg = propagate_coherent(compiled, train)
+    field_cfg = propagate_coherent(compiled, scenario.source)
     tables: dict[str, Table] = {}
     if mode == "exact":
         tables["field"] = _field_table(field_cfg)
-        if scenario.trigger_terminal and any(
+        # The figure is about an inserted obstacle, seen through a delayed arm.
+        if scenario.trigger_terminal and compiled.max_path_delay > 0 and any(
                 isinstance(e, Obstacle) and e.inserted
                 for e in scenario.spec.elements):
             trig_bin = compiled.middle_interior_bin()
-            p_empty = interaction_free_probability(scenario.spec, train, trig_bin)
+            p_empty = interaction_free_probability(scenario.spec, scenario.source,
+                                                   trig_bin)
             tables["conditionals"] = Table(
                 headers=("quantity", "value"),
                 rows=[
@@ -172,9 +168,8 @@ def _run_singlephoton(scenario: Scenario, mode: str, shots: int, seed: int) -> d
 
 def _prepare_fock_input(oracle: FockOracle, scenario: Scenario):
     src = scenario.source
-    if isinstance(src, CoherentSourceSpec):
-        train = _coherent_train(scenario)
-        return oracle.coherent_train_state(train.alpha, src.n_pulses, train.phases)
+    if isinstance(src, CoherentTrain):
+        return oracle.coherent_train_state(src.alpha, src.n_pulses, src.phases)
     if isinstance(src, TensorSumSourceSpec):
         return oracle.tensor_sum_state(src.n_pulses)
     return oracle.single_photon_state(src.photons)
@@ -244,28 +239,14 @@ def emit(report: RunReport, fmt: str, path: Union[str, Path]) -> None:
 
 
 def sweep_table(scenario: Scenario, param: str, values: Sequence[float]) -> Table:
-    """Fringe sweep over a scenario's declared sweepable phase parameter."""
-    from .coherent import fringe_sweep
-    from .errors import ParseError, UnresolvedElementIdError
-
+    """Fringe sweep over a scenario's declared delay-phase parameter."""
     if param not in scenario.sweep_params:
         raise UnresolvedElementIdError(f"no sweep parameter {param!r}")
     element_id, field_name = scenario.sweep_params[param]
-    if field_name != "phase":
+    target = {e.id: e for e in scenario.spec.elements}[element_id]
+    if field_name != "phase" or not isinstance(target, Delay):
         raise ParseError(f"parameter {param!r} does not target a delay phase")
-    delays = [e for e in scenario.spec.elements if isinstance(e, Delay)]
-    if len(delays) != 1 or delays[0].id != element_id:
-        raise ParseError(
-            f"sweep target {element_id!r} must be the scenario's only delay")
-    detectors = sum(isinstance(e, Detector) for e in scenario.spec.elements)
-    if detectors < 2:
-        raise ParseError(f"sweep needs two detectors; the scenario has {detectors}")
-    source = None
-    if isinstance(scenario.source, CoherentSourceSpec):
-        if scenario.source.alpha_squared == 0:
-            raise ParseError("sweep needs pulses.alpha_squared > 0: the "
-                             "fringes are normalised to the per-pulse mean")
-        source = _coherent_train(scenario)
+    source = scenario.source if isinstance(scenario.source, CoherentTrain) else None
     rows = np.array(fringe_sweep(scenario.spec, values, source=source),
                     dtype=float).reshape(-1, 3)
     return Table(headers=("phase", "p_d1", "p_d2"), columns=tuple(rows.T))

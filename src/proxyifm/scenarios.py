@@ -3,9 +3,11 @@
 Schema ``proxy-ifm/1``.  Top-level keys:
 
 * ``pulses``    - the source block: ``{"kind": "coherent", "n": N,
-  "alpha_squared": ..., "phases": [...]}`` or ``{"kind": "tensor_sum",
-  "n": N}``, fed into the circuit's only source, or ``{"kind":
-  "single_photons", "photons": [[source_id, bin], ...]}``.
+  "alpha_squared": ..., "phases": [...]}``, loaded as a
+  :class:`~proxyifm.coherent.CoherentTrain` of amplitude
+  ``sqrt(alpha_squared)``, or ``{"kind": "tensor_sum", "n": N}``, each
+  fed into the circuit's only source, or ``{"kind": "single_photons",
+  "photons": [[source_id, bin], ...]}``.
 * ``circuit``   - ``{"n_bins": optional, "elements": [...]}`` with one
   object per element (``source``, ``beamsplitter``, ``obstacle``,
   ``delay``, ``phase``, ``absorber``) wired by named wires; wire names
@@ -52,6 +54,7 @@ from .circuit import (
     PhaseShift,
     Source,
 )
+from .coherent import CoherentTrain
 from .errors import (
     ParseError,
     StateTooLargeError,
@@ -62,15 +65,6 @@ from .errors import (
 SCHEMA = "proxy-ifm/1"
 
 _BUILTIN_DIR = Path(__file__).parent / "scenarios"
-
-
-@dataclass(frozen=True)
-class CoherentSourceSpec:
-    n_pulses: int
-    alpha_squared: float
-    phases: tuple[float, ...]
-
-    kind = "coherent"
 
 
 @dataclass(frozen=True)
@@ -87,7 +81,7 @@ class FockSourceSpec:
     kind = "single_photons"
 
 
-SourceSpec = Union[CoherentSourceSpec, TensorSumSourceSpec, FockSourceSpec]
+SourceSpec = Union[CoherentTrain, TensorSumSourceSpec, FockSourceSpec]
 
 
 @dataclass(frozen=True)
@@ -299,8 +293,8 @@ def _parse_source(raw: dict) -> SourceSpec:
             phases = tuple(phases)
         else:
             phases = tuple(_finite(p, "pulses: phases") for p in phases)
-        return CoherentSourceSpec(n_pulses=n, alpha_squared=alpha_squared,
-                                  phases=phases)
+        return CoherentTrain(alpha=complex(math.sqrt(alpha_squared)),
+                             phases=phases)
     if kind == "tensor_sum":
         return TensorSumSourceSpec(n_pulses=_int(raw["n"], "pulses: n", low=1))
     if kind == "single_photons":
@@ -389,7 +383,7 @@ def _angle(value, what: str) -> float:
 def _source_bins(source_id: str, source: SourceSpec, entry: dict) -> int:
     if "n_bins" in entry:
         return _int(entry["n_bins"], f"source {source_id!r}: n_bins", low=1)
-    if isinstance(source, (CoherentSourceSpec, TensorSumSourceSpec)):
+    if isinstance(source, (CoherentTrain, TensorSumSourceSpec)):
         return source.n_pulses
     bins = [b for s, b in source.photons if s == source_id]
     return (max(bins) + 1) if bins else 1

@@ -45,12 +45,12 @@ class OutcomeDistribution:
     @cached_property
     def _draws(self) -> tuple:
         """What ``sample_outcomes`` draws from, built once: the terminal
-        order and, per cell of non-zero probability, the cdf, the
-        terminal and the bin."""
-        order = tuple(sorted(self.p_bins))
-        p, terminal, bins = _flatten_cells({t: self.p_bins[t] for t in order})
+        order (that of ``p_bins``) and, per cell of non-zero probability,
+        the cdf, the terminal and the bin."""
+        p, terminal, bins = _flatten_cells(self.p_bins)
         live = p > 0.0
-        return order, _categorical_cdf(p[live]), terminal[live], bins[live]
+        return (tuple(self.p_bins), _categorical_cdf(p[live]), terminal[live],
+                bins[live])
 
 
 def tensor_sum_state(n: int) -> np.ndarray:
@@ -80,9 +80,10 @@ def sample_outcomes(dist: OutcomeDistribution, shots: int, seed: int,
                     start: int = 0) -> EventLog:
     """Draw exactly one (terminal, bin) outcome per shot.
 
-    The cells are taken in terminal-name order, zero-probability cells
-    dropped, and one keyed uniform per shot is placed on their cdf, so
-    every shot index appears once in the log.  Counter-based Philox
+    The cells are taken in the order of ``dist.p_bins`` (the circuit's
+    ``terminal_order`` when ``propagate_photon`` built it), zero-probability
+    cells dropped, and one keyed uniform per shot is placed on their cdf,
+    so every shot index appears once in the log.  Counter-based Philox
     streams keyed on (seed, chunk) keep the result independent of
     batching: the shots from ``start`` (a multiple of ``_MC_CHUNK``) on
     are those of a run from shot 0.

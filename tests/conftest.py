@@ -1,3 +1,4 @@
+import json
 import math
 import sys
 from dataclasses import dataclass, replace
@@ -7,6 +8,7 @@ import numpy as np
 import pytest
 
 from proxyifm.circuit import (
+    Absorber,
     BeamSplitter,
     CircuitSpec,
     Delay,
@@ -510,6 +512,10 @@ def marginal_pmf(dist, terminal, bin_idx, n_max):
                        minlength=n_max + 1)[:n_max + 1]
 
 
+def p_click(dist, terminal, bin_idx) -> float:
+    return float(dist.probabilities[_counts(dist, (terminal, bin_idx)) >= 1].sum())
+
+
 def p_coincidence(dist, cell_a, cell_b) -> float:
     both = (_counts(dist, cell_a) >= 1) & (_counts(dist, cell_b) >= 1)
     return float(dist.probabilities[both].sum())
@@ -524,6 +530,71 @@ def p_terminal_coincidence(dist, term_a, term_b) -> float:
     """P(both terminals see at least one photon, in any bins)."""
     both = _any_photon(dist, term_a) & _any_photon(dist, term_b)
     return float(dist.probabilities[both].sum())
+
+
+def scenario_doc(spec: CircuitSpec, pulses: dict, trigger=None,
+                 sweep_target=None) -> dict:
+    """``spec`` as a scenario file's JSON document, fed by ``pulses``.
+
+    Every source states its ``n_bins``; ``sweep_target`` names the element
+    of a ``delay_phase`` sweep parameter, and ``trigger`` the analysis
+    trigger.
+    """
+    elements, detectors = [], []
+    for e in spec.elements:
+        if isinstance(e, Source):
+            entry = {"kind": "source", "out": e.out, "n_bins": e.n_bins}
+        elif isinstance(e, BeamSplitter):
+            entry = {"kind": "beamsplitter", "in": list(e.inputs),
+                     "out": list(e.outputs)}
+            if e.matrix is not None:
+                entry["matrix"] = [[[z.real, z.imag] for z in row]
+                                   for row in np.asarray(e.matrix).tolist()]
+        elif isinstance(e, Delay):
+            entry = {"kind": "delay", "in": e.input, "out": e.output,
+                     "bins": e.bins, "phase": e.phase}
+        elif isinstance(e, PhaseShift):
+            entry = {"kind": "phase", "in": e.input, "out": e.output,
+                     "angle": e.angle}
+        elif isinstance(e, Obstacle):
+            entry = {"kind": "obstacle", "in": e.input, "out": e.output,
+                     "inserted": e.inserted}
+            if e.bins is not None:
+                entry["bins"] = sorted(e.bins)
+        elif isinstance(e, Absorber):
+            entry = {"kind": "absorber", "wire": e.wire}
+        else:
+            detectors.append({"id": e.id, "wire": e.wire, "label": e.label})
+            continue
+        elements.append({"id": e.id, **entry})
+    doc = {"schema": "proxy-ifm/1", "id": "random", "pulses": pulses,
+           "circuit": {"n_bins": spec.n_bins, "elements": elements},
+           "detectors": detectors}
+    if sweep_target is not None:
+        doc["sweep"] = {"delay_phase": {"element": sweep_target, "field": "phase"}}
+    if trigger is not None:
+        doc["analysis"] = {"trigger": trigger}
+    return doc
+
+
+def non_finite_numbers(path) -> list:
+    """The non-finite numbers in a CSV or JSONL output file."""
+    text = path.read_text(encoding="utf-8")
+    if path.suffix == ".jsonl":
+        found = []
+        for line in text.splitlines():
+            json.loads(line, parse_constant=found.append)
+        return found
+    found = []
+    for line in text.splitlines():
+        for field in line.split(","):
+            try:
+                x = float(field)
+            except ValueError:
+                continue
+            if not math.isfinite(x):
+                found.append(field)
+    return found
 
 
 @pytest.fixture

@@ -15,7 +15,12 @@ from proxyifm.coherent import (
     propagate_coherent,
     sample_clicks,
 )
-from proxyifm.errors import BinOverflowError, NoLossTerminalError, ZeroPulsesError
+from proxyifm.errors import (
+    BinOverflowError,
+    NoLossTerminalError,
+    ParseError,
+    ZeroPulsesError,
+)
 from proxyifm.scenarios import builtin_scenario_path, load_scenario
 
 from conftest import (
@@ -341,7 +346,7 @@ def test_fringe_sweep_needs_exactly_one_delay(delays):
         spec = fig3_spec(n_pulses=6)
     assert sum(isinstance(e, Delay) for e in spec.elements) == delays
     compile_circuit(spec)                       # a valid circuit all the same
-    with pytest.raises(ValueError, match="exactly one delay"):
+    with pytest.raises(ParseError, match="exactly one delay"):
         fringe_sweep(spec, [0.0, 1.0])
 
 
@@ -354,7 +359,8 @@ def test_fringe_sweep_needs_two_detectors(detectors):
         Absorber(e.id, e.wire) if e.id in dropped else e for e in spec.elements))
     assert sum(isinstance(e, Detector) for e in spec.elements) == detectors
     compile_circuit(spec)                       # a valid circuit all the same
-    with pytest.raises(ValueError, match=f"two detectors; the spec has {detectors}"):
+    with pytest.raises(ParseError,
+                       match=f"two detectors; the scenario has {detectors}"):
         fringe_sweep(spec, [0.0, 1.0])
 
 

@@ -56,6 +56,7 @@ from conftest import (
     marginal_pmf,
     mean_occupation,
     norm_squared,
+    p_click,
     p_coincidence,
     p_terminal_coincidence,
     poisson_pmf,
@@ -352,7 +353,7 @@ def test_oracle_open_interior_stays_dark():
     oracle = FockOracle(spec, 4)
     dist = oracle.run(oracle.coherent_train_state(ALPHA, 3))
     cc = compile_circuit(spec)
-    p_any = sum(dist.p_click("D2", b) for b in cc.interior_bins())
+    p_any = sum(p_click(dist, "D2", b) for b in cc.interior_bins())
     assert p_any < 1e-6
 
 

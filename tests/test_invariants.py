@@ -56,9 +56,7 @@ def test_golden_files_match_reference_topologies(name, builder):
 def test_mc_click_frequencies_within_3_sigma(name):
     scenario = load_scenario(name)
     cc = compile_circuit(scenario.spec)
-    train = CoherentTrain(alpha=complex(math.sqrt(scenario.source.alpha_squared)),
-                          phases=scenario.source.phases)
-    dist = click_distribution(propagate_coherent(cc, train))
+    dist = click_distribution(propagate_coherent(cc, scenario.source))
     shots = 1_000_000
     log = sample_clicks(dist, shots=shots, seed=MC_SEED)
     counts = event_counts(log)

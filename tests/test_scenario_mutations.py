@@ -11,13 +11,14 @@ string where the schema wants a number must exit 2.
 
 import copy
 import json
-import math
 import random
 
 import pytest
 
 from proxyifm.cli import main
 from proxyifm.scenarios import builtin_scenario_path, list_builtin_scenarios
+
+from conftest import non_finite_numbers
 
 DELETE = object()
 # No string here reads as a non-finite float, so a "nan" or "inf" in an
@@ -107,26 +108,6 @@ def _mutants(name):
             yield f"n={n:.0e}", doc, [("pulses", "n")], "exact", 3
 
 
-def _non_finite_numbers(path) -> list:
-    """The non-finite numbers in a CSV or JSONL output file."""
-    text = path.read_text(encoding="utf-8")
-    if path.suffix == ".jsonl":
-        found = []
-        for line in text.splitlines():
-            json.loads(line, parse_constant=found.append)
-        return found
-    found = []
-    for line in text.splitlines():
-        for field in line.split(","):
-            try:
-                x = float(field)
-            except ValueError:
-                continue
-            if not math.isfinite(x):
-                found.append(field)
-    return found
-
-
 @pytest.mark.parametrize("name", list_builtin_scenarios())
 def test_mutated_scenarios_fail_at_the_boundary(name, tmp_path, monkeypatch):
     monkeypatch.delenv("PROXYIFM_SEED", raising=False)
@@ -152,6 +133,6 @@ def test_mutated_scenarios_fail_at_the_boundary(name, tmp_path, monkeypatch):
             assert code in (0, 2, 3), (label, changed, prefix, code)
             if code == 0:
                 for out in case.glob(f"{prefix}.*"):
-                    assert not _non_finite_numbers(out), (label, changed, out.name)
+                    assert not non_finite_numbers(out), (label, changed, out.name)
             if expect is not None:
                 assert code == expect, (label, changed, prefix, code)

@@ -38,7 +38,7 @@ def test_all_golden_scenarios_ship_and_load():
 def test_fig2_open_golden_parameters():
     scenario = load_scenario("fig2_open")
     assert scenario.source.n_pulses == 10
-    assert scenario.source.alpha_squared == pytest.approx(ALPHA_SQ)
+    assert abs(scenario.source.alpha) ** 2 == pytest.approx(ALPHA_SQ)
     # the coherent engine, the natural one for a coherent source
     assert run(scenario).tables["field"].headers[2:4] == ("re", "im")
 
@@ -136,6 +136,23 @@ def test_conditionals_need_an_inserted_obstacle(tmp_path, name, written):
     scenario.write_text(json.dumps(doc))
     report = run(load_scenario(scenario), mode="exact")
     assert ("conditionals" in report.tables) == written
+
+
+def test_conditionals_need_a_delayed_arm(tmp_path, capsys):
+    # With the delay gone a trigger click proxies no earlier pulse, so there
+    # is no figure to write; the field table is written all the same.
+    doc = _golden_doc("fig2_blocked")
+    doc["circuit"]["elements"].remove(_element(doc, "delay_l"))
+    _element(doc, "arm_l_matched")["in"] = "l1"
+    del doc["sweep"]
+    scenario = tmp_path / "s.json"
+    scenario.write_text(json.dumps(doc))
+    out = tmp_path / "r.csv"
+    code = main(["simulate", "--scenario", str(scenario), "--mode", "exact",
+                 "--out", str(out)])
+    assert code == 0, capsys.readouterr().err
+    assert sorted(tmp_path.glob("r.*")) == [out]
+    assert out.read_text().startswith("terminal,bin,re,im,mean_n,p_click\n")
 
 
 def test_run_tensor_sum_blocked_outcome_table():
