@@ -10,9 +10,9 @@ once without being produced.
 Time is discrete.  Amplitudes live on (wire, bin) slots; a ``Delay`` of k
 bins shifts bin t to bin t+k exactly and multiplies by ``exp(i*phase)``.
 ``compile_circuit`` validates the element graph and lays it out once:
-each wire's spatial slot, last populated bin and path delays, and from
-them ``n_bins``, the terminal order and the overflow checks.  The Fock
-oracle reads that same layout.
+each wire's spatial slot, last populated bin, lit bins and path delays,
+and from them ``n_bins``, the terminal order and the overflow checks.
+The Fock oracle reads that same layout.
 ``CompiledCircuit.propagate`` walks one length-``n_bins`` amplitude
 vector per wire through the elements in topological order, so a pass
 costs O(elements x n_bins); no dense matrix of the circuit is built.
@@ -23,7 +23,7 @@ terminals instead of destroying it, the walk preserves the norm.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
-from typing import Optional, Union
+from typing import Iterable, Optional, Union
 
 import numpy as np
 
@@ -42,6 +42,9 @@ UNITARITY_TOL = 1e-10
 MAX_MAP_BYTES = 1 << 30
 
 _VACUUM_PREFIX = "vac"
+
+# Sorted, disjoint, non-adjacent ranges of bins.
+Bins = tuple[range, ...]
 
 
 def default_beamsplitter() -> np.ndarray:
@@ -170,8 +173,10 @@ class CompiledCircuit:
     ``propagate`` walks one source's amplitude vector to per-terminal
     amplitudes, in ``terminal_order`` (detectors first, then loss
     terminals).  ``wire_slot`` maps every wire to one of ``n_slots``
-    spatial slots, the mode blocks of the Fock oracle.  Immutable after
-    build and safe to share.
+    spatial slots, the mode blocks of the Fock oracle.  ``wire_lit`` and
+    ``terminal_lit`` hold, per wire and per terminal, the bins that light
+    from any source can reach, inserted obstacles included; no other bin
+    ever carries amplitude.  Immutable after build and safe to share.
     """
 
     n_bins: int
@@ -181,6 +186,8 @@ class CompiledCircuit:
     path_delays: frozenset[int]
     wire_slot: dict[str, int]
     n_slots: int
+    wire_lit: dict[str, Bins]
+    terminal_lit: dict[str, Bins]
 
     def propagate(self, amplitudes: np.ndarray,
                   source_id: Optional[str] = None) -> dict[str, np.ndarray]:
@@ -314,6 +321,32 @@ def unitarity_residual(m: np.ndarray) -> float:
         return float(np.linalg.norm(m.conj().T @ m - np.eye(len(m))))
 
 
+def _merge(ranges: Iterable[range]) -> Bins:
+    """The union of ``ranges`` as sorted, disjoint, non-adjacent ranges."""
+    merged: list[range] = []
+    for r in sorted(ranges, key=lambda r: r.start):
+        if merged and r.start <= merged[-1].stop:
+            merged[-1] = range(merged[-1].start, max(merged[-1].stop, r.stop))
+        elif r:
+            merged.append(r)
+    return tuple(merged)
+
+
+def _cut(bins: Bins, gate: frozenset[int]) -> tuple[Bins, Bins]:
+    """``bins`` split into the parts outside and inside the ``gate`` bins.
+
+    Every range end and gate edge cuts the line; each piece between two
+    cuts lies wholly inside or outside ``bins``, and inside ``gate`` when
+    it starts on a gate bin.
+    """
+    cuts = sorted({x for r in bins for x in (r.start, r.stop)}
+                  | gate | {g + 1 for g in gate})
+    pieces = [range(a, b) for a, b in zip(cuts, cuts[1:])
+              if any(a in r for r in bins)]
+    return (_merge(p for p in pieces if p.start not in gate),
+            _merge(p for p in pieces if p.start in gate))
+
+
 def _is_vacuum(wire: str) -> bool:
     return wire.startswith(_VACUUM_PREFIX)
 
@@ -404,8 +437,15 @@ def compile_circuit(spec: CircuitSpec) -> CompiledCircuit:
     One pass over the topological order gives every wire its spatial slot
     (sources and vacuum inputs claim slots in order of first appearance,
     elements pass them through), its last populated bin (-1 while it
-    carries only vacuum, also after a delay) and the delays of its paths.
-    ``n_bins`` is the spec's, or one past the last populated bin.  Raises
+    carries only vacuum, also after a delay), its lit bins and the delays
+    of its paths.  A source lights its own bins, a delay shifts its
+    input's, a splitter gives both outputs the union of its inputs', and
+    an inserted obstacle takes its gated bins off its output and lights
+    them on its loss terminal.  The last populated bin ignores obstacles,
+    so that ``n_bins`` and the overflow checks are the same whichever
+    obstacles are inserted.  Lit bins are kept as ranges, so the pass does
+    no per-bin work.  ``n_bins`` is the spec's, or one past the last
+    populated bin.  Raises
     ``BinOverflowError`` naming the offending source or delay if a
     populated bin would land past an explicit ``n_bins``, or the obstacle
     whose gate lists a bin outside ``[0, n_bins)``, and
@@ -419,12 +459,14 @@ def compile_circuit(spec: CircuitSpec) -> CompiledCircuit:
     if not sources:
         raise DanglingPortError("circuit has no source")
 
-    # Per wire: spatial slot, last populated bin (-1 for vacuum only) and
-    # path delays.
+    # Per wire: spatial slot, last populated bin (-1 for vacuum only), lit
+    # bins and path delays.
     n_bins = spec.n_bins
     n_slots = 0
     slot: dict[str, int] = {}
     last: dict[str, int] = {}
+    lit: dict[str, Bins] = {}
+    terminal_lit: dict[str, Bins] = {}
     delays: dict[str, frozenset[int]] = {}
     detectors: list[str] = []
     losses: list[str] = []
@@ -434,12 +476,14 @@ def compile_circuit(spec: CircuitSpec) -> CompiledCircuit:
         for w in ins:
             if _is_vacuum(w):
                 slot[w], last[w], delays[w] = n_slots, -1, frozenset()
+                lit[w] = ()
                 n_slots += 1
         if isinstance(e, Source):
             if n_bins is not None and e.n_bins > n_bins:
                 raise BinOverflowError(
                     f"source {e.id!r}: {e.n_bins} pulse bins exceed n_bins={n_bins}")
             slot[e.out], last[e.out] = n_slots, e.n_bins - 1
+            lit[e.out] = (range(e.n_bins),)
             delays[e.out] = frozenset({0})
             n_slots += 1
             continue
@@ -450,15 +494,22 @@ def compile_circuit(spec: CircuitSpec) -> CompiledCircuit:
             raise BinOverflowError(
                 f"delay {e.id!r}: bin {lb}+{shift} exceeds n_bins={n_bins}")
         ds = frozenset(d + shift for w in ins for d in delays[w])
+        bins = _merge(range(r.start + shift, r.stop + shift)
+                      for w in ins for r in lit[w])
+        if isinstance(e, Obstacle) and e.inserted:
+            bins, terminal_lit[e.id] = ((), bins) if e.bins is None else \
+                _cut(bins, e.bins)
         for w_in, w_out in zip(ins, outs):
             slot[w_out] = slot[w_in]
             last[w_out] = lb + shift if lb >= 0 else -1
+            lit[w_out] = bins
             delays[w_out] = ds
         if isinstance(e, Detector):
             detectors.append(e.id)
         elif isinstance(e, Absorber) or (isinstance(e, Obstacle) and e.inserted):
             losses.append(e.id)
         if isinstance(e, (Detector, Absorber)):
+            terminal_lit[e.id] = bins
             path_delays |= ds
     if n_bins is None:
         n_bins = max(last.values()) + 1
@@ -485,6 +536,8 @@ def compile_circuit(spec: CircuitSpec) -> CompiledCircuit:
         path_delays=frozenset(path_delays),
         wire_slot=slot,
         n_slots=n_slots,
+        wire_lit=lit,
+        terminal_lit={t: terminal_lit[t] for t in terminal_order},
         _sources=tuple(sources),
         _order=tuple(order),
     )

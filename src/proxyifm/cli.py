@@ -83,8 +83,9 @@ def build_parser() -> argparse.ArgumentParser:
     sim.add_argument("--mode", choices=["exact", "mc"], default=None)
     sim.add_argument("--shots", type=_int_at_least(1), default=None)
     sim.add_argument("--seed", type=_int_at_least(0), default=None)
-    sim.add_argument("--cutoff", type=_int_at_least(0), default=5,
-                     help="Fock truncation (fock engine only)")
+    sim.add_argument("--cutoff", type=_int_at_least(0), default=None,
+                     help="Fock truncation (fock engine only); defaults to "
+                          "the one that holds the source's light")
     sim.add_argument("--out", required=True)
     sim.add_argument("--format", choices=["csv", "jsonl"], default="csv")
 
@@ -98,7 +99,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     orc = sub.add_parser("oracle", help="exact Fock-space joint distribution")
     orc.add_argument("--scenario", required=True)
-    orc.add_argument("--cutoff", type=_int_at_least(0), default=5)
+    orc.add_argument("--cutoff", type=_int_at_least(0), default=None)
     orc.add_argument("--out", required=True)
 
     dec = sub.add_parser("decompose",

@@ -5,18 +5,24 @@ its ``n_bins``, slots and cell order (``terminal_order``) are the
 ``compile_circuit`` layout's, ``CompiledCircuit.input_source`` fits an
 input to its source, ``singlephoton.tensor_sum_state`` is its tensor-sum
 input and ``circuit.unitarity_residual`` tests its splitters.
-Every (slot, bin) pair becomes a bosonic mode, laid
+Every (slot, bin) pair that light can reach becomes a bosonic mode, laid
 out bin-major (``bin * n_slots + slot``), and the state is expanded over
-all occupation vectors with total photon number up to a cutoff.  One
-state vector is carried through the elements, each applied exactly:
-two-mode unitaries bin by bin, phases per photon and delays as mode
+all occupation vectors with total photon number up to a cutoff.  Which
+bins light reaches is the layout's (``wire_lit``, ``terminal_lit``): a
+mode that no light reaches is empty at every step, so it has no column,
+and a splitter acts as the identity on a bin where neither input is lit.
+One state vector is carried through the elements, each applied exactly:
+two-mode unitaries on the lit bins, phases per photon and delays as mode
 permutations.  Obstacles are deferred measurements (Nielsen & Chuang,
 section 4.4): measuring a mode's photon number and then emptying it
 equals swapping it with a fresh vacuum mode that is read at the end.
 Each gated (inserted obstacle, bin) owns such a loss mode, so an obstacle
 is a permutation too and nothing branches; as every slot ends in one
-terminal, each basis vector is one joint outcome.  Passive elements
-conserve photon number, so the cutoff commutes with the evolution and the
+terminal, each basis vector is one joint outcome, and a cell whose mode
+has no column reads 0.  Dropping modes that are empty in every reachable
+vector keeps the graded-lexicographic order of the rest, so every sum
+runs in the order it would over all modes.  Passive elements conserve
+photon number, so the cutoff commutes with the evolution and the
 truncation deficit is the input state's.
 
 Vectors are ranked in the combinatorial number system (Knuth, TAOCP 4A,
@@ -50,7 +56,6 @@ from .circuit import (
 )
 from .coherent import _categorical_cdf, _sample_categorical
 from .errors import (
-    BinOverflowError,
     CutoffTooSmallError,
     NonUnitaryError,
     StateTooLargeError,
@@ -187,6 +192,20 @@ def prepare_coherent_train(basis: FockBasis, alpha: complex,
     full = np.zeros(basis.dim, dtype=complex)
     full[support] = amps / math.sqrt(norm2)
     return FockStateVector(basis, full, deficit)
+
+
+def coherent_cutoff(mean_photons: float) -> int:
+    """Smallest cutoff c whose Poisson tail P(K > c), K ~ Poisson(mean),
+    meets ``DEFICIT_LIMIT``: the truncation deficit that
+    ``prepare_coherent_train`` finds for a train of that mean.  Stops at
+    the 255 photons a mode can hold, where the basis build refuses it."""
+    cutoff, pmf = 0, math.exp(-mean_photons)
+    cdf = pmf
+    while 1.0 - cdf > DEFICIT_LIMIT and cutoff < np.iinfo(np.uint8).max:
+        cutoff += 1
+        pmf *= mean_photons / cutoff
+        cdf += pmf
+    return cutoff
 
 
 def prepare_single_photons(basis: FockBasis, modes: Sequence[int]) -> FockStateVector:
@@ -329,37 +348,57 @@ class FockOracle:
     the spatial slots are those of the other engines.  Mode
     ``bin * n_slots + slot`` carries the amplitude of the wires in that
     slot at the given time bin.  After those, each gated (inserted
-    obstacle, bin) owns one loss mode that receives what it absorbs.
+    obstacle, bin) owns one loss mode that receives what it absorbs.  Only
+    the modes that the layout lights get a basis column, in that order;
+    ``n_modes`` counts them.
     """
 
     def __init__(self, spec: CircuitSpec, cutoff: int):
         self.compiled = compile_circuit(spec)
         self.n_bins = self.compiled.n_bins
+        n_slots = self.compiled.n_slots
         slot = self.compiled.wire_slot
-        self.n_modes = self.compiled.n_slots * self.n_bins
+        # Every mode, lit or dark, in layout order: the slot modes, then
+        # per gated (inserted obstacle, bin) its loss mode.
+        n_all = n_slots * self.n_bins
+        lit = {b * n_slots + slot[wire]
+               for wire, bins in self.compiled.wire_lit.items()
+               for r in bins for b in r}
         # Per terminal, the mode read out for each bin: an obstacle's are
         # its loss modes.
         self._read: dict[str, dict[int, int]] = {}
         for e in self.compiled._order:
             if isinstance(e, Obstacle) and e.inserted:
                 gate = [b for b in range(self.n_bins) if e.bins is None or b in e.bins]
-                self._read[e.id] = {b: self.n_modes + k for k, b in enumerate(gate)}
-                self.n_modes += len(gate)
+                read = self._read[e.id] = {b: n_all + k for k, b in enumerate(gate)}
+                lit.update(read[b] for r in self.compiled.terminal_lit[e.id]
+                           for b in r)
+                n_all += len(gate)
             elif isinstance(e, (Detector, Absorber)):
-                self._read[e.id] = {b: self.mode(slot[e.wire], b)
+                self._read[e.id] = {b: b * n_slots + slot[e.wire]
                                     for b in range(self.n_bins)}
+        # A lit mode's basis column, in layout order; -1 for a dark mode.
+        self.n_modes = len(lit)
+        self._column = np.full(n_all, -1)
+        self._column[sorted(lit)] = np.arange(self.n_modes)
         order = self.compiled.terminal_order
         self.cells = tuple((t, b) for t in order for b in self._read[t])
-        self._cell_modes = [m for t in order for m in self._read[t].values()]
+        self._cell_columns = self._column[
+            [m for t in order for m in self._read[t].values()]]
         self.basis = FockBasis.build(self.n_modes, cutoff)
 
-    def mode(self, slot: int, bin_idx: int) -> int:
-        return bin_idx * self.compiled.n_slots + slot
+    def columns(self, wire: str, bins=None) -> np.ndarray:
+        """The basis columns of ``wire``'s slot at ``bins`` (by default the
+        wire's lit bins, in order), which must be lit."""
+        if bins is None:
+            bins = [b for r in self.compiled.wire_lit[wire] for b in r]
+        return self._column[np.asarray(bins, dtype=np.intp) * self.compiled.n_slots
+                            + self.compiled.wire_slot[wire]]
 
-    def source_modes(self, n: int, source_id: Optional[str] = None) -> list[int]:
-        """The modes of an input of ``n`` bins, once it fits its source."""
-        s = self.compiled.input_source(n, source_id)
-        return [self.mode(self.compiled.wire_slot[s.out], b) for b in range(n)]
+    def source_modes(self, n: int, source_id: Optional[str] = None) -> np.ndarray:
+        """The columns of an input of ``n`` bins, once it fits its source."""
+        return self.columns(self.compiled.input_source(n, source_id).out,
+                            np.arange(n))
 
     # -- input preparation -------------------------------------------------
 
@@ -396,52 +435,67 @@ class FockOracle:
 
     def run(self, state: FockStateVector) -> JointDistribution:
         """Evolve an input state through every element and read out the
-        exact joint distribution over detector and absorbed counts."""
+        exact joint distribution over detector and absorbed counts.
+
+        Each element acts only on the bins that its layout lights: those
+        are the only modes that can hold photons, as long as the input
+        holds them only in its sources' bins, which is checked here.
+        """
         if state.basis is not self.basis:
             raise ValueError("state was prepared on a different basis")
-        slot = self.compiled.wire_slot
+        dark = np.ones(self.n_modes, dtype=bool)
+        for s in self.compiled._sources:
+            dark[self.columns(s.out)] = False
+        live = np.flatnonzero(state.amplitudes)
+        if self.basis.occupations[np.ix_(live, dark)].any():
+            raise ValueError("state holds photons outside its sources' bins")
         for e in self.compiled._order:
             if isinstance(e, BeamSplitter):
-                i, j = slot[e.inputs[0]], slot[e.inputs[1]]
                 u = e.resolved_matrix()
-                for b in range(self.n_bins):
-                    state = apply_two_mode_unitary(
-                        state, (self.mode(i, b), self.mode(j, b)), u)
+                for r in self.compiled.wire_lit[e.outputs[0]]:
+                    for b in r:
+                        state = apply_two_mode_unitary(
+                            state, (self.columns(e.inputs[0], b),
+                                    self.columns(e.inputs[1], b)), u)
             elif isinstance(e, PhaseShift):
-                state = apply_mode_phase(
-                    state, self.mode(slot[e.input], np.arange(self.n_bins)), e.angle)
+                state = apply_mode_phase(state, self.columns(e.input), e.angle)
             elif isinstance(e, Delay):
-                state = self._slot_delay(state, slot[e.input], e)
+                modes = self.columns(e.input)
+                if e.phase:
+                    state = apply_mode_phase(state, modes, e.phase)
+                if e.bins:
+                    state = self._move(state, modes, self.columns(e.output))
             elif isinstance(e, Obstacle) and e.inserted:
-                perm = np.arange(self.n_modes)
-                for b, loss in self._read[e.id].items():
-                    m = self.mode(slot[e.input], b)
-                    perm[m], perm[loss] = loss, m
-                state = apply_mode_permutation(state, perm)
-        amps = state.amplitudes
-        live = np.flatnonzero(np.abs(amps) ** 2 > 0.0)
-        return JointDistribution(
-            cells=self.cells,
-            outcomes=self.basis.occupations[np.ix_(live, self._cell_modes)],
-            probabilities=np.abs(amps[live]) ** 2,
-            deficit=state.deficit)
+                gated = [b for r in self.compiled.terminal_lit[e.id] for b in r]
+                modes = self.columns(e.input, gated)
+                loss = self._column[[self._read[e.id][b] for b in gated]]
+                state = self._move(state, np.concatenate([modes, loss]),
+                                   np.concatenate([loss, modes]))
+        live = np.flatnonzero(np.abs(state.amplitudes) ** 2 > 0.0)
+        probabilities = np.abs(state.amplitudes[live]) ** 2
+        deficit = state.deficit
+        del state  # free the amplitudes before the outcome table is built
+        # A dark cell reads a constant 0.
+        outcomes = np.zeros((len(live), len(self.cells)), dtype=np.uint8)
+        for k, c in enumerate(self._cell_columns):
+            if c >= 0:
+                outcomes[:, k] = self.basis.occupations[live, c]
+        return JointDistribution(cells=self.cells, outcomes=outcomes,
+                                 probabilities=probabilities, deficit=deficit)
 
-    def _slot_delay(self, state: FockStateVector, s: int, e: Delay
-                    ) -> FockStateVector:
-        modes = self.mode(s, np.arange(self.n_bins))
-        if e.bins == 0:
-            return apply_mode_phase(state, modes, e.phase) if e.phase else state
-        # Only a state built through the Python API can fill a wrapped bin.
-        wrapped = modes[max(self.n_bins - e.bins, 0):]
-        occ_w = self.basis.occupations[:, wrapped].sum(axis=1)
-        if np.any((occ_w > 0) & (np.abs(state.amplitudes) > 1e-12)):
-            raise BinOverflowError(
-                f"delay {e.id!r}: occupied bins would be shifted past "
-                f"n_bins={self.n_bins}")
-        if e.phase:
-            state = apply_mode_phase(state, modes, e.phase)
+    def _move(self, state: FockStateVector, source: np.ndarray,
+              target: np.ndarray) -> FockStateVector:
+        """Move column ``source[k]``'s photons to ``target[k]``.
+
+        The other columns are empty here, so those that ``target`` takes
+        fill the places that ``source`` frees, in order, and the move is a
+        permutation.
+        """
+        if not len(source):
+            return state
         perm = np.arange(self.n_modes)
-        perm[modes] = np.roll(modes, -e.bins)
+        perm[source] = target
+        perm[sorted(set(target) - set(source))] = sorted(set(source) - set(target))
         return apply_mode_permutation(state, perm)
 
 

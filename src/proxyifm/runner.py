@@ -43,7 +43,7 @@ from .coherent import (
     sample_clicks,
 )
 from .errors import EngineSourceMismatchError, IoError, ParseError, UnresolvedElementIdError
-from .fock import FockOracle, sample_joint
+from .fock import FockOracle, coherent_cutoff, sample_joint
 from .scenarios import Scenario, TensorSumSourceSpec
 from .singlephoton import propagate_photon, sample_outcomes, tensor_sum_state
 from .tables import Categorical, OutcomeVectors, Table, write_csv, write_jsonl
@@ -65,12 +65,13 @@ class RunReport:
 
 def run(scenario: Scenario, engine: Optional[str] = None,
         mode: Optional[str] = None, shots: Optional[int] = None,
-        seed: Optional[int] = None, cutoff: int = 5) -> RunReport:
+        seed: Optional[int] = None, cutoff: Optional[int] = None) -> RunReport:
     """Execute a scenario and collect the result tables.
 
     ``engine`` defaults to the natural engine of the scenario's source
     kind (the first of its ``_ENGINES``); an engine that cannot consume
-    that kind raises ``EngineSourceMismatchError``.  Streamed tables are
+    that kind raises ``EngineSourceMismatchError``.  The Fock ``cutoff``
+    defaults to the source's ``default_cutoff``.  Streamed tables are
     computed only when they are written.  Errors reach the caller as
     raised.
     """
@@ -166,6 +167,16 @@ def _run_singlephoton(scenario: Scenario, mode: str, shots: int, seed: int) -> d
     return tables
 
 
+def default_cutoff(source) -> int:
+    """The Fock cutoff that holds a source's light: its photon number, or
+    for a coherent train the smallest whose deficit meets the limit."""
+    if isinstance(source, CoherentTrain):
+        return coherent_cutoff(source.mean_photons)
+    if isinstance(source, TensorSumSourceSpec):
+        return 1
+    return len(source.photons)
+
+
 def _prepare_fock_input(oracle: FockOracle, scenario: Scenario):
     src = scenario.source
     if isinstance(src, CoherentTrain):
@@ -176,10 +187,12 @@ def _prepare_fock_input(oracle: FockOracle, scenario: Scenario):
 
 
 def _run_fock(scenario: Scenario, mode: str, shots: int, seed: int,
-              cutoff: int) -> dict:
+              cutoff: Optional[int]) -> dict:
+    if cutoff is None:
+        cutoff = default_cutoff(scenario.source)
     oracle = FockOracle(scenario.spec, cutoff)
-    state = _prepare_fock_input(oracle, scenario)
-    dist = oracle.run(state)
+    dist = oracle.run(_prepare_fock_input(oracle, scenario))
+    del oracle  # nothing past the readout reads the basis
     tables: dict[str, Table] = {}
     if mode == "exact":
         # Most probable first, ties in lexicographic outcome order.

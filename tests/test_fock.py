@@ -28,6 +28,7 @@ from proxyifm.errors import (
     StateTooLargeError,
     ZeroPulsesError,
 )
+from proxyifm import fock
 from proxyifm.fock import (
     MAX_BASIS_BYTES,
     FockBasis,
@@ -40,6 +41,7 @@ from proxyifm.fock import (
     prepare_single_photons,
     sample_joint,
 )
+from proxyifm.runner import run
 from proxyifm.scenarios import load_scenario
 from proxyifm.singlephoton import propagate_photon, tensor_sum_state
 
@@ -576,3 +578,43 @@ def test_oracle_rejects_too_few_bins_when_built():
     ), n_bins=5)
     with pytest.raises(BinOverflowError, match="late"):
         FockOracle(spec, 1)
+
+
+@pytest.mark.parametrize("name, cutoff, modes, dim", [
+    # 19 of 24 modes: bin 5 of every slot and the loss modes of bins 4
+    # and 5 are dark.
+    ("fig3_blocked_l", 4, 19, 8_855),
+    # 30 of 33 modes: bin 10 of both slots and its loss mode are dark.
+    ("fig2_tensor_sum_blocked", 1, 30, 31),
+])
+def test_oracle_basis_spans_only_the_lit_modes(name, cutoff, modes, dim):
+    oracle = FockOracle(load_scenario(name).spec, cutoff)
+    assert (oracle.n_modes, oracle.basis.dim) == (modes, dim)
+
+
+def test_basis_bound_is_checked_on_the_lit_modes(monkeypatch):
+    # fig3_blocked_l at cutoff 4: all 24 modes would need `every` bytes,
+    # its 19 lit modes need `lit`.
+    every = math.comb(24 + 4, 4) * (24 + 32)
+    lit = 8_855 * (19 + 32)
+    scenario = load_scenario("fig3_blocked_l")
+    monkeypatch.setattr(fock, "MAX_BASIS_BYTES", (every + lit) // 2)
+    report = run(scenario, engine="fock", mode="exact", cutoff=4)
+    assert sum(p for _, p in report.tables["joint"].rows) == \
+        pytest.approx(1.0, abs=1e-12)
+    monkeypatch.setattr(fock, "MAX_BASIS_BYTES", lit - 1)
+    with pytest.raises(StateTooLargeError,
+                       match=f"basis of 8855 states over 19 modes needs {lit} "):
+        run(scenario, engine="fock", mode="exact", cutoff=4)
+
+
+def test_oracle_refuses_photons_outside_the_sources():
+    # A photon put by hand on the vacuum input's slot, which the layout
+    # does not light until the first splitter.
+    oracle = FockOracle(fig2_spec(n_pulses=2, inserted=True), 1)
+    occ = np.zeros(oracle.n_modes, dtype=np.uint8)
+    occ[oracle.columns("vac1", np.array([0]))] = 1
+    amps = np.zeros(oracle.basis.dim, dtype=complex)
+    amps[oracle.basis.index_of(occ)] = 1.0
+    with pytest.raises(ValueError, match="outside its sources"):
+        oracle.run(FockStateVector(oracle.basis, amps))

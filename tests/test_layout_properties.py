@@ -208,3 +208,34 @@ def test_fock_oracle_coherent_means_match_propagation(spec, phases):
         for terminal, cell_bin in dist.cells:
             assert dist.mean(terminal, cell_bin) == pytest.approx(
                 abs(amps[terminal][cell_bin]) ** 2 * scale, abs=1e-12)
+
+
+def _lit_mask(ranges, n_bins):
+    mask = np.zeros(n_bins, dtype=bool)
+    for r in ranges:
+        mask[r.start:r.stop] = True
+    return mask
+
+
+@settings(max_examples=300, derandomize=True, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(spec=_circuits(), seed=st.integers(0, 2**32 - 1))
+def test_light_reaches_only_the_layouts_lit_bins(spec, seed):
+    # Random complex amplitudes on each source in turn: no terminal bin
+    # outside the layout's lit bins may receive any, and the oracle's
+    # joint table counts no photon in such a cell.
+    rng = np.random.default_rng(seed)
+    compiled = compile_circuit(spec)
+    oracle = FockOracle(spec, 1)
+    dark = ~np.array([_lit_mask(compiled.terminal_lit[t], compiled.n_bins)[b]
+                      for t, b in oracle.cells])
+    for source in spec.sources():
+        n = source.n_bins
+        amps = compiled.propagate(rng.normal(size=n) + 1j * rng.normal(size=n),
+                                  source.id)
+        for terminal, a in amps.items():
+            lit = _lit_mask(compiled.terminal_lit[terminal], compiled.n_bins)
+            assert not a[~lit].any()
+        for b in range(n):
+            dist = oracle.run(oracle.single_photon_state([(source.id, b)]))
+            assert not dist.outcomes[:, dark].any()

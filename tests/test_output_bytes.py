@@ -30,6 +30,8 @@ CASES = {
     "oracle-fig2_tensor_sum_blocked": ("oracle", "--scenario",
                                        "fig2_tensor_sum_blocked",
                                        "--cutoff", "1"),
+    # No --cutoff: the coherent default, 4 here.
+    "oracle-fig3_blocked_l-default": ("oracle", "--scenario", "fig3_blocked_l"),
     "sweep-fringe_sweep": ("sweep", "--scenario", "fringe_sweep", "--from",
                            "0", "--to", "6.283185307179586", "--steps", "32"),
 }
@@ -99,6 +101,10 @@ DIGESTS = {
     "oracle-fig2_tensor_sum_blocked": {
         "out":
             "cb0f4bf08fd9c4bff38908d9e3757b4b9701d605b72fe282fe17c2cc9a156e93",
+    },
+    "oracle-fig3_blocked_l-default": {
+        "out":
+            "8f611bc5abab024ec87a67612319af09a71ac9d4636e24630d4c88313b8bc30a",
     },
     "sweep-fringe_sweep": {
         "out":

@@ -17,7 +17,9 @@ from proxyifm.errors import (
     UnknownSchemaVersionError,
     UnresolvedElementIdError,
 )
-from proxyifm.runner import emit, run, sweep_table
+from proxyifm.coherent import CoherentTrain
+from proxyifm.fock import FockBasis, prepare_coherent_train
+from proxyifm.runner import default_cutoff, emit, run, sweep_table
 from proxyifm.scenarios import list_builtin_scenarios, load_scenario
 
 from conftest import ALPHA_SQ, haar_random_unitary
@@ -600,6 +602,22 @@ def test_oracle_cutoff_of_each_shipped_scenario(name):
         assert list(report.tables) == ["joint", "marginals"]
         assert sum(p for _, p in report.tables["joint"].rows) == \
             pytest.approx(1.0, abs=1e-12)
+
+
+@pytest.mark.parametrize("name", sorted(ORACLE_CUTOFFS))
+def test_default_cutoff_is_the_smallest_that_holds_the_source(name):
+    # A coherent train's own deficit check, on a basis of its pulse modes
+    # alone, accepts the default and refuses one below it.
+    source = load_scenario(name).source
+    cutoff = default_cutoff(source)
+    assert cutoff == ORACLE_CUTOFFS[name]
+    if isinstance(source, CoherentTrain):
+        pulses = range(source.n_pulses)
+        prepare_coherent_train(FockBasis.build(source.n_pulses, cutoff),
+                               source.alpha, pulses)
+        with pytest.raises(CutoffTooSmallError):
+            prepare_coherent_train(FockBasis.build(source.n_pulses, cutoff - 1),
+                                   source.alpha, pulses)
 
 
 def test_cli_oracle_tensor_sum_below_one_photon(tmp_path):
