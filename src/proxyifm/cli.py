@@ -1,11 +1,12 @@
 """Command-line interface.
 
-Subcommands: ``simulate``, ``sweep``, ``oracle``, ``decompose``,
-``list-scenarios``.  Exit codes: 0 success, 2 validation error (bad
-scenario file, wiring, input file or argument), 3 engine error.  argparse
-rejects bad arguments with 2; any :class:`~proxyifm.errors.ProxyIfmError`
-exits with its class's ``exit_code`` and one stderr line that names the
-``--scenario`` value.
+``COMMANDS`` holds each subcommand (``simulate``, ``sweep``, ``oracle``,
+``decompose``, ``list-scenarios``) with its handler and options, and both
+parses the command line and prints ``--help``.  Exit codes: 0 success, 2
+validation error (bad scenario file, wiring, input file or argument), 3
+engine error.  Any :class:`~proxyifm.errors.ProxyIfmError`, a bad argument
+included, exits with its class's ``exit_code`` and one stderr line that
+names the ``--scenario`` value.
 
 Environment overrides: ``PROXYIFM_SEED`` replaces the scenario's default
 seed; ``PROXYIFM_OUTDIR`` prefixes relative output paths.
@@ -13,18 +14,23 @@ seed; ``PROXYIFM_OUTDIR`` prefixes relative output paths.
 
 from __future__ import annotations
 
-import argparse
 import math
 import os
 import sys
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 
-from .errors import ParseError, ProxyIfmError
+from .circuit import MAX_MAP_BYTES
+from .errors import ParseError, ProxyIfmError, StateTooLargeError
 from .multiport import reck_decompose
 from .runner import RunReport, Table, emit, run, sweep_table
 from .scenarios import list_builtin_scenarios, load_scenario
+
+# Bytes one sweep step holds at the peak of ``sweep_table``: its value, a
+# Python row of three floats and its float64 row (211 measured).
+_SWEEP_STEP_BYTES = 256
 
 
 def _out_path(raw: str) -> Path:
@@ -39,22 +45,18 @@ def _default_seed(scenario_seed: int) -> int:
     env = os.environ.get("PROXYIFM_SEED")
     if not env:
         return scenario_seed
-    try:
-        return _int_at_least(0)(env)
-    except argparse.ArgumentTypeError as exc:
-        raise ParseError(f"PROXYIFM_SEED: {exc}") from None
+    return _value("PROXYIFM_SEED", _int_at_least(0), env)
 
 
 def _checked(convert, accept, need: str):
-    """argparse ``type=``: ``convert`` the text, then require ``accept`` (exit 2)."""
+    """A converter: ``convert`` the text, then require ``accept`` (ParseError)."""
     def parse(text: str):
         try:
             value = convert(text)
         except ValueError:
-            raise argparse.ArgumentTypeError(
-                f"invalid {convert.__name__} {text!r}") from None
+            raise ParseError(f"invalid {convert.__name__} {text!r}") from None
         if not accept(value):
-            raise argparse.ArgumentTypeError(f"must be {need}, got {value}")
+            raise ParseError(f"must be {need}, got {value}")
         return value
     return parse
 
@@ -68,49 +70,105 @@ _finite_positive = _checked(float, lambda v: math.isfinite(v) and v > 0,
                             "finite and > 0")
 
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="proxyifm",
-        description="Time-bin interferometer simulator: exact coherent and "
-                    "single-photon engines plus a brute-force Fock oracle.")
-    sub = parser.add_subparsers(dest="command", required=True)
+def _value(name: str, kind, text: str):
+    """``text`` through ``kind``, a converter or a tuple of choices; a
+    refusal is a ``ParseError`` that names ``name``."""
+    if isinstance(kind, tuple):
+        if text in kind:
+            return text
+        raise ParseError(f"{name}: invalid choice {text!r} "
+                         f"(choose from {', '.join(kind)})")
+    try:
+        return kind(text)
+    except ParseError as exc:
+        raise ParseError(f"{name}: {exc}") from None
 
-    sim = sub.add_parser("simulate", help="run a scenario through an engine")
-    sim.add_argument("--scenario", required=True,
-                     help="scenario file path or shipped scenario name")
-    sim.add_argument("--engine", choices=["coherent", "singlephoton", "fock"],
-                     help="override the source's natural engine")
-    sim.add_argument("--mode", choices=["exact", "mc"], default=None)
-    sim.add_argument("--shots", type=_int_at_least(1), default=None)
-    sim.add_argument("--seed", type=_int_at_least(0), default=None)
-    sim.add_argument("--cutoff", type=_int_at_least(0), default=None,
-                     help="Fock truncation (fock engine only); defaults to "
-                          "the one that holds the source's light")
-    sim.add_argument("--out", required=True)
-    sim.add_argument("--format", choices=["csv", "jsonl"], default="csv")
 
-    sw = sub.add_parser("sweep", help="sweep a scenario phase parameter")
-    sw.add_argument("--scenario", required=True)
-    sw.add_argument("--param", default="delay_phase")
-    sw.add_argument("--from", dest="start", type=_finite, required=True)
-    sw.add_argument("--to", dest="stop", type=_finite, required=True)
-    sw.add_argument("--steps", type=_int_at_least(1), required=True)
-    sw.add_argument("--out", required=True)
+REQUIRED = object()
 
-    orc = sub.add_parser("oracle", help="exact Fock-space joint distribution")
-    orc.add_argument("--scenario", required=True)
-    orc.add_argument("--cutoff", type=_int_at_least(0), default=None)
-    orc.add_argument("--out", required=True)
+_SCENARIO = ("--scenario", "scenario", str, REQUIRED)
+_CUTOFF = ("--cutoff", "cutoff", _int_at_least(0), None)
+_OUT = ("--out", "out", str, REQUIRED)
 
-    dec = sub.add_parser("decompose",
-                         help="triangular two-mode decomposition of a unitary")
-    dec.add_argument("--unitary", required=True,
-                     help="CSV of complex entries, one matrix row per line")
-    dec.add_argument("--tol", type=_finite_positive, default=1e-10)
-    dec.add_argument("--out", required=True)
+# command: (handler, summary, options); an option is (flag, dest, converter
+# or tuple of choices, default or REQUIRED).  The handler is named, not
+# bound, so that it is looked up in this module when the command runs.
+COMMANDS = {
+    "simulate": ("_cmd_simulate", "run a scenario through an engine", (
+        _SCENARIO,
+        ("--engine", "engine", ("coherent", "singlephoton", "fock"), None),
+        ("--mode", "mode", ("exact", "mc"), None),
+        ("--shots", "shots", _int_at_least(1), None),
+        ("--seed", "seed", _int_at_least(0), None),
+        _CUTOFF,
+        _OUT,
+        ("--format", "format", ("csv", "jsonl"), "csv"))),
+    "sweep": ("_cmd_sweep", "sweep a scenario phase parameter", (
+        _SCENARIO,
+        ("--param", "param", str, "delay_phase"),
+        ("--from", "start", _finite, REQUIRED),
+        ("--to", "stop", _finite, REQUIRED),
+        ("--steps", "steps", _int_at_least(1), REQUIRED),
+        _OUT)),
+    "oracle": ("_cmd_oracle", "exact Fock-space joint distribution",
+               (_SCENARIO, _CUTOFF, _OUT)),
+    "decompose": ("_cmd_decompose",
+                  "triangular two-mode decomposition of a unitary", (
+                      ("--unitary", "unitary", str, REQUIRED),
+                      ("--tol", "tol", _finite_positive, 1e-10),
+                      _OUT)),
+    "list-scenarios": ("_cmd_list", "list the shipped golden scenarios", ()),
+}
 
-    sub.add_parser("list-scenarios", help="list the shipped golden scenarios")
-    return parser
+
+def _usage(commands) -> str:
+    """The ``--help`` text of ``commands``: each one's summary and options."""
+    lines = ["usage: proxyifm <command> [--flag value | --flag=value ...]"]
+    for command in commands:
+        _, summary, options = COMMANDS[command]
+        lines += ["", f"{command}: {summary}"]
+        for flag, dest, kind, default in options:
+            meta = ("{" + ",".join(kind) + "}" if isinstance(kind, tuple)
+                    else dest.upper())
+            note = ("required" if default is REQUIRED else
+                    "" if default is None else f"default: {default}")
+            lines.append(f"  {flag} {meta}".ljust(40) + note)
+    return "\n".join(line.rstrip() for line in lines)
+
+
+def _parse(argv: list[str]):
+    """``(handler, args)`` for one command line, or ``None`` once ``--help``
+    has been printed.  Raises ``ParseError`` on any bad argument."""
+    if not argv:
+        raise ParseError("the following arguments are required: command")
+    if argv[0] in ("-h", "--help"):
+        print(_usage(COMMANDS))
+        return None
+    if argv[0] not in COMMANDS:
+        raise ParseError(f"argument command: invalid choice {argv[0]!r} "
+                         f"(choose from {', '.join(COMMANDS)})")
+    handler, _, options = COMMANDS[argv[0]]
+    by_flag = {option[0]: option for option in options}
+    values = {dest: default for _, dest, _, default in options}
+    words = iter(argv[1:])
+    for word in words:
+        if word in ("-h", "--help"):
+            print(_usage([argv[0]]))
+            return None
+        flag, eq, text = word.partition("=")
+        if flag not in by_flag:
+            raise ParseError(f"unrecognized arguments: {word}")
+        if not eq:
+            text = next(words, "--")    # a missing value reads as a flag
+            if text.startswith("--"):
+                raise ParseError(f"argument {flag}: expected one value")
+        _, dest, kind, _ = by_flag[flag]
+        values[dest] = _value(f"argument {flag}", kind, text)
+    missing = [flag for flag, dest, _, _ in options if values[dest] is REQUIRED]
+    if missing:
+        raise ParseError("the following arguments are required: "
+                         + ", ".join(missing))
+    return handler, SimpleNamespace(**values)
 
 
 def _cmd_simulate(args) -> int:
@@ -124,6 +182,11 @@ def _cmd_simulate(args) -> int:
 
 def _cmd_sweep(args) -> int:
     scenario = load_scenario(args.scenario)
+    size = args.steps * _SWEEP_STEP_BYTES
+    if size > MAX_MAP_BYTES:
+        raise StateTooLargeError(
+            f"sweep of {args.steps} steps needs {size} bytes, over the bound "
+            f"of {MAX_MAP_BYTES} bytes")
     values = np.linspace(args.start, args.stop, args.steps)
     table = sweep_table(scenario, args.param, values)
     emit(RunReport({"sweep": table}), "csv", _out_path(args.out))
@@ -178,21 +241,17 @@ def _cmd_list(_args) -> int:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
-    handlers = {
-        "simulate": _cmd_simulate,
-        "sweep": _cmd_sweep,
-        "oracle": _cmd_oracle,
-        "decompose": _cmd_decompose,
-        "list-scenarios": _cmd_list,
-    }
+    args = None
     try:
-        return handlers[args.command](args)
+        parsed = _parse(sys.argv[1:] if argv is None else argv)
+        if parsed is None:
+            return 0
+        handler, args = parsed
+        return globals()[handler](args)
     except ProxyIfmError as exc:
         kind = "error" if exc.exit_code == 2 else "engine error"
         scenario = getattr(args, "scenario", None)
-        where = f"scenario {scenario!r}: " if scenario else ""
+        where = f"scenario {scenario!r}: " if scenario is not None else ""
         print(f"{kind}: {where}{exc}", file=sys.stderr)
         return exc.exit_code
 

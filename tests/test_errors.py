@@ -55,6 +55,9 @@ def test_cli_names_the_scenario_once(monkeypatch, capsys):
     monkeypatch.setattr(cli, "run", fail)
     assert cli.main(["simulate", "--scenario", "fig2_open", "--out", "x.csv"]) == 3
     assert capsys.readouterr().err == "engine error: scenario 'fig2_open': boom\n"
+    # An empty value is named too.
+    assert cli.main(["simulate", "--scenario", "", "--out", "x.csv"]) == 2
+    assert capsys.readouterr().err.startswith("error: scenario '': ")
 
 
 def test_run_propagates_the_raised_error(monkeypatch):

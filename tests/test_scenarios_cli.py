@@ -9,7 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from proxyifm.cli import main
+from proxyifm.cli import COMMANDS, main
 from proxyifm.errors import (
     CutoffTooSmallError,
     EngineSourceMismatchError,
@@ -250,16 +250,84 @@ def test_sweep_table_rows():
 SRC = str(Path(__file__).resolve().parents[1] / "src")
 
 
-def _cli(*args, env=None):
+def _python(*args, env=None):
     # The checkout's src goes first on the child's path, so an uninstalled
     # checkout runs the code under test.
-    cmd = [sys.executable, "-m", "proxyifm", *args]
     merged = dict(os.environ)
     merged["PYTHONPATH"] = os.pathsep.join(
         p for p in (SRC, merged.get("PYTHONPATH")) if p)
     if env:
         merged.update(env)
-    return subprocess.run(cmd, capture_output=True, text=True, env=merged)
+    return subprocess.run([sys.executable, *args], capture_output=True,
+                          text=True, env=merged)
+
+
+def _cli(*args, env=None):
+    return _python("-m", "proxyifm", *args, env=env)
+
+
+@pytest.mark.parametrize("argv, code, text", [
+    ((), 2, "the following arguments are required: command"),
+    (("bogus",), 2, "argument command: invalid choice 'bogus'"),
+    (("simulate", "--scenario", "fig2_open", "--bogus", "1", "--out", "{out}"),
+     2, "unrecognized arguments: --bogus"),
+    (("simulate", "--scen", "fig2_open", "--out", "{out}"),
+     2, "unrecognized arguments: --scen"),
+    (("simulate", "--scenario", "fig2_open", "--out", "{out}", "--shots"),
+     2, "argument --shots: expected one value"),
+    (("oracle", "--scenario", "hom_pair", "--out", "--cutoff", "2"),
+     2, "argument --out: expected one value"),
+    (("simulate", "--scenario", "fig2_open"),
+     2, "the following arguments are required: --out"),
+    (("simulate", "--scenario", "fig2_open", "--mode", "bogus", "--out", "{out}"),
+     2, "argument --mode: invalid choice 'bogus' (choose from exact, mc)"),
+    (("simulate", "--scenario", "fig2_open", "--shots", "abc", "--out", "{out}"),
+     2, "argument --shots: invalid int 'abc'"),
+    (("list-scenarios", "extra"), 2, "unrecognized arguments: extra"),
+    (("simulate", "--scenario", "fig2_blocked", "--mode", "mc", "--shots", "5",
+      "--format", "csv", "--format=jsonl", "--out={out}"), 0, '{"shot":0,'),
+    (("sweep", "--scenario", "fringe_sweep", "--from", "-1", "--to", "-0.5",
+      "--steps", "3", "--out", "{out}"), 0, "phase,p_d1,p_d2"),
+], ids=["no-command", "unknown-command", "unknown-flag", "abbreviated-flag",
+        "no-value", "flag-as-value", "missing-out", "bad-choice", "bad-int",
+        "extra-argument", "equals-form-last-wins", "negative-values"])
+def test_cli_argument_errors_are_one_line(tmp_path, argv, code, text):
+    """A bad command line exits 2 with one ``error:`` line and writes
+    nothing; ``--flag=value`` (the last of a flag wins) and values with a
+    leading ``-`` are taken.  ``text`` starts the error or the output."""
+    out = tmp_path / "r.out"
+    r = _cli(*(a.format(out=out) for a in argv))
+    assert r.returncode == code, r.stderr
+    if code == 0:
+        assert r.stderr == "" and out.read_text().startswith(text)
+        return
+    assert r.stderr.startswith(f"error: {text}") and r.stderr.count("\n") == 1
+    assert "usage:" not in r.stderr and "Traceback" not in r.stderr
+    assert not list(tmp_path.iterdir())
+
+
+def test_cli_help_lists_every_command_and_flag():
+    top = _cli("--help")
+    assert top.returncode == 0 and top.stderr == "", top.stderr
+    for command in ("simulate", "sweep", "oracle", "decompose", "list-scenarios"):
+        assert f"\n{command}: " in top.stdout
+    for command, (_, _, options) in COMMANDS.items():
+        r = _cli(command, "--help")
+        assert r.returncode == 0 and r.stderr == "", r.stderr
+        assert f"\n{command}: " in r.stdout
+        for flag, *_ in options:
+            assert f"  {flag} " in r.stdout
+
+
+def test_cli_cold_start_does_not_import_argparse(tmp_path):
+    """Importing argparse and building a parser cost about 3 ms of CPU in
+    every fresh interpreter, which every CLI job would pay."""
+    out = tmp_path / "joint.csv"
+    r = _python("-c", "import sys; from proxyifm.cli import main; "
+                f"code = main(['oracle', '--scenario', 'hom_pair', '--cutoff', "
+                f"'2', '--out', {str(out)!r}]); "
+                "print(code, 'argparse' in sys.modules)")
+    assert r.stdout == "0 False\n", r.stderr
 
 
 def test_cli_simulate_exit_codes(tmp_path):
@@ -847,6 +915,24 @@ def test_cli_sweep_refuses_a_dark_train(tmp_path, capsys):
     err = capsys.readouterr().err
     assert code == 2, err
     assert err.startswith("error: ") and "alpha_squared" in err
+    assert not out.exists()
+
+
+def test_cli_sweep_refuses_a_step_count_over_the_size_bound(tmp_path, capsys):
+    """Refused before the step values exist (they would take 745 GiB)."""
+    out = tmp_path / "s.csv"
+    tracemalloc.start()
+    try:
+        code = main(["sweep", "--scenario", "fringe_sweep", "--from", "0",
+                     "--to", "1", "--steps", "100000000000", "--out", str(out)])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    err = capsys.readouterr().err
+    assert code == 3, err
+    assert err.startswith("engine error: ") and err.count("\n") == 1
+    assert "sweep of 100000000000 steps" in err and "bound of 1073741824" in err
+    assert peak < 4 << 20
     assert not out.exists()
 
 
