@@ -44,6 +44,7 @@ from .multiport import (
     TwoModeOp,
     reck_decompose,
 )
+from .records import replace
 from .scenarios import Scenario, list_builtin_scenarios, load_scenario
 from .singlephoton import (
     OutcomeDistribution,

@@ -22,7 +22,6 @@ terminals instead of destroying it, the walk preserves the norm.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
 from typing import Iterable, Optional, Union
 
 import numpy as np
@@ -34,6 +33,7 @@ from .errors import (
     NonUnitaryBeamSplitterError,
     StateTooLargeError,
 )
+from .records import field, record, replace
 
 UNITARITY_TOL = 1e-10
 
@@ -58,7 +58,7 @@ def default_beamsplitter() -> np.ndarray:
     return np.array([[1.0, 1.0j], [1.0j, 1.0]], dtype=complex) / np.sqrt(2.0)
 
 
-@dataclass(frozen=True)
+@record
 class Source:
     """Pulse-train input.  ``n_bins`` input bins (0 .. n_bins-1) may be fed."""
 
@@ -67,7 +67,7 @@ class Source:
     n_bins: int = 1
 
 
-@dataclass(frozen=True, eq=False)
+@record(eq=False)
 class BeamSplitter:
     """Two-port splitter.  ``matrix`` defaults to :func:`default_beamsplitter`.
 
@@ -86,7 +86,7 @@ class BeamSplitter:
         return np.asarray(self.matrix, dtype=complex)
 
 
-@dataclass(frozen=True)
+@record
 class Delay:
     """Shift every bin by ``bins`` slots and multiply by ``exp(i*phase)``."""
 
@@ -97,7 +97,7 @@ class Delay:
     phase: float = 0.0
 
 
-@dataclass(frozen=True)
+@record
 class PhaseShift:
     id: str
     input: str
@@ -105,7 +105,7 @@ class PhaseShift:
     angle: float
 
 
-@dataclass(frozen=True)
+@record
 class Obstacle:
     """Perfect absorber.  Inserted, it routes the wire's amplitude to a loss
     terminal named after the element; retracted, it is the identity.
@@ -119,14 +119,14 @@ class Obstacle:
     bins: Optional[frozenset[int]] = None
 
 
-@dataclass(frozen=True)
+@record
 class Detector:
     id: str
     wire: str
     label: str = ""
 
 
-@dataclass(frozen=True)
+@record
 class Absorber:
     """A deliberate beam dump; a loss terminal that is always inserted."""
 
@@ -137,7 +137,7 @@ class Absorber:
 Element = Union[Source, BeamSplitter, Delay, PhaseShift, Obstacle, Detector, Absorber]
 
 
-@dataclass(frozen=True)
+@record
 class CircuitSpec:
     """Declarative interferometer description.
 
@@ -166,7 +166,7 @@ class CircuitSpec:
         return replace(self, elements=tuple(new))
 
 
-@dataclass(frozen=True, eq=False)
+@record(eq=False)
 class CompiledCircuit:
     """A validated circuit with its slot and terminal layout.
 

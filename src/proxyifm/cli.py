@@ -28,9 +28,9 @@ from .multiport import reck_decompose
 from .runner import RunReport, Table, emit, run, sweep_table
 from .scenarios import list_builtin_scenarios, load_scenario
 
-# Bytes one sweep step holds at the peak of ``sweep_table``: its value, a
-# Python row of three floats and its float64 row (211 measured).
-_SWEEP_STEP_BYTES = 256
+# Bytes one sweep step holds at the peak of ``sweep_table`` and its emit:
+# its value and its float64 row (32 measured).
+_SWEEP_STEP_BYTES = 32
 
 
 def _out_path(raw: str) -> Path:

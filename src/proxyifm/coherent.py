@@ -30,13 +30,13 @@ delayed partial waves it proxies carried no photon at all.  See
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
 from typing import Optional, Sequence
 
 import numpy as np
 
 from .circuit import CircuitSpec, CompiledCircuit, Delay, Obstacle, compile_circuit
 from .errors import NoLossTerminalError, ParseError, ZeroPulsesError
+from .records import record, replace
 
 # Fixed Monte-Carlo chunk size: results are a pure function of (seed, shot
 # index, cell index), independent of how a caller batches or parallelises.
@@ -119,7 +119,7 @@ def _flatten_cells(per_terminal: dict[str, np.ndarray]
                             *(np.arange(n, dtype=np.int32) for n in lengths)]))
 
 
-@dataclass(frozen=True)
+@record
 class CoherentTrain:
     """N identical pulses ``|alpha * exp(i phase_j)>`` on bins 0..N-1."""
 
@@ -150,7 +150,7 @@ class CoherentTrain:
         return self.alpha * np.exp(1j * np.asarray(self.phases))
 
 
-@dataclass(frozen=True, eq=False)
+@record(eq=False)
 class FieldConfiguration:
     """Coherent amplitude per (terminal, bin) after propagation.
 
@@ -165,7 +165,7 @@ class FieldConfiguration:
         return np.abs(self.amplitudes[terminal]) ** 2
 
 
-@dataclass(frozen=True, eq=False)
+@record(eq=False)
 class ClickDistribution:
     """Per-cell click probability under the threshold-detector model.
 
@@ -186,7 +186,7 @@ class ClickDistribution:
         object.__setattr__(self, "_gaps", (log_q, terminal, bins))
 
 
-@dataclass(frozen=True, eq=False)
+@record(eq=False)
 class EventLog:
     """Monte-Carlo click records; replaying the seed reproduces it exactly.
 
@@ -337,8 +337,7 @@ def interaction_free_probability(spec: CircuitSpec, train: CoherentTrain,
 
 
 def fringe_sweep(spec: CircuitSpec, phase_values: Sequence[float],
-                 source: Optional[CoherentTrain] = None,
-                 ) -> list[tuple[float, float, float]]:
+                 source: Optional[CoherentTrain] = None) -> np.ndarray:
     """Sweep the delay's propagation phase and record both output fringes.
 
     ``spec`` must hold one delay, one source and two or more detectors,
@@ -349,6 +348,7 @@ def fringe_sweep(spec: CircuitSpec, phase_values: Sequence[float],
     middle interior bin's mean photon number at the first and the second
     detector, normalised to the per-pulse mean, is reported: on the matched
     two-pulse interferometer, ``(1 + cos(phase)) / 2`` and its complement.
+    Returns one float64 row ``(phase, p_d1, p_d2)`` per phase.
     """
     delays = [e for e in spec.elements if isinstance(e, Delay)]
     sources = spec.sources()
@@ -373,11 +373,10 @@ def fringe_sweep(spec: CircuitSpec, phase_values: Sequence[float],
     mid = compiled.middle_interior_bin()
     amplitudes = source.amplitudes()
 
-    out = []
-    for phi in phase_values:
+    rows = np.empty((len(phase_values), 3))
+    for row, phi in zip(rows, phase_values):
         walked = compiled.with_delay_phase(delays[0].id, float(phi))
         field = FieldConfiguration(walked.propagate(amplitudes))
-        out.append((float(phi),
-                    float(field.mean_photons(d1)[mid] / per_pulse),
-                    float(field.mean_photons(d2)[mid] / per_pulse)))
-    return out
+        row[:] = (phi, field.mean_photons(d1)[mid] / per_pulse,
+                  field.mean_photons(d2)[mid] / per_pulse)
+    return rows

@@ -36,7 +36,6 @@ Deliberately desk-scale: no permanents, no large-mode sampling.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from typing import Iterable, Optional, Sequence
 
@@ -60,6 +59,7 @@ from .errors import (
     NonUnitaryError,
     StateTooLargeError,
 )
+from .records import record
 from .singlephoton import tensor_sum_state
 
 # Largest basis that will be built, counted as its uint8 occupation table
@@ -68,7 +68,7 @@ MAX_BASIS_BYTES = 1 << 29
 DEFICIT_LIMIT = 1e-4
 
 
-@dataclass(frozen=True, eq=False)
+@record(eq=False)
 class FockBasis:
     """Graded-lexicographic basis of occupation vectors with total <= cutoff.
 
@@ -152,7 +152,7 @@ class FockBasis:
         return index
 
 
-@dataclass(eq=False)
+@record(frozen=False, eq=False)
 class FockStateVector:
     """Complex amplitudes over a FockBasis, with the truncation deficit
     (probability weight beyond the cutoff) reported explicitly."""
@@ -310,7 +310,7 @@ def apply_mode_permutation(state: FockStateVector, perm: Sequence[int]
     return FockStateVector(basis, new, state.deficit)
 
 
-@dataclass(frozen=True, eq=False)
+@record(eq=False)
 class JointDistribution:
     """Exact joint outcome table over detector photon counts and absorbed
     counts.  ``cells`` orders the outcome vector: (terminal, bin) cells in

@@ -6,17 +6,16 @@ adjacent mode pairs plus output phases (triangular nulling order).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .circuit import unitarity_residual
 from .errors import DimensionMismatchError, DimensionTooLargeError, NonUnitaryInputError
+from .records import record
 
 MAX_DECOMPOSE_DIM = 12
 
 
-@dataclass(frozen=True, eq=False)
+@record(eq=False)
 class TwoModeOp:
     """One cascade stage: a 2x2 unitary on the adjacent pair (i, i+1)."""
 
@@ -25,7 +24,7 @@ class TwoModeOp:
     position: int
 
 
-@dataclass(frozen=True, eq=False)
+@record(eq=False)
 class Decomposition:
     """Ordered two-mode stages plus output phases.
 

@@ -24,7 +24,6 @@ seed).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from pathlib import Path
 from typing import Optional, Sequence, Union
 
@@ -44,6 +43,7 @@ from .coherent import (
 )
 from .errors import EngineSourceMismatchError, IoError, ParseError, UnresolvedElementIdError
 from .fock import FockOracle, coherent_cutoff, sample_joint
+from .records import record
 from .scenarios import Scenario, TensorSumSourceSpec
 from .singlephoton import propagate_photon, sample_outcomes, tensor_sum_state
 from .tables import Categorical, OutcomeVectors, Table, write_csv, write_jsonl
@@ -56,7 +56,7 @@ _ENGINES = {
 }
 
 
-@dataclass(frozen=True)
+@record
 class RunReport:
     """Result tables by name, in emit order."""
 
@@ -260,6 +260,5 @@ def sweep_table(scenario: Scenario, param: str, values: Sequence[float]) -> Tabl
     if field_name != "phase" or not isinstance(target, Delay):
         raise ParseError(f"parameter {param!r} does not target a delay phase")
     source = scenario.source if isinstance(scenario.source, CoherentTrain) else None
-    rows = np.array(fringe_sweep(scenario.spec, values, source=source),
-                    dtype=float).reshape(-1, 3)
+    rows = fringe_sweep(scenario.spec, values, source=source)
     return Table(headers=("phase", "p_d1", "p_d2"), columns=tuple(rows.T))

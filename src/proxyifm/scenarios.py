@@ -36,7 +36,6 @@ from __future__ import annotations
 import json
 import math
 import re
-from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Optional, Union
 
@@ -61,20 +60,21 @@ from .errors import (
     UnknownSchemaVersionError,
     UnresolvedElementIdError,
 )
+from .records import field, record
 
 SCHEMA = "proxy-ifm/1"
 
 _BUILTIN_DIR = Path(__file__).parent / "scenarios"
 
 
-@dataclass(frozen=True)
+@record
 class TensorSumSourceSpec:
     n_pulses: int
 
     kind = "tensor_sum"
 
 
-@dataclass(frozen=True)
+@record
 class FockSourceSpec:
     photons: tuple[tuple[str, int], ...]
 
@@ -84,14 +84,14 @@ class FockSourceSpec:
 SourceSpec = Union[CoherentTrain, TensorSumSourceSpec, FockSourceSpec]
 
 
-@dataclass(frozen=True)
+@record
 class RunDefaults:
     shots: int = 100_000
     seed: int = 1
     mode: str = "exact"
 
 
-@dataclass(frozen=True)
+@record
 class Scenario:
     """A validated scenario: source, circuit, and run defaults."""
 

@@ -12,7 +12,6 @@ a detection somewhere, or absorption at an obstacle.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from functools import cached_property
 from typing import Optional
 
@@ -26,9 +25,10 @@ from .coherent import (
     _sample_categorical,
 )
 from .errors import ZeroPulsesError
+from .records import record
 
 
-@dataclass(frozen=True, eq=False)
+@record(eq=False)
 class OutcomeDistribution:
     """Probability of each mutually exclusive one-photon outcome.
 

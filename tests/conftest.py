@@ -1,12 +1,13 @@
 import json
 import math
 import sys
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Optional, Sequence
 
 import numpy as np
 import pytest
 
+from proxyifm import replace
 from proxyifm.circuit import (
     Absorber,
     BeamSplitter,

@@ -1,10 +1,10 @@
 import math
 import tracemalloc
-from dataclasses import replace
 
 import numpy as np
 import pytest
 
+from proxyifm import replace
 from proxyifm.circuit import (
     MAX_MAP_BYTES,
     Absorber,

@@ -1,10 +1,10 @@
 import json
 import math
-from dataclasses import replace
 
 import numpy as np
 import pytest
 
+from proxyifm import replace
 from proxyifm.circuit import Absorber, Delay, Detector, PhaseShift, compile_circuit
 from proxyifm.coherent import (
     ClickDistribution,

@@ -11,13 +11,13 @@ source often meet in one output cell, as in the paper's interferometers.
 """
 
 import math
-from dataclasses import replace
 
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, assume, example, given, settings
 from hypothesis import strategies as st
 
+from proxyifm import replace
 from proxyifm.circuit import (
     Absorber,
     BeamSplitter,

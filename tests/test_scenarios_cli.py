@@ -319,15 +319,24 @@ def test_cli_help_lists_every_command_and_flag():
             assert f"  {flag} " in r.stdout
 
 
-def test_cli_cold_start_does_not_import_argparse(tmp_path):
+@pytest.mark.parametrize("argv", [
+    ["oracle", "--scenario", "hom_pair", "--cutoff", "2"],
+    ["sweep", "--scenario", "fringe_sweep", "--from", "0", "--to", "1",
+     "--steps", "4"],
+    ["simulate", "--scenario", "fig2_blocked", "--mode", "mc", "--shots", "100"],
+    ["simulate", "--scenario", "fig2_tensor_sum_blocked", "--mode", "mc",
+     "--shots", "100"],
+])
+def test_cli_cold_start_imports_neither_argparse_nor_dataclasses(tmp_path, argv):
     """Importing argparse and building a parser cost about 3 ms of CPU in
-    every fresh interpreter, which every CLI job would pay."""
-    out = tmp_path / "joint.csv"
+    every fresh interpreter, which every CLI job would pay; building the
+    record classes with dataclasses cost about 12 ms more.  The mc runs
+    import numpy.random, which the other commands do not."""
+    argv = [*argv, "--out", str(tmp_path / "out.csv")]
     r = _python("-c", "import sys; from proxyifm.cli import main; "
-                f"code = main(['oracle', '--scenario', 'hom_pair', '--cutoff', "
-                f"'2', '--out', {str(out)!r}]); "
-                "print(code, 'argparse' in sys.modules)")
-    assert r.stdout == "0 False\n", r.stderr
+                f"code = main({argv!r}); "
+                "print(code, 'argparse' in sys.modules, 'dataclasses' in sys.modules)")
+    assert r.stdout == "0 False False\n", r.stderr
 
 
 def test_cli_simulate_exit_codes(tmp_path):
