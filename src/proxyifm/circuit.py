@@ -73,6 +73,8 @@ class BeamSplitter:
 
     Slot order follows the ``inputs``/``outputs`` tuples: outputs[0] =
     m00*inputs[0] + m01*inputs[1], outputs[1] = m10*inputs[0] + m11*inputs[1].
+    Two splitters are equal, and hash alike, when their ids, ports and
+    resolved matrix entries are.
     """
 
     id: str
@@ -84,6 +86,18 @@ class BeamSplitter:
         if self.matrix is None:
             return default_beamsplitter()
         return np.asarray(self.matrix, dtype=complex)
+
+    def _key(self) -> tuple:
+        return (self.id, self.inputs, self.outputs,
+                tuple(self.resolved_matrix().ravel().tolist()))
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self._key() == other._key()
+        return NotImplemented
+
+    def __hash__(self):
+        return hash(self._key())
 
 
 @record

@@ -12,14 +12,18 @@ shot index.  Every sampler takes the offset ``start`` of its first shot,
 a multiple of ``_MC_CHUNK``, so a caller can draw a run one chunk at a
 time and get the events of the whole-run call.  ``sample_clicks`` skips
 from click to click along each cell with geometric gaps, one uniform per
-gap: a chunk's stream is read in rounds of one uniform per cell, drawn in
-row blocks of ``_DRAW_BYTES`` of uniforms.  It draws about (largest
-per-cell click count + one block) x cells uniforms per chunk, and its
-memory per chunk is the block plus that chunk's events, not shots x
-cells.  ``_sample_categorical`` is the one keyed draw of an index from a
-cdf, for the one-photon and Fock samplers, and ``_flatten_cells`` the one
-layout of per-terminal arrays as (terminal, bin) cells, for the samplers
-and the runner's tables.
+gap: a chunk's stream is read in rounds of one uniform per cell, as many
+rounds as the densest cell's click count plus a few standard deviations,
+in row blocks of at most ``_DRAW_BYTES`` of uniforms.  It draws about
+(the densest cell's click count + a few sigma) rounds x cells uniforms
+per chunk, capped at ``_DRAW_BYTES`` a block, and its memory per chunk is
+one block plus that chunk's events, not shots x cells.
+``_sample_categorical`` is the one keyed draw of an index from a cdf, for
+the one-photon and Fock samplers: each uniform is placed by indexed
+search (Chen & Asau 1974), a bucket lookup and one comparison, not a
+binary search.  ``_flatten_cells`` is the one layout of per-terminal
+arrays as (terminal, bin) cells, for the samplers and the runner's
+tables.
 
 The conditional no-interaction figure quantifies how counterfactual a
 click is: given a click on a trigger cell, the probability that the
@@ -81,24 +85,78 @@ def _sample_chunks(shots: int, seed: int, draw, start: int = 0) -> tuple:
     return parts[0] if len(parts) == 1 else tuple(map(np.concatenate, zip(*parts)))
 
 
-def _categorical_cdf(probs: np.ndarray) -> np.ndarray:
-    """The cdf ``_sample_categorical`` places its uniforms on."""
-    return np.cumsum(probs / probs.sum())
+def _categorical_cdf(probs: np.ndarray) -> tuple:
+    """The cdf ``_sample_categorical`` places its uniforms on, with its
+    guide table (``_guide``)."""
+    return _guide(np.cumsum(probs / probs.sum()))
 
 
-def _sample_categorical(cdf: np.ndarray, shots: int, seed: int,
+def _guide(cdf: np.ndarray) -> tuple:
+    """``(cdf, first, entry, crowded)``: ``cdf`` and the indexed-search
+    table (Chen & Asau 1974) that ``_place`` looks uniforms up in.
+
+    The unit interval is cut into g buckets ``[k / g, (k + 1) / g)``, g a
+    power of two, so that ``u * g`` and ``k / g`` are exact: the least at
+    least ``2 len(cdf)``, but at most ``_MC_CHUNK``, as a longer table
+    would cost more to build and hold than a chunk's uniforms save (a cdf
+    longer than half a chunk so gets crowded buckets).  ``first[k]``
+    counts the cdf entries at most ``k / g``: the answer for any uniform
+    of the bucket, but for the one cdf entry the bucket may hold,
+    ``entry[k]``, the cdf at ``first[k]`` (clipped into the cdf).  A
+    bucket holding more entries is marked -1 in ``first`` and +inf in
+    ``entry``, and ``crowded`` tells whether any is.
+    """
+    g = min(1 << (2 * len(cdf) - 1).bit_length(), _MC_CHUNK)
+    guide = np.searchsorted(cdf, np.arange(g + 1) / g, side="right")
+    first = guide[:-1]
+    entry = cdf.take(first, mode="clip")
+    crowded = np.diff(guide) > 1
+    first[crowded], entry[crowded] = -1, np.inf
+    return cdf, first, entry, bool(crowded.any())
+
+
+def _place(table: tuple, u: np.ndarray) -> np.ndarray:
+    """``searchsorted(cdf, u, side="right")`` for uniforms ``u`` in [0, 1),
+    clamped to the last index (the u ~ 1.0 edge), by ``_guide``'s table.
+
+    Each uniform's bucket gives its first candidate index, and one
+    comparison with the cdf entry there settles it; only the uniforms of
+    crowded buckets are searched.  The lookups are made in place in the
+    result, so the one temporary beside ``u`` and the result is a bool
+    per uniform.
+    """
+    cdf, first, entry, crowded = table
+    g = len(first)
+    found = np.empty(len(u), dtype=np.intp)
+    # Each take reads an element's bucket before it writes there.
+    np.multiply(u, g, out=found, casting="unsafe")      # floor(u * g)
+    np.take(entry, found, out=found.view(np.float64), mode="clip")
+    passed = found.view(np.float64) <= u
+    np.multiply(u, g, out=found, casting="unsafe")
+    np.take(first, found, out=found, mode="clip")
+    # Past the last entry the comparison gives len(cdf) + 1, clamped
+    # below; a crowded bucket's -1 is searched.
+    found += passed
+    if crowded:
+        search = np.flatnonzero(found < 0)
+        found[search] = np.searchsorted(cdf, u[search], side="right")
+    np.minimum(found, len(cdf) - 1, out=found)
+    return found
+
+
+def _sample_categorical(table: tuple, shots: int, seed: int,
                         start: int = 0) -> np.ndarray:
-    """Per shot, the index ``k`` drawn with probability ``cdf[k] - cdf[k-1]``.
+    """Per shot, the index ``k`` drawn with probability ``cdf[k] - cdf[k-1]``
+    from a ``_categorical_cdf`` table.
 
-    One keyed uniform per shot is placed on the cdf
-    (``searchsorted(side="right")``), chunk by chunk.
+    One keyed uniform per shot is placed on the cdf by indexed search
+    (``_place``: one bucket lookup and one comparison, with the result of
+    ``searchsorted(side="right")``), chunk by chunk.
     """
     (draws,) = _sample_chunks(
         shots, seed,
-        lambda rng, chunk, count: (np.searchsorted(cdf, rng.random(count),
-                                                   side="right"),),
+        lambda rng, chunk, count: (_place(table, rng.random(count)),),
         start)
-    draws[draws == len(cdf)] = len(cdf) - 1  # guard the u ~ 1.0 edge
     return draws
 
 
@@ -171,8 +229,8 @@ class ClickDistribution:
 
     Probabilities outside [0, 1] raise ``ValueError`` here, before any
     shot is drawn.  ``_gaps`` keeps, per cell laid out by
-    ``_flatten_cells``, ``log1p(-p)`` and the terminal and bin, for
-    ``sample_clicks``.
+    ``_flatten_cells``, ``log1p(-p)`` and the terminal and bin, and the
+    largest ``p`` (0 with no cell), for ``sample_clicks``.
     """
 
     p_click: dict[str, np.ndarray]
@@ -183,7 +241,8 @@ class ClickDistribution:
             raise ValueError("click probabilities must lie in [0, 1]")
         with np.errstate(divide="ignore"):
             log_q = np.log1p(-p)         # -inf for p = 1, -0.0 for p = 0
-        object.__setattr__(self, "_gaps", (log_q, terminal, bins))
+        object.__setattr__(self, "_gaps", (log_q, terminal, bins,
+                                           float(p.max(initial=0.0))))
 
 
 @record(eq=False)
@@ -225,6 +284,14 @@ def click_distribution(field: FieldConfiguration) -> ClickDistribution:
     return ClickDistribution(p_click=p)
 
 
+def _rounds(shots, p):
+    """Rounds that pass a cell of click probability ``p`` over ``shots``
+    shots but about once in 1e6: its clicks, at most their mean plus five
+    standard deviations, the gap past the last shot, and one to spare."""
+    mean = shots * p
+    return np.ceil(mean + 5 * np.sqrt(mean * (1 - p))) + 2
+
+
 def sample_clicks(dist: ClickDistribution, shots: int, seed: int,
                   start: int = 0) -> EventLog:
     """Sample independent per-cell clicks for ``shots`` repetitions.
@@ -234,26 +301,37 @@ def sample_clicks(dist: ClickDistribution, shots: int, seed: int,
     ``u``, so that P(gap > k) = (1 - p)^k.  Chunk ``chunk`` of
     ``_MC_CHUNK`` shots draws from a counter-based Philox stream keyed on
     ``(seed, chunk)``, read as rounds of one uniform per cell: the r-th
-    round holds every cell's r-th gap.  Rounds are drawn in row blocks of
-    ``_DRAW_BYTES`` of uniforms until every cell has passed the chunk's
-    last shot, so a chunk costs about (its largest per-cell click count +
-    one block) x cells uniforms.  A cell's k-th gap sits at a fixed place
-    in the chunk's stream, so the events are a pure function of
-    (distribution, shot indices, seed): a short run is the prefix of a
-    longer one with the same seed, and the shots from ``start`` (a
-    multiple of ``_MC_CHUNK``) on are those of a run from shot 0.  Events
-    are ordered by (shot, cell).
+    round holds every cell's r-th gap.  A chunk first draws the rounds
+    that pass its densest cell but about once in 1e6 (``_rounds``: that
+    cell's click count plus a few standard deviations), in row blocks of
+    at most ``_DRAW_BYTES`` of uniforms, and stops as soon as every cell
+    has passed its last shot; a cell still short after that budget gets
+    further blocks sized from the cells still live.  A chunk so costs
+    about (the densest cell's click count + a few sigma) x cells
+    uniforms, capped at one ``_DRAW_BYTES`` block at a time.  A cell's
+    k-th gap sits at a fixed place in the chunk's stream, so the events
+    are a pure function of (distribution, shot indices, seed): a short run
+    is the prefix of a longer one with the same seed, and the shots from
+    ``start`` (a multiple of ``_MC_CHUNK``) on are those of a run from
+    shot 0.  Events are ordered by (shot, cell).
     """
-    log_q, cell_terminal, cell_bin = dist._gaps
+    log_q, cell_terminal, cell_bin, densest = dist._gaps
     cells = len(log_q)
     rows = max(1, _DRAW_BYTES // (8 * max(1, cells)))
 
     def draw(rng, chunk, count):
         # Every gap is at least 1, so count + 1 rounds pass every cell.
-        block = np.empty((min(rows, count + 1), cells))
+        need = int(min(count + 1, _rounds(count, densest)))
+        buffer = np.empty((min(rows, need), cells))
         pos = np.full(cells, -1.0)       # each cell's last click so far
         keys = [np.zeros(0, dtype=np.int64)]
         while (pos < count).any():
+            if need == 0:                # rare: a cell outran the budget
+                live = pos < count
+                need = int(_rounds(count - 1 - pos[live],
+                                   -np.expm1(log_q[live])).max())
+            block = buffer[:need]
+            need -= len(block)
             rng.random(out=block)
             np.negative(block, out=block)
             np.log1p(block, out=block)

@@ -4,7 +4,9 @@ Each case declares, with ``dataclasses.make_dataclass``, a twin with the
 record's fields, defaults and options, and drives both through the same
 calls: construction by position and keyword, defaults, the refused calls,
 equality and hashing, assignment, ``replace`` (which runs
-``__post_init__`` again) and ``repr``.
+``__post_init__`` again) and ``repr``.  Specs and scenarios compare by
+value, splitters included, so every shipped scenario equals itself
+loaded again.
 """
 
 import dataclasses
@@ -25,15 +27,25 @@ from proxyifm.circuit import (
     Obstacle,
     PhaseShift,
     Source,
+    default_beamsplitter,
 )
 from proxyifm.coherent import ClickDistribution, CoherentTrain, EventLog, FieldConfiguration
 from proxyifm.errors import ProxyIfmError
 from proxyifm.fock import FockBasis, FockStateVector, JointDistribution
 from proxyifm.multiport import Decomposition, TwoModeOp
 from proxyifm.runner import RunReport
-from proxyifm.scenarios import FockSourceSpec, RunDefaults, Scenario, TensorSumSourceSpec
+from proxyifm.scenarios import (
+    FockSourceSpec,
+    RunDefaults,
+    Scenario,
+    TensorSumSourceSpec,
+    list_builtin_scenarios,
+    load_scenario,
+)
 from proxyifm.singlephoton import OutcomeDistribution
 from proxyifm.tables import Table
+
+from conftest import with_element
 
 _SOURCE = Source("src", "a")
 _DETECTOR = Detector("D1", "a")
@@ -153,6 +165,11 @@ def test_record_matches_its_dataclass_twin(case):
     namespace = {}
     if hasattr(cls, "__post_init__"):
         namespace["__post_init__"] = cls.__post_init__
+    if not options.get("eq", True) and "__eq__" in vars(cls):
+        # Its own value equality (BeamSplitter's, over the resolved
+        # matrix), which the twin borrows with the methods it calls.
+        namespace.update({name: vars(cls)[name] for name in (
+            "__eq__", "__hash__", "_key", "resolved_matrix")})
     twin = make_dataclass(cls.__name__, fields, frozen=options.get("frozen", True),
                           eq=options.get("eq", True), namespace=namespace)
     names = cls.__match_args__
@@ -207,3 +224,32 @@ def test_record_matches_its_dataclass_twin(case):
                    lambda: dataclasses.replace(theirs, **change))
     copy = replace(mine, **changes)
     assert type(copy) is cls and repr(copy) == repr(dataclasses.replace(theirs, **changes))
+
+
+@pytest.mark.parametrize("name", list_builtin_scenarios())
+def test_a_scenario_loaded_twice_is_equal(name):
+    """Specs and scenarios compare by value, splitters by their resolved
+    matrices, so two loads of one file are equal and their specs hash
+    alike."""
+    first, second = load_scenario(name), load_scenario(name)
+    assert first.spec == second.spec and hash(first.spec) == hash(second.spec)
+    assert first == second
+
+
+def test_splitters_compare_by_id_ports_and_resolved_matrix():
+    splitter = BeamSplitter("bs", ("a", "vac0"), ("b", "c"))
+    explicit = replace(splitter, matrix=default_beamsplitter())
+    assert splitter == explicit and hash(splitter) == hash(explicit)
+    for change in ({"id": "bs2"}, {"inputs": ("vac0", "a")}, {"outputs": ("c", "b")}):
+        assert splitter != replace(splitter, **change)
+
+
+def test_a_changed_matrix_entry_compares_unequal():
+    scenario = load_scenario("fig2_blocked")
+    splitter = next(e for e in scenario.spec.elements if isinstance(e, BeamSplitter))
+    matrix = splitter.resolved_matrix()
+    matrix[1, 0] = complex(matrix[1, 0].real, np.nextafter(matrix[1, 0].imag, 2))
+    changed = replace(splitter, matrix=matrix)
+    assert changed != splitter
+    spec = with_element(scenario.spec, changed)
+    assert spec != scenario.spec and replace(scenario, spec=spec) != scenario

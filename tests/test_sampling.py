@@ -4,8 +4,11 @@ property, the edges and statistics of the click sampler and its memory.
 ``sample_clicks`` skips from click to click along each cell by geometric
 gaps, drawn in rounds of one uniform per cell; the events must equal those
 of the scalar gap-by-gap reference (``conftest.reference_clicks``) at every
-block shape.  Every sampler is keyed per chunk of shots, so a short run is
-the prefix of a longer one with the same seed.  The statistical tests hold
+block shape, and a chunk draws about as many rounds as its densest cell
+needs.  The indexed search that places the one-photon and Fock samplers'
+uniforms must give ``searchsorted``'s index on any cdf.  Every sampler is
+keyed per chunk of shots, so a short run is the prefix of a longer one
+with the same seed.  The statistical tests hold
 for any correct click sampler: per-cell counts, pair co-occurrence within
 a shot and the gap law P(gap > k) = (1 - p)^k.
 """
@@ -190,6 +193,142 @@ def test_sample_clicks_at_extreme_uniforms(monkeypatch, u):
                                for start, count in ((0, MC_CHUNK), (MC_CHUNK, 500))])
         assert np.array_equal(log.shot_idx[log.bin_idx == cell], want), p
     _assert_equal_events(sample_clicks(dist, 300, 4), reference_clicks(dist, 300, 4))
+
+
+def test_sample_clicks_when_the_block_cap_binds():
+    """One p = 0.9 cell among 1000 cells of p ~ 1e-4: the chunk's round
+    budget is past one ``_DRAW_BYTES`` block, so further blocks follow."""
+    rng = np.random.default_rng(13)
+    p = rng.random(1000) * 2e-4
+    p[417] = 0.9
+    dist = ClickDistribution(p_click={"D1": p[:500], "D2": p[500:]})
+    shots = 600
+    assert coherent._DRAW_BYTES // (8 * len(p)) < 0.9 * shots
+    log = sample_clicks(dist, shots, 14)
+    _assert_equal_events(log, reference_clicks(dist, shots, 14))
+    assert abs(np.count_nonzero(log.bin_idx == 417) - 0.9 * shots) < 60
+
+
+def test_sample_clicks_past_the_round_budget(monkeypatch):
+    """With every uniform 0 every p > 0 cell clicks on every shot, far past
+    the budget of its p ~ 1e-3: the rounds still short are drawn in blocks
+    sized from the cells still live."""
+    monkeypatch.setattr(np.random, "Generator",
+                        lambda bit_generator: _ConstantUniforms(0.0))
+    dist = ClickDistribution(p_click={"D": np.array([1e-3, 0.0, 2e-3])})
+    shots = MC_CHUNK + 300
+    log = sample_clicks(dist, shots, 5)
+    assert np.array_equal(np.bincount(log.bin_idx, minlength=3), [shots, 0, shots])
+    _assert_equal_events(log, reference_clicks(dist, shots, 5))
+
+
+def test_sample_clicks_of_cells_that_never_click():
+    dist = ClickDistribution(p_click={"D1": np.zeros(7), "D2": np.zeros(2)})
+    log = sample_clicks(dist, 2 * MC_CHUNK + 5, 6)
+    assert len(log) == 0 and log.shots == 2 * MC_CHUNK + 5
+    _assert_equal_events(sample_clicks(dist, 900, 6), reference_clicks(dist, 900, 6))
+
+
+def test_sample_clicks_of_certain_cells_across_two_chunks():
+    dist = ClickDistribution(p_click={"D1": np.ones(2), "D2": np.ones(1)})
+    shots = MC_CHUNK + 77
+    log = sample_clicks(dist, shots, 8)
+    assert np.array_equal(log.shot_idx, np.repeat(np.arange(shots), 3))
+    assert np.array_equal(log.terminal, np.tile([0, 0, 1], shots))
+    assert np.array_equal(log.bin_idx, np.tile([0, 1, 0], shots))
+
+
+@pytest.mark.parametrize("p_click", [{}, {"D1": np.zeros(0), "D2": np.zeros(0)}])
+def test_sample_clicks_without_cells(p_click):
+    log = sample_clicks(ClickDistribution(p_click=p_click), 2 * MC_CHUNK, 3)
+    assert len(log) == 0 and log.shots == 2 * MC_CHUNK
+    assert log.terminal_order == tuple(p_click)
+
+
+class _CountingGenerator(np.random.Generator):
+    """A Philox generator that counts the uniforms it fills ``out`` with."""
+
+    filled = 0
+
+    def random(self, size=None, dtype=np.float64, out=None):
+        out = super().random(size, dtype, out)
+        type(self).filled += out.size
+        return out
+
+
+def test_sample_clicks_draws_the_rounds_of_the_densest_cell(monkeypatch):
+    """A 303-cell chunk of p = 5e-4 clicks about 66 times a cell; its draw
+    stops near that count plus a few sigma, not at one whole
+    ``_DRAW_BYTES`` block of 432 rounds."""
+    monkeypatch.setattr(np.random, "Generator", _CountingGenerator)
+    monkeypatch.setattr(_CountingGenerator, "filled", 0)
+    dist = ClickDistribution(p_click={f"D{k}": np.full(101, 5e-4) for k in range(3)})
+    log = sample_clicks(dist, MC_CHUNK, 2)
+    assert 0 < _CountingGenerator.filled <= 150 * 303
+    _assert_equal_events(log, reference_clicks(dist, MC_CHUNK, 2))
+
+
+def _searched(cdf, u):
+    """The index ``coherent._place`` must give: ``searchsorted`` from the
+    right, clamped to the last cell."""
+    return np.minimum(np.searchsorted(cdf, u, side="right"), len(cdf) - 1)
+
+
+def _guide_uniforms(table, rng):
+    """Random uniforms, every bucket edge k / g and every cdf entry below
+    1, with their neighbours one ulp away."""
+    cdf, first, _, _ = table
+    g = len(first)
+    u = np.concatenate([rng.random(5000), np.arange(g) / g, cdf, [0.0, 1 - 2.0**-53]])
+    u = np.concatenate([u, np.nextafter(u, 0), np.nextafter(u, 1)])
+    return u[(u >= 0) & (u < 1)]
+
+
+def _one_ulp_below_one(n):
+    cdf = np.cumsum(np.full(n, 1.0 / n))
+    cdf[-1] = np.nextafter(1.0, 0)
+    return cdf
+
+
+@pytest.mark.parametrize("cdf", [
+    np.array([1.0]),
+    np.array([np.nextafter(1.0, 0)]),
+    coherent._categorical_cdf(np.r_[np.full(2000, 1e-9), 1.0])[0],
+    coherent._categorical_cdf(np.r_[0.5, np.full(999, 1e-9), 0.5, np.full(500, 1e-9)])[0],
+    coherent._categorical_cdf(np.array([0.0, 0.2, 0.0, 0.0, 0.3, 0.5, 0.0]))[0],
+    coherent._categorical_cdf(np.array([0.0, 0.0, 1.0, 0.0]))[0],
+    _one_ulp_below_one(3),
+    _one_ulp_below_one(64),
+    np.array([0.25, 0.5, 0.75, 1.0]),
+    np.array([0.125, 0.125, 0.5, 0.5, np.nextafter(0.5, 1), 1.0]),
+], ids=["one", "one-ulp-low", "crowded", "crowded-twice", "zeros", "one-live",
+        "ulp-3", "ulp-64", "on-edges", "ties-on-edges"])
+def test_indexed_search_equals_searchsorted(cdf):
+    table = coherent._guide(cdf)
+    g = len(table[1])
+    assert g >= 2 * len(cdf) and g & (g - 1) == 0
+    u = _guide_uniforms(table, np.random.default_rng(len(cdf)))
+    assert np.array_equal(coherent._place(table, u), _searched(cdf, u))
+
+
+def test_indexed_search_equals_searchsorted_on_random_cdfs():
+    rng = np.random.default_rng(15)
+    for case in range(60):
+        p = rng.random(int(rng.integers(1, 3000))) ** [1, 8, 40][case % 3]
+        p[rng.random(len(p)) < 0.2 * (case % 2)] = 0.0
+        p[0] = max(p[0], 1e-3)
+        table = coherent._categorical_cdf(p)
+        u = _guide_uniforms(table, rng)
+        assert np.array_equal(coherent._place(table, u), _searched(table[0], u))
+
+
+def test_indexed_search_of_a_cdf_longer_than_half_a_chunk():
+    """The guide table stops at one chunk of buckets, so most buckets of a
+    longer cdf are crowded and their uniforms searched."""
+    table = coherent._categorical_cdf(np.random.default_rng(16).random(MC_CHUNK))
+    assert len(table[1]) == MC_CHUNK and table[3]
+    u = np.random.default_rng(17).random(10_000)
+    assert np.array_equal(coherent._place(table, u), _searched(table[0], u))
 
 
 def test_sample_clicks_rejects_probabilities_outside_the_unit_interval():
