@@ -6,18 +6,19 @@ amplitudes walked through the circuit by ``CompiledCircuit.propagate``.
 Detection uses a threshold (click / no-click) model, so each output cell
 clicks independently with probability ``1 - exp(-|amplitude|^2)``.
 
-Monte Carlo runs on counter-based Philox streams keyed on (seed, chunk of
-``_MC_CHUNK`` shots), so a shot's draws depend only on the seed and the
-shot index.  Every sampler takes the offset ``start`` of its first shot,
-a multiple of ``_MC_CHUNK``, so a caller can draw a run one chunk at a
-time and get the events of the whole-run call.  ``sample_clicks`` skips
-from click to click along each cell with geometric gaps, one uniform per
-gap: a chunk's stream is read in rounds of one uniform per cell, as many
-rounds as the densest cell's click count plus a few standard deviations,
-in row blocks of at most ``_DRAW_BYTES`` of uniforms.  It draws about
-(the densest cell's click count + a few sigma) rounds x cells uniforms
-per chunk, capped at ``_DRAW_BYTES`` a block, and its memory per chunk is
-one block plus that chunk's events, not shots x cells.
+Monte Carlo runs on one counter-based stream per (seed, chunk of
+``_MC_CHUNK`` shots), ``_Stream``, SplitMix64's finalizer of a counter
+in integer arithmetic: a shot's draws depend only on the seed and the
+shot index, and on neither numpy's RNG nor its SIMD dispatch (the
+``expm1`` and ``log1p`` that make clicks of them still do).  Every
+sampler takes the offset ``start`` of its first shot, a multiple of
+``_MC_CHUNK``, so a caller can draw a run one chunk at a time and get
+the events of the whole-run call.  ``sample_clicks`` skips from click to
+click along each cell with geometric gaps, one uniform per gap: a
+chunk's stream is read in rounds of one uniform per cell, as many rounds
+as the densest cell's click count plus a few standard deviations, in row
+blocks of at most ``_DRAW_BYTES`` of uniforms, so its memory per chunk
+is one block plus that chunk's events, not shots x cells.
 ``_sample_categorical`` is the one keyed draw of an index from a cdf, for
 the one-photon and Fock samplers: each uniform is placed by indexed
 search (Chen & Asau 1974), a bucket lookup and one comparison, not a
@@ -34,12 +35,18 @@ delayed partial waves it proxies carried no photon at all.  See
 from __future__ import annotations
 
 import math
+import operator
 from typing import Optional, Sequence
 
 import numpy as np
 
 from .circuit import CircuitSpec, CompiledCircuit, Delay, Obstacle, compile_circuit
-from .errors import NoLossTerminalError, ParseError, ZeroPulsesError
+from .errors import (
+    NoLossTerminalError,
+    ParseError,
+    StateTooLargeError,
+    ZeroPulsesError,
+)
 from .records import record, replace
 
 # Fixed Monte-Carlo chunk size: results are a pure function of (seed, shot
@@ -67,21 +74,95 @@ class _Chunks:
             yield self.draw(min(_MC_CHUNK, stop - first), first)
 
 
+# SplitMix64 (Steele, Lea & Flood 2014): the counter increment, and the
+# finalizer's xor-shift-multiply steps (an xor-shift by 31 ends it).
+_GAMMA = 0x9E3779B97F4A7C15
+_MIX = ((30, 0xBF58476D1CE4E5B9), (27, 0x94D049BB133111EB))
+_MASK = (1 << 64) - 1
+# Uniforms ``_Stream`` mixes at a time.
+_BLOCK = 1 << 14
+
+
+def _mix64(z: int) -> int:
+    """SplitMix64's finalizer, a bijection of 64-bit words."""
+    for shift, multiplier in _MIX:
+        z = (z ^ z >> shift) * multiplier & _MASK
+    return z ^ z >> 31
+
+
+class _Stream:
+    """The uniforms of one (seed, chunk) key, a counter-based stream
+    (Salmon et al. 2011) on SplitMix64's finalizer.
+
+    Uniform k of the chunk from shot ``first`` is
+    ``(mix64(key + c * _GAMMA) >> 11) * 2**-53`` for the counter
+    ``c = (first // _MC_CHUNK) * 2**40 + k + 1`` (mod 2**64), ``key`` the
+    seed's 64-bit words folded through ``mix64``, low word first.  Two
+    uniforms of a seed never share a counter, so never a mixed word: a run
+    holds at most 2**24 chunks, and a chunk at most 2**40 uniforms
+    (``StateTooLargeError`` past either).  ``random`` serves ``size`` or
+    fills a C-contiguous float64 ``out``, as one stream over its calls;
+    ``drawn`` counts the uniforms served.
+    """
+
+    def __init__(self, seed: int, first: int):
+        seed = operator.index(seed)
+        if seed < 0:
+            raise ValueError(f"a seed must be >= 0, got {seed}")
+        chunk = first // _MC_CHUNK
+        if chunk >> 24:
+            raise StateTooLargeError(
+                f"a Monte-Carlo run reaches shot {first}, past the keyed "
+                f"stream's 2**24 chunks of {_MC_CHUNK} shots")
+        key = _mix64(seed & _MASK)
+        while seed := seed >> 64:
+            key = _mix64(key ^ seed & _MASK)
+        self.base = (key + (chunk << 40) * _GAMMA) & _MASK
+        self.drawn = 0
+
+    def random(self, size=None, out=None) -> np.ndarray:
+        out = np.empty(size) if out is None else out
+        bits = out.reshape(-1, copy=False).view(np.uint64)
+        n = len(bits)
+        if self.drawn + n > 1 << 40:
+            raise StateTooLargeError("a Monte-Carlo chunk needs more than "
+                                     "2**40 uniforms of its keyed stream")
+        steps = np.arange(min(n, _BLOCK), dtype=np.uint64) * _GAMMA
+        spare = np.empty_like(steps)
+        for at in range(0, n, _BLOCK):
+            block = bits[at:at + _BLOCK]
+            temp = spare[:len(block)]
+            counter = self.drawn + at + 1
+            np.add(steps[:len(block)], (self.base + counter * _GAMMA) & _MASK,
+                   out=block)
+            for shift, multiplier in _MIX:
+                np.right_shift(block, shift, out=temp)
+                block ^= temp
+                block *= multiplier
+            np.right_shift(block, 31, out=temp)
+            block ^= temp
+            block >>= 11
+        self.drawn += n
+        # 53-bit integers, so exact as int64 and as float64.
+        uniforms = bits.view(np.float64)
+        np.copyto(uniforms, bits.view(np.int64), casting="unsafe")
+        uniforms *= 2.0**-53
+        return out
+
+
 def _sample_chunks(shots: int, seed: int, draw, start: int = 0) -> tuple:
-    """``draw(rng, chunk, count)`` for each ``_Chunks`` chunk of ``shots``
-    shots from ``start``, ``rng`` a Philox stream keyed on ``(seed, chunk)``:
-    a shot's draws depend only on the seed and its index, so ``start`` must
-    be a chunk boundary.  The tuples of arrays ``draw`` returns are joined
-    over the chunks in order (one chunk's are returned as they are)."""
+    """``draw(stream, chunk, count)`` for each ``_Chunks`` chunk of
+    ``shots`` shots from ``start``, ``stream`` the ``_Stream`` keyed on
+    ``(seed, chunk)``: a shot's draws depend only on the seed and its
+    index, so ``start`` must be a chunk boundary.  The tuples of arrays
+    ``draw`` returns are joined over the chunks in order (one chunk's are
+    returned as they are)."""
     if start < 0 or start % _MC_CHUNK:
         raise ValueError(f"start {start} is not a non-negative multiple "
                          f"of {_MC_CHUNK}")
-
-    def keyed(count, chunk):
-        return draw(np.random.Generator(np.random.Philox(
-            np.random.SeedSequence(seed, spawn_key=(chunk,)))), chunk, count)
-
-    parts = list(_Chunks(shots, keyed, start))
+    parts = list(_Chunks(
+        shots, lambda count, chunk: draw(_Stream(seed, chunk), chunk, count),
+        start))
     return parts[0] if len(parts) == 1 else tuple(map(np.concatenate, zip(*parts)))
 
 
@@ -155,7 +236,7 @@ def _sample_categorical(table: tuple, shots: int, seed: int,
     """
     (draws,) = _sample_chunks(
         shots, seed,
-        lambda rng, chunk, count: (_place(table, rng.random(count)),),
+        lambda stream, chunk, count: (_place(table, stream.random(count)),),
         start)
     return draws
 
@@ -299,7 +380,7 @@ def sample_clicks(dist: ClickDistribution, shots: int, seed: int,
     Each cell's clicks are found by geometric skipping: the gap from one
     click to the next is ``floor(log1p(-u) / log1p(-p)) + 1`` for a uniform
     ``u``, so that P(gap > k) = (1 - p)^k.  Chunk ``chunk`` of
-    ``_MC_CHUNK`` shots draws from a counter-based Philox stream keyed on
+    ``_MC_CHUNK`` shots draws from the counter-based ``_Stream`` keyed on
     ``(seed, chunk)``, read as rounds of one uniform per cell: the r-th
     round holds every cell's r-th gap.  A chunk first draws the rounds
     that pass its densest cell but about once in 1e6 (``_rounds``: that
@@ -319,7 +400,7 @@ def sample_clicks(dist: ClickDistribution, shots: int, seed: int,
     cells = len(log_q)
     rows = max(1, _DRAW_BYTES // (8 * max(1, cells)))
 
-    def draw(rng, chunk, count):
+    def draw(stream, chunk, count):
         # Every gap is at least 1, so count + 1 rounds pass every cell.
         need = int(min(count + 1, _rounds(count, densest)))
         buffer = np.empty((min(rows, need), cells))
@@ -332,7 +413,7 @@ def sample_clicks(dist: ClickDistribution, shots: int, seed: int,
                                    -np.expm1(log_q[live])).max())
             block = buffer[:need]
             need -= len(block)
-            rng.random(out=block)
+            stream.random(out=block)
             np.negative(block, out=block)
             np.log1p(block, out=block)
             # A p = 0 cell gets the gap x / -0.0 = inf, or 0 / -0.0 = NaN

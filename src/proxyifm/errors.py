@@ -86,7 +86,8 @@ class CutoffTooSmallError(ProxyIfmError):
 
 
 class StateTooLargeError(ProxyIfmError):
-    """A dense map or truncated Fock space exceeds its size bound."""
+    """A dense map, a truncated Fock space or a Monte-Carlo run's keyed
+    streams exceed their size bound."""
 
 
 class NonUnitaryError(ProxyIfmError):

@@ -83,10 +83,11 @@ def sample_outcomes(dist: OutcomeDistribution, shots: int, seed: int,
     The cells are taken in the order of ``dist.p_bins`` (the circuit's
     ``terminal_order`` when ``propagate_photon`` built it), zero-probability
     cells dropped, and one keyed uniform per shot is placed on their cdf,
-    so every shot index appears once in the log.  Counter-based Philox
-    streams keyed on (seed, chunk) keep the result independent of
-    batching: the shots from ``start`` (a multiple of ``_MC_CHUNK``) on
-    are those of a run from shot 0.
+    so every shot index appears once in the log.  The uniforms come from
+    ``coherent._Stream``, SplitMix64 counter streams keyed on (seed,
+    chunk), which keep the result independent of batching: the shots from
+    ``start`` (a multiple of ``_MC_CHUNK``, below 2**41) on are those of a
+    run from shot 0.
     """
     order, cdf, terminal, bins = dist._draws
     draws = _sample_categorical(cdf, shots, seed, start)

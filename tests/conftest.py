@@ -324,30 +324,63 @@ def reference_gap(u, p):
     return math.floor(min(math.log1p(-u) / math.log1p(-p), MC_CHUNK)) + 1
 
 
-def reference_clicks(dist, shots, seed):
+# SplitMix64 (Steele, Lea & Flood 2014): the counter increment and a
+# 64-bit word mask.
+SPLITMIX_GAMMA = 0x9E3779B97F4A7C15
+WORD = (1 << 64) - 1
+
+
+def splitmix64_finalizer(z: int) -> int:
+    z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & WORD
+    z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & WORD
+    return z ^ (z >> 31)
+
+
+def reference_uniforms(seed: int, first: int):
+    """The keyed stream of the chunk from shot ``first``, one Python float
+    at a time, in int arithmetic.
+
+    Uniform k is ``(mix64(key + c * gamma) >> 11) * 2**-53`` for the
+    counter ``c = (first // MC_CHUNK) * 2**40 + k + 1``, ``mix64`` the
+    SplitMix64 finalizer and ``key`` the seed's 64-bit words, low word
+    first, each xor-ed into the running key and mixed.
+    """
+    key = 0
+    while True:
+        key = splitmix64_finalizer(key ^ (seed & WORD))
+        seed >>= 64
+        if seed == 0:
+            break
+    counter = (first // MC_CHUNK) << 40
+    while True:
+        counter += 1
+        word = splitmix64_finalizer((key + counter * SPLITMIX_GAMMA) & WORD)
+        yield (word >> 11) * 2.0**-53
+
+
+def reference_clicks(dist, shots, seed, uniforms=reference_uniforms):
     """Threshold clicks by geometric skipping, one gap at a time.
 
     The plain sampler ``coherent.sample_clicks`` must reproduce: chunk
-    ``start`` draws from Philox keyed on ``(seed, start)``, one
-    ``rng.random(cells)`` per round, and round r holds every cell's r-th
-    gap (:func:`reference_gap`).  A cell clicks at the running sum of its
-    gaps, counted from shot -1; rounds go on until every cell is past the
-    chunk.  Returns the ``(shot_idx, terminal, bin_idx)`` arrays in (shot,
-    cell) order.
+    ``start`` draws from ``uniforms(seed, start)``, by default
+    :func:`reference_uniforms`, one uniform per cell per round, and round
+    r holds every cell's r-th gap (:func:`reference_gap`).  A cell clicks
+    at the running sum of its gaps, counted from shot -1; rounds go on
+    until every cell is past the chunk.  Returns the ``(shot_idx, terminal, bin_idx)``
+    arrays in (shot, cell) order.
     """
     cells = [(k, b, float(p)) for k, t in enumerate(dist.p_click)
              for b, p in enumerate(dist.p_click[t])]
     events = []
     for start in range(0, shots, MC_CHUNK):
-        rng = np.random.Generator(np.random.Philox(
-            np.random.SeedSequence(seed, spawn_key=(start,))))
+        stream = uniforms(seed, start)
         count = min(MC_CHUNK, shots - start)
         pos = [-1] * len(cells)
         while any(x < count for x in pos):
-            u = rng.random(len(cells)).tolist()
             for c, (terminal, b, p) in enumerate(cells):
+                u = next(stream)
                 if pos[c] < count:
-                    pos[c] += reference_gap(u[c], p)
+                    pos[c] += reference_gap(u, p)
                     if pos[c] < count:
                         events.append((start + pos[c], c, terminal, b))
     events.sort()

@@ -88,15 +88,15 @@ DIGESTS = {
     },
     "mc-fig2_blocked": {
         "out":
-            "fcec023229aa8176dcec16dbdc4c0cb12f4553f7bcd3f967bc608bedaccdd379",
+            "aa4933b30297aeb78d89d7e3331b318448112e636b5fc592879ce99777dd0b3e",
     },
     "mc-fig2_tensor_sum_blocked": {
         "out":
-            "e901d15d41c74f0796ff46075596d3a4093cb2cb12fe20d4dc480e4ad58f1c96",
+            "608342515ac54da1b5c195412f90af50b70a89a83c0cbc95cd2f006f8e4e097b",
     },
     "mc-hom_pair": {
         "out":
-            "30d367e6fb624564e9500905a48ee96b4e7159ca5cd5cd3c23876329e56dd277",
+            "e90436c2173eaf845a86d35564e7bc5306df1ec2485ac1f80876b387d2c6d94b",
     },
     "oracle-fig2_tensor_sum_blocked": {
         "out":

@@ -6,13 +6,17 @@ gaps, drawn in rounds of one uniform per cell; the events must equal those
 of the scalar gap-by-gap reference (``conftest.reference_clicks``) at every
 block shape, and a chunk draws about as many rounds as its densest cell
 needs.  The indexed search that places the one-photon and Fock samplers'
-uniforms must give ``searchsorted``'s index on any cdf.  Every sampler is
-keyed per chunk of shots, so a short run is the prefix of a longer one
-with the same seed.  The statistical tests hold
-for any correct click sampler: per-cell counts, pair co-occurrence within
-a shot and the gap law P(gap > k) = (1 - p)^k.
+uniforms must give ``searchsorted``'s index on any cdf.  Every sampler
+draws from the keyed stream of its chunk of shots (``coherent._Stream``),
+so a short run is the prefix of a longer one with the same seed; the
+stream must equal the int-arithmetic reference
+(``conftest.reference_uniforms``) and SplitMix64's published words, and
+pass cheap independence checks.  The statistical tests hold for any
+correct click sampler: per-cell counts, pair co-occurrence within a shot
+and the gap law P(gap > k) = (1 - p)^k.
 """
 
+import itertools
 import math
 import tracemalloc
 
@@ -21,12 +25,19 @@ import pytest
 
 from proxyifm import coherent
 from proxyifm.coherent import ClickDistribution, sample_clicks
+from proxyifm.errors import StateTooLargeError
 from proxyifm.fock import FockOracle, sample_joint
 from proxyifm.runner import run
 from proxyifm.scenarios import load_scenario
 from proxyifm.singlephoton import OutcomeDistribution, sample_outcomes
 
-from conftest import MC_CHUNK, hom_spec, reference_clicks, reference_gap
+from conftest import (
+    MC_CHUNK,
+    hom_spec,
+    reference_clicks,
+    reference_gap,
+    reference_uniforms,
+)
 
 
 def _random_dist(rng, sizes, scale=1.0):
@@ -92,11 +103,14 @@ def test_sample_clicks_prefix_property():
                                  big.bin_idx[cut]))
 
 
+_ONE_PHOTON = OutcomeDistribution(
+    p={"D1": 0.5, "D2": 0.3, "loss": 0.2},
+    p_bins={"D1": np.array([0.1, 0.4]), "D2": np.array([0.3, 0.0]),
+            "loss": np.array([0.2])})
+
+
 def test_sample_outcomes_prefix_property():
-    dist = OutcomeDistribution(
-        p={"D1": 0.5, "D2": 0.3, "loss": 0.2},
-        p_bins={"D1": np.array([0.1, 0.4]), "D2": np.array([0.3, 0.0]),
-                "loss": np.array([0.2])})
+    dist = _ONE_PHOTON
     small = sample_outcomes(dist, 1000, 7)
     big = sample_outcomes(dist, 300_000, 7)
     assert small.terminal_order == big.terminal_order == ("D1", "D2", "loss")
@@ -165,8 +179,13 @@ def test_sample_clicks_at_edge_probabilities():
     assert abs(counts[3] - shots / 2) < 5 * math.sqrt(shots / 4)
 
 
+def _constant(u):
+    """``reference_clicks``'s uniforms when every one is ``u``."""
+    return lambda seed, first: itertools.repeat(u)
+
+
 class _ConstantUniforms:
-    """A generator whose every uniform is ``u``."""
+    """A keyed stream whose every uniform is ``u``."""
 
     def __init__(self, u):
         self.u = u
@@ -182,8 +201,8 @@ def test_sample_clicks_at_extreme_uniforms(monkeypatch, u):
     """u = 0 is the shortest gap and the largest u below 1 the longest: a
     p = 0 cell never clicks, a p = 1 cell clicks on every shot, and no gap
     overflows."""
-    monkeypatch.setattr(np.random, "Generator",
-                        lambda bit_generator: _ConstantUniforms(u))
+    monkeypatch.setattr(coherent, "_Stream",
+                        lambda seed, first: _ConstantUniforms(u))
     dist = ClickDistribution(p_click={"D": EDGE_P})
     shots = MC_CHUNK + 500
     log = sample_clicks(dist, shots, 4)
@@ -192,7 +211,8 @@ def test_sample_clicks_at_extreme_uniforms(monkeypatch, u):
         want = np.concatenate([np.arange(start + gap - 1, start + count, gap)
                                for start, count in ((0, MC_CHUNK), (MC_CHUNK, 500))])
         assert np.array_equal(log.shot_idx[log.bin_idx == cell], want), p
-    _assert_equal_events(sample_clicks(dist, 300, 4), reference_clicks(dist, 300, 4))
+    _assert_equal_events(sample_clicks(dist, 300, 4),
+                         reference_clicks(dist, 300, 4, _constant(u)))
 
 
 def test_sample_clicks_when_the_block_cap_binds():
@@ -213,13 +233,13 @@ def test_sample_clicks_past_the_round_budget(monkeypatch):
     """With every uniform 0 every p > 0 cell clicks on every shot, far past
     the budget of its p ~ 1e-3: the rounds still short are drawn in blocks
     sized from the cells still live."""
-    monkeypatch.setattr(np.random, "Generator",
-                        lambda bit_generator: _ConstantUniforms(0.0))
+    monkeypatch.setattr(coherent, "_Stream",
+                        lambda seed, first: _ConstantUniforms(0.0))
     dist = ClickDistribution(p_click={"D": np.array([1e-3, 0.0, 2e-3])})
     shots = MC_CHUNK + 300
     log = sample_clicks(dist, shots, 5)
     assert np.array_equal(np.bincount(log.bin_idx, minlength=3), [shots, 0, shots])
-    _assert_equal_events(log, reference_clicks(dist, shots, 5))
+    _assert_equal_events(log, reference_clicks(dist, shots, 5, _constant(0.0)))
 
 
 def test_sample_clicks_of_cells_that_never_click():
@@ -245,27 +265,123 @@ def test_sample_clicks_without_cells(p_click):
     assert log.terminal_order == tuple(p_click)
 
 
-class _CountingGenerator(np.random.Generator):
-    """A Philox generator that counts the uniforms it fills ``out`` with."""
+class _RecordedStream(coherent._Stream):
+    """The keyed stream, each instance kept in ``made``."""
 
-    filled = 0
+    made = []
 
-    def random(self, size=None, dtype=np.float64, out=None):
-        out = super().random(size, dtype, out)
-        type(self).filled += out.size
-        return out
+    def __init__(self, seed, first):
+        super().__init__(seed, first)
+        self.made.append(self)
 
 
 def test_sample_clicks_draws_the_rounds_of_the_densest_cell(monkeypatch):
     """A 303-cell chunk of p = 5e-4 clicks about 66 times a cell; its draw
     stops near that count plus a few sigma, not at one whole
     ``_DRAW_BYTES`` block of 432 rounds."""
-    monkeypatch.setattr(np.random, "Generator", _CountingGenerator)
-    monkeypatch.setattr(_CountingGenerator, "filled", 0)
+    monkeypatch.setattr(coherent, "_Stream", _RecordedStream)
+    monkeypatch.setattr(_RecordedStream, "made", [])
     dist = ClickDistribution(p_click={f"D{k}": np.full(101, 5e-4) for k in range(3)})
     log = sample_clicks(dist, MC_CHUNK, 2)
-    assert 0 < _CountingGenerator.filled <= 150 * 303
+    (stream,) = _RecordedStream.made
+    assert 0 < stream.drawn <= 150 * 303
     _assert_equal_events(log, reference_clicks(dist, MC_CHUNK, 2))
+
+
+# (seed, first shot) keys of the stream tests: small, one-word, two- and
+# three-word seeds, and the last chunk a run may hold, whose counters wrap
+# past 2**64.
+STREAM_KEYS = [(0, 0), (7, MC_CHUNK), (2**32 + 3, 5 * MC_CHUNK),
+               (2**64 - 1, 0), (2**64 + 1, 2 * MC_CHUNK), (3**90, 0),
+               (12345, (2**24 - 1) * MC_CHUNK)]
+
+
+@pytest.mark.parametrize("seed, first", STREAM_KEYS)
+def test_stream_equals_the_scalar_reference(seed, first):
+    """Past several mixing blocks, in one call and in out= calls of any
+    shape, the stream is the int-arithmetic reference's uniforms."""
+    n = 2 * coherent._BLOCK + 77
+    want = list(itertools.islice(reference_uniforms(seed, first), 2 * n))
+    whole = coherent._Stream(seed, first)
+    assert whole.random(n).tolist() == want[:n]
+    split = coherent._Stream(seed, first)
+    parts = [split.random(5), split.random(out=np.empty((3, 7))),
+             split.random(out=np.empty(coherent._BLOCK + 1)), split.random(0),
+             split.random(2 * n - 5 - 21 - coherent._BLOCK - 1)]
+    assert np.concatenate([a.ravel() for a in parts]).tolist() == want
+    assert split.drawn == 2 * n and whole.drawn == n
+
+
+def test_stream_of_seed_zero_is_splitmix64():
+    """Seed 0's first chunk is SplitMix64 from state 0, whose first words
+    are published: 0xE220A8397B1DCDAF, 0x6E789E6AA1B965F4,
+    0x06C45D188009454F."""
+    u = coherent._Stream(0, 0).random(3)
+    assert (u * 2.0**53).astype(np.uint64).tolist() == [
+        0xE220A8397B1DCDAF >> 11, 0x6E789E6AA1B965F4 >> 11, 0x06C45D188009454F >> 11]
+
+
+def test_stream_keys_every_word_of_the_seed():
+    """Seed 1 and seed 2**64 + 1 share their low word, not their stream."""
+    one = coherent._Stream(1, 0).random(1000)
+    wide = coherent._Stream(2**64 + 1, 0).random(1000)
+    assert not np.isin(one, wide).any()
+    assert wide.tolist() == list(
+        itertools.islice(reference_uniforms(2**64 + 1, 0), 1000))
+
+
+def test_stream_takes_integer_seeds_only():
+    """A numpy integer seed keys the stream its int does; a negative or
+    non-integer seed is refused."""
+    assert np.array_equal(coherent._Stream(np.uint64(2**64 - 1), 0).random(9),
+                          coherent._Stream(2**64 - 1, 0).random(9))
+    with pytest.raises(ValueError, match="seed"):
+        coherent._Stream(-1, 0)
+    with pytest.raises(TypeError):
+        coherent._Stream(3.0, 0)
+
+
+def test_stream_bounds_exit_3_with_one_line():
+    """A run holds 2**24 chunks, shots 0 to 2**41 - 1, and a chunk 2**40
+    uniforms: past either the sampler refuses with an engine error."""
+    dist = ClickDistribution(p_click={"D": np.array([0.5])})
+    last = 2**41 - MC_CHUNK
+    shot, terminal, bins = reference_clicks(
+        dist, 2, 3, lambda seed, first: reference_uniforms(seed, last + first))
+    _assert_equal_events(sample_clicks(dist, 2, 3, start=last),
+                         (shot + last, terminal, bins))
+    for sample in (lambda: sample_clicks(dist, 1, 3, start=2**41),
+                   lambda: sample_outcomes(_ONE_PHOTON, 1, 3, start=2**41)):
+        with pytest.raises(StateTooLargeError) as refused:
+            sample()
+        assert refused.value.exit_code == 3 and "\n" not in str(refused.value)
+    stream = coherent._Stream(3, 0)
+    stream.drawn = 2**40 - 4
+    assert len(stream.random(4)) == 4
+    with pytest.raises(StateTooLargeError, match="2\\*\\*40"):
+        stream.random(1)
+
+
+def test_streams_of_adjacent_keys_are_uncorrelated():
+    """Adjacent seeds, adjacent chunks and neighbouring uniforms of one
+    stream: every correlation within 5 standard errors of 0."""
+    n = 1 << 16
+    a = coherent._Stream(41, 0).random(n)
+    pairs = [(a, coherent._Stream(42, 0).random(n)),
+             (a, coherent._Stream(41, MC_CHUNK).random(n)),
+             (a[:-1], a[1:])]
+    for x, y in pairs:
+        assert abs(np.corrcoef(x, y)[0, 1]) < 5 / math.sqrt(len(x))
+
+
+def test_stream_fills_256_bins_evenly():
+    """Pearson's chi-square of 2**18 uniforms in 256 equal bins, 255
+    degrees of freedom: within 5 standard deviations of its mean."""
+    n, bins = 1 << 18, 256
+    counts = np.bincount((coherent._Stream(2026, 0).random(n) * bins).astype(int),
+                         minlength=bins)
+    chi2 = float(np.sum((counts - n / bins) ** 2) / (n / bins))
+    assert abs(chi2 - (bins - 1)) < 5 * math.sqrt(2 * (bins - 1)), chi2
 
 
 def _searched(cdf, u):

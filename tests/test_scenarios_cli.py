@@ -285,7 +285,8 @@ def _cli(*args, env=None):
      2, "argument --shots: invalid int 'abc'"),
     (("list-scenarios", "extra"), 2, "unrecognized arguments: extra"),
     (("simulate", "--scenario", "fig2_blocked", "--mode", "mc", "--shots", "5",
-      "--format", "csv", "--format=jsonl", "--out={out}"), 0, '{"shot":0,'),
+      "--format", "csv", "--format=jsonl", "--out={out}"), 0,
+     '{"shot":0,"terminal":"obstacle_l","bin":1}\n'),
     (("sweep", "--scenario", "fringe_sweep", "--from", "-1", "--to", "-0.5",
       "--steps", "3", "--out", "{out}"), 0, "phase,p_d1,p_d2"),
 ], ids=["no-command", "unknown-command", "unknown-flag", "abbreviated-flag",
@@ -326,17 +327,21 @@ def test_cli_help_lists_every_command_and_flag():
     ["simulate", "--scenario", "fig2_blocked", "--mode", "mc", "--shots", "100"],
     ["simulate", "--scenario", "fig2_tensor_sum_blocked", "--mode", "mc",
      "--shots", "100"],
+    ["simulate", "--scenario", "hom_pair", "--mode", "mc", "--cutoff", "2",
+     "--shots", "100"],
 ])
 def test_cli_cold_start_imports_neither_argparse_nor_dataclasses(tmp_path, argv):
     """Importing argparse and building a parser cost about 3 ms of CPU in
     every fresh interpreter, which every CLI job would pay; building the
-    record classes with dataclasses cost about 12 ms more.  The mc runs
-    import numpy.random, which the other commands do not."""
+    record classes with dataclasses cost about 12 ms more, and importing
+    numpy.random about 9 ms and 6 MB.  The mc runs draw their uniforms
+    from the keyed stream of ``coherent``, so no command imports it."""
     argv = [*argv, "--out", str(tmp_path / "out.csv")]
     r = _python("-c", "import sys; from proxyifm.cli import main; "
                 f"code = main({argv!r}); "
-                "print(code, 'argparse' in sys.modules, 'dataclasses' in sys.modules)")
-    assert r.stdout == "0 False False\n", r.stderr
+                "print(code, *(m in sys.modules for m in "
+                "('argparse', 'dataclasses', 'numpy.random')))")
+    assert r.stdout == "0 False False False\n", r.stderr
 
 
 def test_cli_simulate_exit_codes(tmp_path):

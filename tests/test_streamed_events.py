@@ -28,21 +28,22 @@ SCENARIOS = {
 }
 
 # sha256 of the output of 300,001 shots at seed 7: two full chunks and a
-# partial third.  Recorded from the whole-log writer that came before
-# streaming.
+# partial third, drawn from the SplitMix64 keyed stream.  The streamed
+# writer gave the bytes of the whole-log writer before it on the earlier
+# Philox stream.
 DIGESTS = {
     ("fig2_blocked", "csv"):
-        "161bfa1a664dd5f4a07195b186d5528a27061b55807a9edb3b77cca43f05d406",
+        "07cc451b15c8a0e09de5d4d8023649f1df1aa5136c9927e9f179128dd8ba8ce4",
     ("fig2_blocked", "jsonl"):
-        "f506e332c809d56e05f698ea28299ae45335477bef1462a2bd48c322e1ea6738",
+        "a3878e9530c065b4ada2d6a8f622d731da3a266526fa0fd82ccc27a0ec621bba",
     ("fig2_tensor_sum_blocked", "csv"):
-        "fb3e2e3f648ea1f1bb775b49f3b85ed645a63b0c708339d8e868a201f20b4d67",
+        "1208fc2ec992c9216f814a1d7eed09b05054660056d3db66a0298d16493e935d",
     ("fig2_tensor_sum_blocked", "jsonl"):
-        "1911d1990e0cd0c3cdec3586c0d7f945e55b662b41ea03279edb4eca9ae556b3",
+        "6a8f773275cfc1f6cc5085ebf0cdf192bde81987b290d4fde85941c8b34befde",
     ("hom_pair", "csv"):
-        "63c6aa9259c54529bfee1409c2661f0cd689b91809fbd5cde8e8aae1c5e550dc",
+        "71527320f08e96c473a7ab892900b0c53f67f8cff8931da6eb162dc921591b9f",
     ("hom_pair", "jsonl"):
-        "875335fc04eac5758a3554eb1313becb3905eb3829486355e7e875e3c5b1a388",
+        "9dd2ff0e722c6d64ec2d5b57df8cd993468d93df44e6e17b5947f9d7491acfc2",
 }
 
 
