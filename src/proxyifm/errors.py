@@ -86,8 +86,9 @@ class CutoffTooSmallError(ProxyIfmError):
 
 
 class StateTooLargeError(ProxyIfmError):
-    """A dense map, a truncated Fock space or a Monte-Carlo run's keyed
-    streams exceed their size bound."""
+    """A train's amplitudes, the per-wire walk's signals, a sweep's steps,
+    a truncated Fock space or a Monte-Carlo run's keyed streams exceed
+    their size bound."""
 
 
 class NonUnitaryError(ProxyIfmError):

@@ -53,13 +53,13 @@ from .circuit import (
     compile_circuit,
     unitarity_residual,
 )
-from .coherent import _categorical_cdf, _sample_categorical
 from .errors import (
     CutoffTooSmallError,
     NonUnitaryError,
     StateTooLargeError,
 )
 from .records import record
+from .sampling import categorical_cdf, sample_categorical
 from .singlephoton import tensor_sum_state
 
 # Largest basis that will be built, counted as its uint8 occupation table
@@ -152,7 +152,7 @@ class FockBasis:
         return index
 
 
-@record(frozen=False, eq=False)
+@record(eq=False)
 class FockStateVector:
     """Complex amplitudes over a FockBasis, with the truncation deficit
     (probability weight beyond the cutoff) reported explicitly."""
@@ -338,7 +338,7 @@ class JointDistribution:
         """What ``sample_joint`` draws from, built once: the rows in
         lexicographic order and the cdf of their probabilities."""
         order = np.lexsort(self.outcomes.T[::-1])
-        return order, _categorical_cdf(self.probabilities[order])
+        return order, categorical_cdf(self.probabilities[order])
 
 
 class FockOracle:
@@ -501,14 +501,12 @@ class FockOracle:
 
 def sample_joint(dist: JointDistribution, shots: int, seed: int,
                  start: int = 0) -> np.ndarray:
-    """Draw ``shots`` outcomes from the joint table, as row indices.
+    """Draw ``shots`` outcomes from the joint table, as row indices, by
+    ``sampling.sample_categorical``.
 
     Element k is the index in ``dist.outcomes`` of shot ``start + k``'s
     outcome.  Rows lie on the cdf in lexicographic order, sorted once per
-    distribution; the draws are keyed on (seed, chunk) like every
-    Monte-Carlo sampler, so a shorter run is a prefix of a longer one and
-    a run drawn chunk by chunk (``start`` a multiple of ``_MC_CHUNK``)
-    equals the whole-run call.
+    distribution.
     """
     order, cdf = dist._draws
-    return order[_sample_categorical(cdf, shots, seed, start)]
+    return order[sample_categorical(cdf, shots, seed, start)]

@@ -35,20 +35,19 @@ def field(*, default=_MISSING, default_factory=None, repr=True):
     return _Field(default, default_factory, repr)
 
 
-def record(cls=None, /, *, frozen=True, eq=True):
+def record(cls=None, /, *, eq=True):
     """Make ``cls`` a record over its annotated fields.
 
     ``__init__`` takes the fields in order, by position or keyword, fills
     in the defaults, then calls ``__post_init__`` if the class has one.
     With ``eq``, two records of the same class compare equal when their
-    fields do, and a frozen one hashes by its fields; without it, records
-    compare and hash by identity.  Assigning to a ``frozen`` record raises
-    ``AttributeError``; ``__post_init__`` may still write with
-    ``object.__setattr__``.
+    fields do, and hash by them; without it, records compare and hash by
+    identity.  Assigning to a record raises ``AttributeError``;
+    ``__post_init__`` may still write with ``object.__setattr__``.
     """
     if cls is None:
-        return lambda cls: _build(cls, frozen, eq)
-    return _build(cls, frozen, eq)
+        return lambda cls: _build(cls, eq)
+    return _build(cls, eq)
 
 
 def replace(obj, /, **changes):
@@ -62,7 +61,7 @@ def replace(obj, /, **changes):
                  for name in cls.__match_args__], **changes)
 
 
-def _build(cls, frozen, eq):
+def _build(cls, eq):
     names = tuple(cls.__annotations__)
     defaults, factories, shown = {}, {}, []
     for name in names:
@@ -94,10 +93,9 @@ def _build(cls, frozen, eq):
             return NotImplemented
 
         cls.__eq__ = __eq__
-        cls.__hash__ = (lambda self: hash(key(self))) if frozen else None
-    if frozen:
-        cls.__setattr__ = _frozen_setattr
-        cls.__delattr__ = _frozen_delattr
+        cls.__hash__ = lambda self: hash(key(self))
+    cls.__setattr__ = _frozen_setattr
+    cls.__delattr__ = _frozen_delattr
     return cls
 
 

@@ -2,19 +2,18 @@
 the results as byte-stable CSV or JSONL.
 
 Each engine's results become :class:`~proxyifm.tables.Table` objects.
-A table whose length grows with the input is a stream of ``_MC_CHUNK``-row
-chunks, built afresh on each pass: a Monte-Carlo event table samples each
-chunk of shots, keyed on (seed, chunk) as a whole-run call is, with
-terminals as a categorical column, and the exact coherent ``field`` and
-Fock ``joint`` and ``marginals`` tables compute only their chunk's rows,
-so a table that is never written is never computed.  A Fock outcome
-column, joint or sampled, is an :class:`~proxyifm.tables.OutcomeVectors`
-of its rows' counts.  Short tables are one eager chunk.  ``emit`` writes
-each chunk with the one block writer of :mod:`proxyifm.tables` and drops
-it before the next one is built, so a run's memory after propagation is
-O(chunk).
-The checks that can refuse a run (shots, click probabilities) are made by
-``run``, before any file is opened.
+A table whose length grows with the input is a ``sampling.Chunks``
+stream, built afresh on each pass: a Monte-Carlo event table samples each
+chunk of shots, with terminals as a categorical column, and the exact
+coherent ``field`` and Fock ``joint`` and ``marginals`` tables compute
+only their chunk's rows, so a table that is never written is never
+computed.  A Fock outcome column, joint or sampled, is an
+:class:`~proxyifm.tables.OutcomeVectors` of its rows' counts.  Short
+tables are one eager chunk.  ``emit`` writes each chunk with the one
+block writer of :mod:`proxyifm.tables` and drops it before the next one
+is built, so a run's memory after propagation is O(chunk).  The checks
+that can refuse a run (shots and their 2**41 bound, click probabilities)
+are made by ``run``, before any file is opened.
 
 Every float is printed with 17 significant digits so regression diffs
 are exact, and nothing volatile (timestamps included) reaches the output
@@ -33,8 +32,6 @@ from .circuit import Delay, Obstacle, compile_circuit
 from .coherent import (
     CoherentTrain,
     EventLog,
-    _Chunks,
-    _flatten_cells,
     click_distribution,
     fringe_sweep,
     interaction_free_probability,
@@ -44,6 +41,7 @@ from .coherent import (
 from .errors import EngineSourceMismatchError, IoError, ParseError, UnresolvedElementIdError
 from .fock import FockOracle, coherent_cutoff, sample_joint
 from .records import record
+from .sampling import Chunks, flatten_cells
 from .scenarios import Scenario, TensorSumSourceSpec
 from .singlephoton import propagate_photon, sample_outcomes, tensor_sum_state
 from .tables import Categorical, OutcomeVectors, Table, write_csv, write_jsonl
@@ -102,11 +100,11 @@ def _event_table(shots: int, sample) -> Table:
                 log.bin_idx)
 
     return Table(headers=("shot", "terminal", "bin"),
-                 chunks=_Chunks(shots, columns))
+                 chunks=Chunks(shots, columns))
 
 
 def _field_table(field_cfg) -> Table:
-    flat, terminal, bins = _flatten_cells(field_cfg.amplitudes)
+    flat, terminal, bins = flatten_cells(field_cfg.amplitudes)
     names = list(field_cfg.amplitudes)
 
     def columns(count: int, start: int) -> tuple:
@@ -120,7 +118,7 @@ def _field_table(field_cfg) -> Table:
                 a.real, a.imag, mean, -np.expm1(-mean))
 
     return Table(headers=("terminal", "bin", "re", "im", "mean_n", "p_click"),
-                 chunks=_Chunks(len(flat), columns))
+                 chunks=Chunks(len(flat), columns))
 
 
 def _run_coherent(scenario: Scenario, mode: str, shots: int, seed: int) -> dict:
@@ -155,7 +153,7 @@ def _run_singlephoton(scenario: Scenario, mode: str, shots: int, seed: int) -> d
     dist = propagate_photon(compiled, tensor_sum_state(scenario.source.n_pulses))
     tables: dict[str, Table] = {}
     if mode == "exact":
-        p, terminal, bins = _flatten_cells(dist.p_bins)
+        p, terminal, bins = flatten_cells(dist.p_bins)
         tables["field"] = Table(
             headers=("terminal", "bin", "p"),
             columns=(Categorical(terminal, list(dist.p_bins)), bins, p))
@@ -204,7 +202,7 @@ def _run_fock(scenario: Scenario, mode: str, shots: int, seed: int,
                     dist.probabilities[rows])
 
         tables["joint"] = Table(headers=("outcome_vector", "probability"),
-                                chunks=_Chunks(len(order), joint))
+                                chunks=Chunks(len(order), joint))
 
         def marginals(count: int, start: int) -> tuple:
             cells = dist.cells[start:start + count]
@@ -212,7 +210,7 @@ def _run_fock(scenario: Scenario, mode: str, shots: int, seed: int,
                     [dist.mean(t, b) for t, b in cells])
 
         tables["marginals"] = Table(headers=("terminal", "bin", "mean_n"),
-                                    chunks=_Chunks(len(dist.cells), marginals))
+                                    chunks=Chunks(len(dist.cells), marginals))
     else:
         def events(count: int, start: int) -> tuple:
             rows = sample_joint(dist, count, seed, start)
@@ -220,7 +218,7 @@ def _run_fock(scenario: Scenario, mode: str, shots: int, seed: int,
                     OutcomeVectors(dist.cells, dist.outcomes[rows]))
 
         tables["events"] = Table(headers=("shot", "outcome_vector"),
-                                 chunks=_Chunks(shots, events))
+                                 chunks=Chunks(shots, events))
     return tables
 
 

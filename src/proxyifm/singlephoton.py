@@ -18,14 +18,10 @@ from typing import Optional
 import numpy as np
 
 from .circuit import CompiledCircuit
-from .coherent import (
-    EventLog,
-    _categorical_cdf,
-    _flatten_cells,
-    _sample_categorical,
-)
+from .coherent import EventLog
 from .errors import ZeroPulsesError
 from .records import record
+from .sampling import categorical_cdf, flatten_cells, sample_categorical
 
 
 @record(eq=False)
@@ -47,9 +43,9 @@ class OutcomeDistribution:
         """What ``sample_outcomes`` draws from, built once: the terminal
         order (that of ``p_bins``) and, per cell of non-zero probability,
         the cdf, the terminal and the bin."""
-        p, terminal, bins = _flatten_cells(self.p_bins)
+        p, terminal, bins = flatten_cells(self.p_bins)
         live = p > 0.0
-        return (tuple(self.p_bins), _categorical_cdf(p[live]), terminal[live],
+        return (tuple(self.p_bins), categorical_cdf(p[live]), terminal[live],
                 bins[live])
 
 
@@ -78,19 +74,15 @@ def propagate_photon(circuit: CompiledCircuit, amplitudes: np.ndarray,
 
 def sample_outcomes(dist: OutcomeDistribution, shots: int, seed: int,
                     start: int = 0) -> EventLog:
-    """Draw exactly one (terminal, bin) outcome per shot.
+    """Draw exactly one (terminal, bin) outcome per shot, from shot
+    ``start`` on, by ``sampling.sample_categorical``.
 
     The cells are taken in the order of ``dist.p_bins`` (the circuit's
     ``terminal_order`` when ``propagate_photon`` built it), zero-probability
-    cells dropped, and one keyed uniform per shot is placed on their cdf,
-    so every shot index appears once in the log.  The uniforms come from
-    ``coherent._Stream``, SplitMix64 counter streams keyed on (seed,
-    chunk), which keep the result independent of batching: the shots from
-    ``start`` (a multiple of ``_MC_CHUNK``, below 2**41) on are those of a
-    run from shot 0.
+    cells dropped.  Every shot index appears once in the log.
     """
     order, cdf, terminal, bins = dist._draws
-    draws = _sample_categorical(cdf, shots, seed, start)
+    draws = sample_categorical(cdf, shots, seed, start)
     return EventLog(shots=shots, seed=seed,
                     shot_idx=np.arange(start, start + shots),
                     terminal=terminal[draws], bin_idx=bins[draws],

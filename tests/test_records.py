@@ -96,7 +96,7 @@ CASES = [
      {"shots": 20}, None),
     (FockBasis, {"eq": False}, ["n_modes", "cutoff", "occupations", "terms"],
      (2, 1, _BASIS.occupations, _BASIS.terms), {"cutoff": 2}, None),
-    (FockStateVector, {"eq": False, "frozen": False},
+    (FockStateVector, {"eq": False},
      ["basis", "amplitudes", ("deficit", float, field(default=0.0))],
      (_BASIS, np.array([1 + 0j, 0, 0]), 1e-6), {"deficit": 1e-5}, None),
     (JointDistribution, {"eq": False}, ["cells", "outcomes", "probabilities", "deficit"],
@@ -170,7 +170,7 @@ def test_record_matches_its_dataclass_twin(case):
         # matrix), which the twin borrows with the methods it calls.
         namespace.update({name: vars(cls)[name] for name in (
             "__eq__", "__hash__", "_key", "resolved_matrix")})
-    twin = make_dataclass(cls.__name__, fields, frozen=options.get("frozen", True),
+    twin = make_dataclass(cls.__name__, fields, frozen=True,
                           eq=options.get("eq", True), namespace=namespace)
     names = cls.__match_args__
     assert names == twin.__match_args__

@@ -7,7 +7,7 @@ of the scalar gap-by-gap reference (``conftest.reference_clicks``) at every
 block shape, and a chunk draws about as many rounds as its densest cell
 needs.  The indexed search that places the one-photon and Fock samplers'
 uniforms must give ``searchsorted``'s index on any cdf.  Every sampler
-draws from the keyed stream of its chunk of shots (``coherent._Stream``),
+draws from the keyed stream of its chunk of shots (``sampling._Stream``),
 so a short run is the prefix of a longer one with the same seed; the
 stream must equal the int-arithmetic reference
 (``conftest.reference_uniforms``) and SplitMix64's published words, and
@@ -23,7 +23,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from proxyifm import coherent
+from proxyifm import sampling
 from proxyifm.coherent import ClickDistribution, sample_clicks
 from proxyifm.errors import StateTooLargeError
 from proxyifm.fock import FockOracle, sample_joint
@@ -72,14 +72,14 @@ def test_sample_clicks_equals_one_draw_per_chunk(case):
 
 
 def test_sample_clicks_one_row_per_block():
-    cells = coherent._DRAW_BYTES // 8 + 7      # a single row is over budget
+    cells = sampling._DRAW_BYTES // 8 + 7      # a single row is over budget
     dist = _random_dist(np.random.default_rng(5), [cells], scale=1e-3)
     _assert_equal_events(sample_clicks(dist, 5, 31), reference_clicks(dist, 5, 31))
 
 
 def test_sample_clicks_blocks_that_do_not_divide_the_chunk():
     dist = _random_dist(np.random.default_rng(6), [101, 101, 101], scale=0.05)
-    rows = coherent._DRAW_BYTES // (8 * 303)
+    rows = sampling._DRAW_BYTES // (8 * 303)
     shots = 5000
     assert shots % rows != 0
     _assert_equal_events(sample_clicks(dist, shots, 8),
@@ -201,7 +201,7 @@ def test_sample_clicks_at_extreme_uniforms(monkeypatch, u):
     """u = 0 is the shortest gap and the largest u below 1 the longest: a
     p = 0 cell never clicks, a p = 1 cell clicks on every shot, and no gap
     overflows."""
-    monkeypatch.setattr(coherent, "_Stream",
+    monkeypatch.setattr(sampling, "_Stream",
                         lambda seed, first: _ConstantUniforms(u))
     dist = ClickDistribution(p_click={"D": EDGE_P})
     shots = MC_CHUNK + 500
@@ -223,7 +223,7 @@ def test_sample_clicks_when_the_block_cap_binds():
     p[417] = 0.9
     dist = ClickDistribution(p_click={"D1": p[:500], "D2": p[500:]})
     shots = 600
-    assert coherent._DRAW_BYTES // (8 * len(p)) < 0.9 * shots
+    assert sampling._DRAW_BYTES // (8 * len(p)) < 0.9 * shots
     log = sample_clicks(dist, shots, 14)
     _assert_equal_events(log, reference_clicks(dist, shots, 14))
     assert abs(np.count_nonzero(log.bin_idx == 417) - 0.9 * shots) < 60
@@ -233,7 +233,7 @@ def test_sample_clicks_past_the_round_budget(monkeypatch):
     """With every uniform 0 every p > 0 cell clicks on every shot, far past
     the budget of its p ~ 1e-3: the rounds still short are drawn in blocks
     sized from the cells still live."""
-    monkeypatch.setattr(coherent, "_Stream",
+    monkeypatch.setattr(sampling, "_Stream",
                         lambda seed, first: _ConstantUniforms(0.0))
     dist = ClickDistribution(p_click={"D": np.array([1e-3, 0.0, 2e-3])})
     shots = MC_CHUNK + 300
@@ -265,7 +265,7 @@ def test_sample_clicks_without_cells(p_click):
     assert log.terminal_order == tuple(p_click)
 
 
-class _RecordedStream(coherent._Stream):
+class _RecordedStream(sampling._Stream):
     """The keyed stream, each instance kept in ``made``."""
 
     made = []
@@ -279,7 +279,7 @@ def test_sample_clicks_draws_the_rounds_of_the_densest_cell(monkeypatch):
     """A 303-cell chunk of p = 5e-4 clicks about 66 times a cell; its draw
     stops near that count plus a few sigma, not at one whole
     ``_DRAW_BYTES`` block of 432 rounds."""
-    monkeypatch.setattr(coherent, "_Stream", _RecordedStream)
+    monkeypatch.setattr(sampling, "_Stream", _RecordedStream)
     monkeypatch.setattr(_RecordedStream, "made", [])
     dist = ClickDistribution(p_click={f"D{k}": np.full(101, 5e-4) for k in range(3)})
     log = sample_clicks(dist, MC_CHUNK, 2)
@@ -300,14 +300,14 @@ STREAM_KEYS = [(0, 0), (7, MC_CHUNK), (2**32 + 3, 5 * MC_CHUNK),
 def test_stream_equals_the_scalar_reference(seed, first):
     """Past several mixing blocks, in one call and in out= calls of any
     shape, the stream is the int-arithmetic reference's uniforms."""
-    n = 2 * coherent._BLOCK + 77
+    n = 2 * sampling._BLOCK + 77
     want = list(itertools.islice(reference_uniforms(seed, first), 2 * n))
-    whole = coherent._Stream(seed, first)
+    whole = sampling._Stream(seed, first)
     assert whole.random(n).tolist() == want[:n]
-    split = coherent._Stream(seed, first)
+    split = sampling._Stream(seed, first)
     parts = [split.random(5), split.random(out=np.empty((3, 7))),
-             split.random(out=np.empty(coherent._BLOCK + 1)), split.random(0),
-             split.random(2 * n - 5 - 21 - coherent._BLOCK - 1)]
+             split.random(out=np.empty(sampling._BLOCK + 1)), split.random(0),
+             split.random(2 * n - 5 - 21 - sampling._BLOCK - 1)]
     assert np.concatenate([a.ravel() for a in parts]).tolist() == want
     assert split.drawn == 2 * n and whole.drawn == n
 
@@ -316,15 +316,15 @@ def test_stream_of_seed_zero_is_splitmix64():
     """Seed 0's first chunk is SplitMix64 from state 0, whose first words
     are published: 0xE220A8397B1DCDAF, 0x6E789E6AA1B965F4,
     0x06C45D188009454F."""
-    u = coherent._Stream(0, 0).random(3)
+    u = sampling._Stream(0, 0).random(3)
     assert (u * 2.0**53).astype(np.uint64).tolist() == [
         0xE220A8397B1DCDAF >> 11, 0x6E789E6AA1B965F4 >> 11, 0x06C45D188009454F >> 11]
 
 
 def test_stream_keys_every_word_of_the_seed():
     """Seed 1 and seed 2**64 + 1 share their low word, not their stream."""
-    one = coherent._Stream(1, 0).random(1000)
-    wide = coherent._Stream(2**64 + 1, 0).random(1000)
+    one = sampling._Stream(1, 0).random(1000)
+    wide = sampling._Stream(2**64 + 1, 0).random(1000)
     assert not np.isin(one, wide).any()
     assert wide.tolist() == list(
         itertools.islice(reference_uniforms(2**64 + 1, 0), 1000))
@@ -333,12 +333,12 @@ def test_stream_keys_every_word_of_the_seed():
 def test_stream_takes_integer_seeds_only():
     """A numpy integer seed keys the stream its int does; a negative or
     non-integer seed is refused."""
-    assert np.array_equal(coherent._Stream(np.uint64(2**64 - 1), 0).random(9),
-                          coherent._Stream(2**64 - 1, 0).random(9))
+    assert np.array_equal(sampling._Stream(np.uint64(2**64 - 1), 0).random(9),
+                          sampling._Stream(2**64 - 1, 0).random(9))
     with pytest.raises(ValueError, match="seed"):
-        coherent._Stream(-1, 0)
+        sampling._Stream(-1, 0)
     with pytest.raises(TypeError):
-        coherent._Stream(3.0, 0)
+        sampling._Stream(3.0, 0)
 
 
 def test_stream_bounds_exit_3_with_one_line():
@@ -355,7 +355,7 @@ def test_stream_bounds_exit_3_with_one_line():
         with pytest.raises(StateTooLargeError) as refused:
             sample()
         assert refused.value.exit_code == 3 and "\n" not in str(refused.value)
-    stream = coherent._Stream(3, 0)
+    stream = sampling._Stream(3, 0)
     stream.drawn = 2**40 - 4
     assert len(stream.random(4)) == 4
     with pytest.raises(StateTooLargeError, match="2\\*\\*40"):
@@ -366,9 +366,9 @@ def test_streams_of_adjacent_keys_are_uncorrelated():
     """Adjacent seeds, adjacent chunks and neighbouring uniforms of one
     stream: every correlation within 5 standard errors of 0."""
     n = 1 << 16
-    a = coherent._Stream(41, 0).random(n)
-    pairs = [(a, coherent._Stream(42, 0).random(n)),
-             (a, coherent._Stream(41, MC_CHUNK).random(n)),
+    a = sampling._Stream(41, 0).random(n)
+    pairs = [(a, sampling._Stream(42, 0).random(n)),
+             (a, sampling._Stream(41, MC_CHUNK).random(n)),
              (a[:-1], a[1:])]
     for x, y in pairs:
         assert abs(np.corrcoef(x, y)[0, 1]) < 5 / math.sqrt(len(x))
@@ -378,14 +378,14 @@ def test_stream_fills_256_bins_evenly():
     """Pearson's chi-square of 2**18 uniforms in 256 equal bins, 255
     degrees of freedom: within 5 standard deviations of its mean."""
     n, bins = 1 << 18, 256
-    counts = np.bincount((coherent._Stream(2026, 0).random(n) * bins).astype(int),
+    counts = np.bincount((sampling._Stream(2026, 0).random(n) * bins).astype(int),
                          minlength=bins)
     chi2 = float(np.sum((counts - n / bins) ** 2) / (n / bins))
     assert abs(chi2 - (bins - 1)) < 5 * math.sqrt(2 * (bins - 1)), chi2
 
 
 def _searched(cdf, u):
-    """The index ``coherent._place`` must give: ``searchsorted`` from the
+    """The index ``sampling._place`` must give: ``searchsorted`` from the
     right, clamped to the last cell."""
     return np.minimum(np.searchsorted(cdf, u, side="right"), len(cdf) - 1)
 
@@ -409,10 +409,10 @@ def _one_ulp_below_one(n):
 @pytest.mark.parametrize("cdf", [
     np.array([1.0]),
     np.array([np.nextafter(1.0, 0)]),
-    coherent._categorical_cdf(np.r_[np.full(2000, 1e-9), 1.0])[0],
-    coherent._categorical_cdf(np.r_[0.5, np.full(999, 1e-9), 0.5, np.full(500, 1e-9)])[0],
-    coherent._categorical_cdf(np.array([0.0, 0.2, 0.0, 0.0, 0.3, 0.5, 0.0]))[0],
-    coherent._categorical_cdf(np.array([0.0, 0.0, 1.0, 0.0]))[0],
+    sampling.categorical_cdf(np.r_[np.full(2000, 1e-9), 1.0])[0],
+    sampling.categorical_cdf(np.r_[0.5, np.full(999, 1e-9), 0.5, np.full(500, 1e-9)])[0],
+    sampling.categorical_cdf(np.array([0.0, 0.2, 0.0, 0.0, 0.3, 0.5, 0.0]))[0],
+    sampling.categorical_cdf(np.array([0.0, 0.0, 1.0, 0.0]))[0],
     _one_ulp_below_one(3),
     _one_ulp_below_one(64),
     np.array([0.25, 0.5, 0.75, 1.0]),
@@ -420,11 +420,11 @@ def _one_ulp_below_one(n):
 ], ids=["one", "one-ulp-low", "crowded", "crowded-twice", "zeros", "one-live",
         "ulp-3", "ulp-64", "on-edges", "ties-on-edges"])
 def test_indexed_search_equals_searchsorted(cdf):
-    table = coherent._guide(cdf)
+    table = sampling._guide(cdf)
     g = len(table[1])
     assert g >= 2 * len(cdf) and g & (g - 1) == 0
     u = _guide_uniforms(table, np.random.default_rng(len(cdf)))
-    assert np.array_equal(coherent._place(table, u), _searched(cdf, u))
+    assert np.array_equal(sampling._place(table, u), _searched(cdf, u))
 
 
 def test_indexed_search_equals_searchsorted_on_random_cdfs():
@@ -433,18 +433,18 @@ def test_indexed_search_equals_searchsorted_on_random_cdfs():
         p = rng.random(int(rng.integers(1, 3000))) ** [1, 8, 40][case % 3]
         p[rng.random(len(p)) < 0.2 * (case % 2)] = 0.0
         p[0] = max(p[0], 1e-3)
-        table = coherent._categorical_cdf(p)
+        table = sampling.categorical_cdf(p)
         u = _guide_uniforms(table, rng)
-        assert np.array_equal(coherent._place(table, u), _searched(table[0], u))
+        assert np.array_equal(sampling._place(table, u), _searched(table[0], u))
 
 
 def test_indexed_search_of_a_cdf_longer_than_half_a_chunk():
     """The guide table stops at one chunk of buckets, so most buckets of a
     longer cdf are crowded and their uniforms searched."""
-    table = coherent._categorical_cdf(np.random.default_rng(16).random(MC_CHUNK))
+    table = sampling.categorical_cdf(np.random.default_rng(16).random(MC_CHUNK))
     assert len(table[1]) == MC_CHUNK and table[3]
     u = np.random.default_rng(17).random(10_000)
-    assert np.array_equal(coherent._place(table, u), _searched(table[0], u))
+    assert np.array_equal(sampling._place(table, u), _searched(table[0], u))
 
 
 def test_sample_clicks_rejects_probabilities_outside_the_unit_interval():

@@ -335,7 +335,7 @@ def test_cli_cold_start_imports_neither_argparse_nor_dataclasses(tmp_path, argv)
     every fresh interpreter, which every CLI job would pay; building the
     record classes with dataclasses cost about 12 ms more, and importing
     numpy.random about 9 ms and 6 MB.  The mc runs draw their uniforms
-    from the keyed stream of ``coherent``, so no command imports it."""
+    from the keyed stream of ``sampling``, so no command imports it."""
     argv = [*argv, "--out", str(tmp_path / "out.csv")]
     r = _python("-c", "import sys; from proxyifm.cli import main; "
                 f"code = main({argv!r}); "
@@ -792,6 +792,24 @@ def test_cli_refuses_a_pulse_train_into_two_sources(tmp_path, capsys, name,
     assert err.startswith("error: ") and err.count("\n") == 1
     assert "2 sources" in err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("name, engine", [
+    ("fig2_blocked", ()), ("fig2_tensor_sum_blocked", ()),
+    ("hom_pair", ("--engine", "fock")),
+], ids=["coherent", "singlephoton", "fock"])
+def test_cli_refuses_shots_past_the_keyed_streams_before_writing(
+        tmp_path, capsys, name, engine):
+    """The keyed streams hold shots 0 to 2**41 - 1: a run of one shot more
+    exits 3 with one line naming the shots, and opens no output file."""
+    out = tmp_path / "r.csv"
+    code = main(["simulate", "--scenario", name, *engine, "--mode", "mc",
+                 "--shots", str(2**41 + 1), "--out", str(out)])
+    err = capsys.readouterr().err
+    assert code == 3, err
+    assert err.startswith("engine error: ") and err.count("\n") == 1
+    assert f"{2**41 + 1} shots" in err and f"shot {2**41}," in err
+    assert not list(tmp_path.iterdir())
 
 
 @pytest.mark.parametrize("mode", ["exact", "mc"])

@@ -1,6 +1,6 @@
 """Monte-Carlo event tables streamed one keyed chunk at a time.
 
-A run's event table is sampled ``_MC_CHUNK`` shots at a time while
+A run's event table is sampled ``sampling.MC_CHUNK`` shots at a time while
 ``emit`` writes it, so the bytes must not depend on the chunking, memory
 must not grow with shots, and the table must read the same on every pass.
 """

@@ -1,7 +1,7 @@
 """Exact and oracle tables longer than one chunk.
 
 The coherent ``field`` table of a long pulse train and the Fock ``joint``
-table are streams of ``_MC_CHUNK`` rows, built while ``emit`` writes
+table are streams of ``sampling.MC_CHUNK`` rows, built while ``emit`` writes
 them, as the Monte-Carlo event tables are.  The bytes must not depend on
 the chunking, and a run must hold its distribution, not its rendered
 rows.
