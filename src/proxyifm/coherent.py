@@ -16,6 +16,7 @@ delayed partial waves it proxies carried no photon at all.  See
 from __future__ import annotations
 
 import math
+from functools import cached_property
 from typing import Optional, Sequence
 
 import numpy as np
@@ -23,7 +24,7 @@ import numpy as np
 from .circuit import CircuitSpec, CompiledCircuit, Delay, Obstacle, compile_circuit
 from .errors import NoLossTerminalError, ParseError, ZeroPulsesError
 from .records import record, replace
-from .sampling import flatten_cells, sample_gaps
+from .sampling import flatten_cells, round_buffer, sample_gaps
 
 
 @record
@@ -79,7 +80,9 @@ class ClickDistribution:
     Probabilities outside [0, 1] raise ``ValueError`` here, before any
     shot is drawn.  ``_gaps`` keeps, per cell laid out by
     ``flatten_cells``, ``log1p(-p)`` and the terminal and bin, and the
-    largest ``p`` (0 with no cell), for ``sample_clicks``.
+    largest ``p`` (0 with no cell), for ``sample_clicks``.  Its draws all
+    reuse ``_buffer``, a ``sampling.round_buffer`` made on the first, so
+    two threads must not draw from one distribution at once.
     """
 
     p_click: dict[str, np.ndarray]
@@ -92,6 +95,10 @@ class ClickDistribution:
             log_q = np.log1p(-p)         # -inf for p = 1, -0.0 for p = 0
         object.__setattr__(self, "_gaps", (log_q, terminal, bins,
                                            float(p.max(initial=0.0))))
+
+    @cached_property
+    def _buffer(self) -> np.ndarray:
+        return round_buffer(len(self._gaps[0]))
 
 
 @record(eq=False)
@@ -139,9 +146,9 @@ def sample_clicks(dist: ClickDistribution, shots: int, seed: int,
     shot ``start`` on, by ``sampling.sample_gaps``.  Events are ordered by
     (shot, cell)."""
     log_q, cell_terminal, cell_bin, densest = dist._gaps
-    shot_idx, cell = sample_gaps(log_q, densest, shots, seed, start)
+    shot_idx, cell = sample_gaps(log_q, densest, dist._buffer, shots, seed, start)
     return EventLog(shots=shots, seed=seed, shot_idx=shot_idx,
-                    terminal=cell_terminal[cell], bin_idx=cell_bin[cell],
+                    terminal=cell_terminal.take(cell), bin_idx=cell_bin.take(cell),
                     terminal_order=tuple(dist.p_click))
 
 

@@ -13,7 +13,9 @@ same seed.  The streams hold shots 0 to 2**41 - 1 (2**24 chunks), and
 ``Chunks`` refuses a run past them when it is built.
 
 The two draws are ``sample_gaps``, the clicks of independent cells, and
-``sample_categorical``, one index per shot from a cdf.  ``flatten_cells``
+``sample_categorical``, one index per shot from a cdf.  The first draws
+every chunk into one ``round_buffer`` that its caller keeps, and holds
+that plus the chunk's click keys ``shot << s | cell``.  ``flatten_cells``
 is the one layout of per-terminal arrays as (terminal, bin) cells, for
 the samplers and the runner's tables.
 """
@@ -245,11 +247,16 @@ def _rounds(shots, p):
     return np.ceil(mean + 5 * np.sqrt(mean * (1 - p))) + 2
 
 
-def sample_gaps(log_q: np.ndarray, densest: float, shots: int, seed: int,
-                start: int = 0) -> tuple[np.ndarray, np.ndarray]:
+def round_buffer(cells: int) -> np.ndarray:
+    """The ``buffer`` of ``sample_gaps``: ``_DRAW_BYTES`` of rounds, or one."""
+    return np.empty(max(1, _DRAW_BYTES // (8 * max(1, cells))) * cells)
+
+
+def sample_gaps(log_q: np.ndarray, densest: float, buffer: np.ndarray, shots: int,
+                seed: int, start: int = 0) -> tuple[np.ndarray, np.ndarray]:
     """The ``(shot, cell)`` of every click of independent cells, in
     (shot, cell) order, for cells of ``log1p(-p)`` ``log_q``, the largest
-    ``p`` being ``densest``.
+    ``p`` being ``densest``; ``cell`` is an intp index.
 
     Each cell's clicks are found by geometric skipping: the gap from one
     click to the next is ``floor(log1p(-u) / log1p(-p)) + 1`` for a uniform
@@ -265,14 +272,18 @@ def sample_gaps(log_q: np.ndarray, densest: float, shots: int, seed: int,
     block at a time.  A cell's k-th gap sits at a fixed place in the
     chunk's stream, so the clicks are a pure function of (``log_q``, shot
     indices, seed), whatever the blocks.
+
+    Every chunk draws into ``buffer``, a ``round_buffer(len(log_q))`` kept
+    per distribution, so it holds those pages plus its clicks, whose keys
+    ``shot << s | cell`` (``s`` the bit length of ``cells - 1``) are built
+    in the block, exact as ``shot < MC_CHUNK``; no array returned shares it.
     """
     cells = len(log_q)
-    rows = max(1, _DRAW_BYTES // (8 * max(1, cells)))
+    shift = (cells - 1).bit_length()
 
     def draw(stream, chunk, count):
         # Every gap is at least 1, so count + 1 rounds pass every cell.
         need = int(min(count + 1, _rounds(count, densest)))
-        buffer = np.empty((min(rows, need), cells))
         pos = np.full(cells, -1.0)       # each cell's last click so far
         keys = [np.zeros(0, dtype=np.int64)]
         while (pos < count).any():
@@ -280,7 +291,7 @@ def sample_gaps(log_q: np.ndarray, densest: float, shots: int, seed: int,
                 live = pos < count
                 need = int(_rounds(count - 1 - pos[live],
                                    -np.expm1(log_q[live])).max())
-            block = buffer[:need]
+            block = buffer[:need * cells].reshape(-1, cells)
             need -= len(block)
             stream.random(out=block)
             np.negative(block, out=block)
@@ -294,15 +305,17 @@ def sample_gaps(log_q: np.ndarray, densest: float, shots: int, seed: int,
             block[0] += pos
             np.cumsum(block, axis=0, out=block)
             pos = block[-1].copy()
-            hits = np.flatnonzero(block < count)
-            keys.append(block.ravel()[hits].astype(np.int64) * cells
-                        + hits % cells)
+            hit = block < count
+            block *= 1 << shift
+            block += np.arange(cells)
+            keys.append(block[hit].view(np.int64))      # made int64 in place
+            np.copyto(keys[-1], keys[-1].view(np.float64), casting="unsafe")
         keys = np.concatenate(keys)
         keys.sort()
-        shot = keys // cells
+        shot = keys >> shift
         shot += chunk
-        np.remainder(keys, cells, out=keys)
-        return shot, keys.astype(np.int32)
+        keys &= (1 << shift) - 1
+        return shot, keys
 
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
         return _sample_chunks(shots, seed, draw, start)

@@ -4,9 +4,10 @@ property, the edges and statistics of the click sampler and its memory.
 ``sample_clicks`` skips from click to click along each cell by geometric
 gaps, drawn in rounds of one uniform per cell; the events must equal those
 of the scalar gap-by-gap reference (``conftest.reference_clicks``) at every
-block shape, and a chunk draws about as many rounds as its densest cell
-needs.  The indexed search that places the one-photon and Fock samplers'
-uniforms must give ``searchsorted``'s index on any cdf.  Every sampler
+block shape and key width, the round buffer a distribution reuses must
+leak into no log, and a chunk draws about as many rounds as its densest
+cell needs.  The indexed search that places the one-photon and Fock
+samplers' uniforms must give ``searchsorted``'s index on any cdf.  Every sampler
 draws from the keyed stream of its chunk of shots (``sampling._Stream``),
 so a short run is the prefix of a longer one with the same seed; the
 stream must equal the int-arithmetic reference
@@ -159,12 +160,54 @@ def test_fock_mc_run_holds_no_object_per_shot():
     assert peak < 8 * 2**20, f"{peak / 2**20:.1f} MiB"
 
 
-def test_sample_clicks_across_several_chunks_at_random_probabilities():
-    dist = ClickDistribution(p_click={"D1": np.array([0.03, 0.3, 0.0]),
-                                      "D2": np.array([0.001, 1.0])})
+def _sparse_cells(cells):
+    """``cells`` click probabilities up to 3e-3, a tenth of them 0, with
+    the first and the last cell clicking: a click's key holds its cell in
+    the low ``(cells - 1).bit_length()`` bits."""
+    rng = np.random.default_rng(cells)
+    p = rng.random(cells) * 3e-3
+    p[rng.random(cells) < 0.1] = 0.0
+    p[[0, -1]] = 3e-3
+    return p
+
+
+# Cell counts at and beside powers of two, and the 303 of a 100-pulse
+# fig2_blocked train; one terminal is empty at one cell.
+@pytest.mark.parametrize("p", [
+    np.array([0.03, 0.3, 0.0, 0.001, 1.0]),
+    *map(_sparse_cells, [1, 2, 63, 64, 65, 128, 129, 303])],
+    ids=lambda p: f"{len(p)}_cells")
+def test_sample_clicks_across_several_chunks_at_random_probabilities(p):
+    half = (len(p) + 1) // 2
+    dist = ClickDistribution(p_click={"D1": p[:half], "D2": p[half:]})
     shots = 2 * MC_CHUNK + 4321
     log = sample_clicks(dist, shots, 12)
     _assert_equal_events(log, reference_clicks(dist, shots, 12))
+
+
+def _fields(log):
+    return log.shot_idx, log.terminal, log.bin_idx
+
+
+def test_the_reused_round_buffer_leaks_into_no_log():
+    """Chunk 0 of one distribution, a chunk of another of fewer cells, then
+    chunk 1 of the first: each log equals a fresh distribution's draw, the
+    first is unchanged by the later draws, and none shares the buffers."""
+    rng = np.random.default_rng(17)
+    first = ClickDistribution(p_click={"D1": rng.random(65) * 3e-3,
+                                       "D2": np.array([0.4, 1.0])})
+    second = ClickDistribution(p_click={"D": rng.random(5) * 0.2})
+    draws = [(first, MC_CHUNK, 0), (second, MC_CHUNK, MC_CHUNK),
+             (first, 500, MC_CHUNK)]
+    logs = [sample_clicks(first, MC_CHUNK, 3)]
+    kept = [a.copy() for a in _fields(logs[0])]
+    logs += [sample_clicks(dist, count, 3, start) for dist, count, start in draws[1:]]
+    _assert_equal_events(logs[0], kept)
+    for log, (dist, count, start) in zip(logs, draws):
+        fresh = ClickDistribution(p_click=dist.p_click)
+        _assert_equal_events(log, _fields(sample_clicks(fresh, count, 3, start)))
+        assert not any(np.shares_memory(a, d._buffer)
+                       for a in _fields(log) for d in (first, second))
 
 
 EDGE_P = np.array([0.0, 5e-324, 1e-300, 0.5, 1 - 1e-16, 1.0])

@@ -20,9 +20,16 @@ from proxyifm.singlephoton import OutcomeDistribution, sample_outcomes
 
 from conftest import MC_CHUNK, column_bytes, hom_spec
 
-# (scenario, extra CLI arguments): one per sampler.
+# (scenario, extra CLI arguments): one per sampler, and the click sampler
+# again at the 18 to 24 cells (5 key bits) of the other coherent scenarios
+# beside ``fig2_blocked``'s 33 (6 bits).  ``fringe_sweep``'s mc output is
+# ``fig2_open``'s.
 SCENARIOS = {
     "fig2_blocked": (),
+    "fig2_open": (),
+    "fig3_open": (),
+    "fig3_blocked_l": (),
+    "fig3_blocked_m": (),
     "fig2_tensor_sum_blocked": (),
     "hom_pair": ("--cutoff", "2"),
 }
@@ -30,12 +37,21 @@ SCENARIOS = {
 # sha256 of the output of 300,001 shots at seed 7: two full chunks and a
 # partial third, drawn from the SplitMix64 keyed stream.  The streamed
 # writer gave the bytes of the whole-log writer before it on the earlier
-# Philox stream.
+# Philox stream.  The four coherent scenarios past ``fig2_blocked`` give
+# the same bytes at numpy's AVX2 kernels.
 DIGESTS = {
     ("fig2_blocked", "csv"):
         "07cc451b15c8a0e09de5d4d8023649f1df1aa5136c9927e9f179128dd8ba8ce4",
     ("fig2_blocked", "jsonl"):
         "a3878e9530c065b4ada2d6a8f622d731da3a266526fa0fd82ccc27a0ec621bba",
+    ("fig2_open", "jsonl"):
+        "14b015e17b23d565b0e3bce72f8dee9a451b33abb98d754013d7542123b55471",
+    ("fig3_open", "jsonl"):
+        "93846ffe974a353a358c7297366534b2656f0867f94b552bfbb9bb3760b53ef2",
+    ("fig3_blocked_l", "jsonl"):
+        "a633ab9e9470a1b90126b0c7168ac6bac50a9dc0577ac7b04a9a0aaa46a07525",
+    ("fig3_blocked_m", "jsonl"):
+        "e1af9273efe04a3bd7a170d9b2b9e89f7e1bceecf20f55b90b8242ec0133e00d",
     ("fig2_tensor_sum_blocked", "csv"):
         "1208fc2ec992c9216f814a1d7eed09b05054660056d3db66a0298d16493e935d",
     ("fig2_tensor_sum_blocked", "jsonl"):
@@ -110,7 +126,7 @@ def test_row_count_before_and_after_emit(name, len_first, tmp_path):
     if len_first:
         assert before == lines
     assert len(report.tables["events"].rows) == lines
-    if name != "fig2_blocked":       # one event per shot
+    if scenario.source.kind != "coherent":      # one event per shot
         assert lines == shots
 
 
